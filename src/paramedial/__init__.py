@@ -7,112 +7,3 @@ against independent brute-force oracles, and marks the simple ones.
 """
 
 __version__ = "0.1.0"
-
-from .affine import (
-    AffineForm,
-    ClassRecord,
-    CyclicGroup,
-    ElemAbelian2Group,
-    ParamedialConditionError,
-    QuasigroupTable,
-    invariant_proper_subgroups,
-    is_latin,
-    is_paramedial,
-    is_simple,
-    materialize,
-    table_from_text,
-    table_to_text,
-)
-from .enum_cyclic import (
-    CyclicClassification,
-    UnsupportedOrder,
-    closed_form_count,
-    enumerate_cyclic,
-    gl2_closed_count,
-    pq_total,
-)
-from .enum_gl2 import (
-    ConjClass,
-    Gl2Classification,
-    burnside_orbit_count,
-    conic_count,
-    conic_solutions,
-    conjugacy_classes,
-    coset_reps_for,
-    enumerate_gl2,
-    simple_subset,
-    sqrt_set,
-    y_phi,
-)
-from .modring import (
-    Mat2,
-    MixedModulusError,
-    Modulus,
-    Residue,
-    SingularMatrixError,
-    Unit,
-    Vec2,
-    image_and_cosets,
-    sqrt_residue,
-    unit_group,
-)
-from .oracle import (
-    ActionSpec,
-    OrbitPartition,
-    ResourceLimitError,
-    classify_triples,
-    orbits,
-    table_is_simple,
-    table_isomorphic,
-)
-
-__all__ = [
-    "__version__",
-    "AffineForm",
-    "ActionSpec",
-    "ClassRecord",
-    "ConjClass",
-    "CyclicClassification",
-    "CyclicGroup",
-    "ElemAbelian2Group",
-    "Gl2Classification",
-    "Mat2",
-    "MixedModulusError",
-    "Modulus",
-    "OrbitPartition",
-    "ParamedialConditionError",
-    "QuasigroupTable",
-    "Residue",
-    "ResourceLimitError",
-    "SingularMatrixError",
-    "Unit",
-    "UnsupportedOrder",
-    "Vec2",
-    "burnside_orbit_count",
-    "classify_triples",
-    "closed_form_count",
-    "conic_count",
-    "conic_solutions",
-    "conjugacy_classes",
-    "coset_reps_for",
-    "enumerate_cyclic",
-    "enumerate_gl2",
-    "gl2_closed_count",
-    "image_and_cosets",
-    "invariant_proper_subgroups",
-    "is_latin",
-    "is_paramedial",
-    "is_simple",
-    "materialize",
-    "orbits",
-    "pq_total",
-    "simple_subset",
-    "sqrt_residue",
-    "sqrt_set",
-    "table_from_text",
-    "table_is_simple",
-    "table_isomorphic",
-    "table_to_text",
-    "unit_group",
-    "y_phi",
-]

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
-from .modring import Mat2, Modulus, Residue, Unit, Vec2, is_prime
+from .modring import Mat2, Modulus, Vec2, is_prime
 
 
 class ParamedialConditionError(ValueError):
@@ -41,14 +39,11 @@ class CyclicGroup:
     def add(self, x: int, y: int) -> int:
         return (x + y) % self.modulus.n
 
-    def neg(self, x: int) -> int:
-        return -x % self.modulus.n
+    def apply(self, aut: int, x: int) -> int:
+        return aut * x % self.modulus.n
 
-    def apply(self, aut: Unit, x: int) -> int:
-        return aut.value * x % self.modulus.n
-
-    def encode(self, element: Residue) -> int:
-        return element.value
+    def encode(self, element: int) -> int:
+        return element
 
     def describe(self) -> str:
         return f"cyclic({self.modulus.p},{self.modulus.k})"
@@ -72,10 +67,6 @@ class ElemAbelian2Group:
         p = self.p
         return (x // p + y // p) % p * p + (x % p + y % p) % p
 
-    def neg(self, x: int) -> int:
-        p = self.p
-        return -(x // p) % p * p + -(x % p) % p
-
     def apply(self, aut: Mat2, x: int) -> int:
         p = self.p
         v = aut.matvec(Vec2(x // p, x % p, p))
@@ -95,28 +86,31 @@ GroupDescriptor = Union[CyclicGroup, ElemAbelian2Group]
 class AffineForm:
     """One isomorphism-class representative (G, phi, psi, c).
 
-    Construction checks that phi and psi are invertible automorphisms of
-    the stated group and that phi^2 = psi^2; violating the latter raises
+    Over Z_{p^k}, phi and psi are units u (the automorphisms x -> u x)
+    and c is an element, all plain ints reduced mod p^k on construction;
+    over Z_p x Z_p they are a Mat2 pair and a Vec2.  Construction checks
+    that phi and psi are invertible automorphisms of the stated group and
+    that phi^2 = psi^2; violating the latter raises
     ParamedialConditionError so the paramedial invariant is structural.
     """
 
     group: GroupDescriptor
-    phi: Union[Unit, Mat2]
-    psi: Union[Unit, Mat2]
-    c: Union[Residue, Vec2]
+    phi: Union[int, Mat2]
+    psi: Union[int, Mat2]
+    c: Union[int, Vec2]
 
     def __post_init__(self):
         if isinstance(self.group, CyclicGroup):
             m = self.group.modulus
-            if not (isinstance(self.phi, Unit) and isinstance(self.psi, Unit)):
-                raise TypeError("cyclic forms take Unit automorphisms")
-            if self.phi.modulus != m or self.psi.modulus != m:
-                raise ValueError("automorphism modulus does not match the group")
-            if not isinstance(self.c, Residue) or self.c.modulus != m:
-                raise ValueError("constant must be a residue over the group modulus")
-            if (self.phi.value**2 - self.psi.value**2) % m.n != 0:
+            if not all(isinstance(v, int) for v in (self.phi, self.psi, self.c)):
+                raise TypeError("cyclic forms take int automorphisms and constant")
+            for f in ("phi", "psi", "c"):
+                object.__setattr__(self, f, getattr(self, f) % m.n)
+            if self.phi % m.p == 0 or self.psi % m.p == 0:
+                raise ValueError(f"phi and psi must be units mod {m.n}")
+            if (self.phi**2 - self.psi**2) % m.n != 0:
                 raise ParamedialConditionError(
-                    f"phi^2 != psi^2 for (phi, psi) = ({self.phi.value}, {self.psi.value}) mod {m.n}"
+                    f"phi^2 != psi^2 for (phi, psi) = ({self.phi}, {self.psi}) mod {m.n}"
                 )
         else:
             p = self.group.p
@@ -132,12 +126,6 @@ class AffineForm:
                 raise ParamedialConditionError(
                     f"phi^2 != psi^2 for phi={self.phi.entries()}, psi={self.psi.entries()}"
                 )
-
-    def triple_key(self) -> tuple:
-        """Sort key (phi, psi, c) in the canonical entry orderings."""
-        if isinstance(self.group, CyclicGroup):
-            return (self.phi.value, self.psi.value, self.c.value)
-        return (self.phi.entries(), self.psi.entries(), self.c.entries())
 
 
 @dataclass(frozen=True)
@@ -159,9 +147,6 @@ class QuasigroupTable:
     def __post_init__(self):
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise ValueError("table shape does not match the stated order")
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
 
 
 def materialize(form: AffineForm) -> QuasigroupTable:
@@ -186,9 +171,12 @@ def is_latin(table: QuasigroupTable) -> bool:
 def is_paramedial(table: QuasigroupTable) -> bool:
     """Exhaustive check of (x*y)*(u*v) = (v*y)*(u*x) over all n^4 quadruples.
 
-    Vectorized with one n^3 slab per x so memory stays cubic.
+    Vectorized with one n^3 slab per x so memory stays cubic.  numpy is
+    imported here, its only use, so importing the package stays light.
     """
-    t = table.to_array()
+    import numpy as np
+
+    t = np.array(table.rows, dtype=np.int64)
     n = table.n
     t_uv = t[None, :, :]  # axes (y, u, v) -> t[u][v]
     for x in range(n):

@@ -44,7 +44,7 @@ from .enum_cyclic import (
     pq_total,
 )
 from .enum_gl2 import coset_reps_for, enumerate_gl2, simple_subset
-from .modring import Mat2, Modulus, Residue, Unit, Vec2
+from .modring import Mat2, Modulus, Vec2
 from .oracle import ResourceLimitError, classify_triples, encode_triple
 
 CACHE_ENV = "PARAMEDIAL_CACHE_DIR"
@@ -83,9 +83,9 @@ def record_to_dict(rec: ClassRecord) -> dict:
     """JSON form of one class: matrices row-major, vectors flat."""
     form = rec.form
     if isinstance(form.group, CyclicGroup):
-        phi = [[form.phi.value]]
-        psi = [[form.psi.value]]
-        c = [form.c.value]
+        phi = [[form.phi]]
+        psi = [[form.psi]]
+        c = [form.c]
     else:
         phi = [list(r) for r in form.phi.rows()]
         psi = [list(r) for r in form.psi.rows()]
@@ -103,14 +103,8 @@ def record_to_dict(rec: ClassRecord) -> dict:
 def form_from_dict(d: dict) -> AffineForm:
     g = d["group"]
     if g["kind"] == "cyclic":
-        m = Modulus(g["p"], g["k"])
-        group = CyclicGroup(m)
-        return AffineForm(
-            group,
-            Unit(Residue(d["phi"][0][0], m)),
-            Unit(Residue(d["psi"][0][0], m)),
-            Residue(d["c"][0], m),
-        )
+        group = CyclicGroup(Modulus(g["p"], g["k"]))
+        return AffineForm(group, d["phi"][0][0], d["psi"][0][0], d["c"][0])
     p = g["p"]
     group = ElemAbelian2Group(p)
     (a, b), (c_, d_) = d["phi"]
@@ -118,12 +112,6 @@ def form_from_dict(d: dict) -> AffineForm:
     return AffineForm(
         group, Mat2(a, b, c_, d_, p), Mat2(e, f, g_, h, p), Vec2(d["c"][0], d["c"][1], p)
     )
-
-
-def _group_token(group: GroupDescriptor) -> str:
-    if isinstance(group, CyclicGroup):
-        return f"cyclic({group.modulus.p},{group.modulus.k})"
-    return f"elem2({group.p})"
 
 
 def _flat_matrix(rows: list[list[int]]) -> str:
@@ -142,7 +130,7 @@ def render_records(records: list[ClassRecord], fmt: str) -> bytes:
             d = record_to_dict(rec)
             writer.writerow(
                 [
-                    _group_token(rec.form.group),
+                    rec.form.group.describe(),
                     _flat_matrix(d["phi"]),
                     _flat_matrix(d["psi"]),
                     ",".join(str(v) for v in d["c"]),
@@ -156,7 +144,7 @@ def render_records(records: list[ClassRecord], fmt: str) -> bytes:
         for rec in records:
             d = record_to_dict(rec)
             header = (
-                f"# group={_group_token(rec.form.group)}"
+                f"# group={rec.form.group.describe()}"
                 f" case={rec.case}"
                 f" simple={'true' if rec.simple else 'false'}"
                 f" phi={_flat_matrix(d['phi'])}"
@@ -227,6 +215,8 @@ def _emit(data: bytes, out_path: str | None) -> None:
 
 def cmd_count(args, parser) -> int:
     if args.order is not None:
+        if args.order < 1:
+            parser.error(f"--order must be at least 1, got {args.order}")
         count = pq_total(args.order)
         params = {"order": args.order}
     else:
@@ -290,11 +280,11 @@ def _verify_cyclic(group: CyclicGroup, level: str, report: _Report) -> None:
         cls.count == expected,
         f"got {cls.count}",
     )
-    ok_units = all(f.phi.value % m.p != 0 and f.psi.value % m.p != 0 for f in cls.forms)
+    ok_units = all(f.phi % m.p != 0 and f.psi % m.p != 0 for f in cls.forms)
     report.check("phi and psi are units", ok_units)
-    ok_pm = all((f.phi.value**2 - f.psi.value**2) % m.n == 0 for f in cls.forms)
+    ok_pm = all((f.phi**2 - f.psi**2) % m.n == 0 for f in cls.forms)
     report.check("phi^2 = psi^2 for every class", ok_pm)
-    keys = [f.triple_key() for f in cls.forms]
+    keys = [encode_triple(f) for f in cls.forms]
     report.check("classes are sorted and distinct", keys == sorted(set(keys)))
     if level == "oracle":
         oracle_cls = classify_triples(group, max_order=27)

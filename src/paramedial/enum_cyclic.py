@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .affine import AffineForm, CyclicGroup
-from .modring import Modulus, Residue, Unit, unit_group
+from .modring import Modulus, unit_group
 
 
 class UnsupportedOrder(ValueError):
@@ -73,24 +73,20 @@ def enumerate_cyclic(m: Modulus) -> CyclicClassification:
         expected = {1: 1, 2: 4}[m.k]
         if cls.count != expected:
             raise AssertionError(f"oracle found {cls.count} classes over Z_{n}, expected {expected}")
-        triples = [(f.phi.value, f.psi.value, f.c.value) for f in cls.representatives]
+        triples = [(f.phi, f.psi, f.c) for f in cls.representatives]
     elif m.p == 2:
-        units = [u.value for u in unit_group(m)]
+        units = unit_group(m)
         for phi in units:
             matches = [psi for psi in units if (phi * phi - psi * psi) % n == 0]
             if len(matches) != 4:
                 raise AssertionError(f"unit {phi} mod {n} has {len(matches)} square-matches, expected 4")
             triples.extend((phi, psi, 0) for psi in matches)
     else:
-        for u in unit_group(m):
-            phi = u.value
+        for phi in unit_group(m):
             triples.append((phi, n - phi, 0))
             triples.extend((phi, phi, c) for c in _coset_transversal(phi, m))
     triples.sort()
-    forms = tuple(
-        AffineForm(group, Unit(Residue(phi, m)), Unit(Residue(psi, m)), Residue(c, m))
-        for phi, psi, c in triples
-    )
+    forms = tuple(AffineForm(group, phi, psi, c) for phi, psi, c in triples)
     return CyclicClassification(modulus=m, forms=forms)
 
 
@@ -99,9 +95,9 @@ def case_label(form: AffineForm) -> str:
     m = form.group.modulus
     if m.p == 2:
         return "cyclic.p2"
-    if form.psi.value == (-form.phi.value) % m.n:
+    if form.psi == -form.phi % m.n:
         return "cyclic.psi-minus"
-    i = len(_coset_transversal(form.phi.value, m)) - 1
+    i = len(_coset_transversal(form.phi, m)) - 1
     return f"cyclic.psi-plus.i{i}"
 
 

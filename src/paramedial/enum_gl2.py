@@ -385,52 +385,57 @@ class Gl2Classification:
                 )
         return out
 
-    def forms(self) -> list[AffineForm]:
-        return [rec.form for rec in self.records()]
-
 
 def _row(phi: Mat2, psi: Mat2, case: str, simple: bool) -> Gl2Row:
     return Gl2Row(phi, psi, case, tuple(coset_reps_for(phi, psi)), simple)
 
 
+# Case label and simplicity of the leading entries of y_phi(cls), per kind
+# and in y_phi's order.  Entries past these belong to the one open-ended
+# family of their kind, labelled by _case.
+_LEADING_CASES = {
+    "scalar": (
+        (CASE_SCALAR_PLUS, False),
+        (CASE_SCALAR_MINUS, False),
+        (CASE_SCALAR_SPLIT, False),
+    ),
+    "diag": (
+        (CASE_DIAG_PLUS, False),
+        (CASE_DIAG_MINUS, False),
+        (CASE_DIAG_MIXED_A, False),
+        (CASE_DIAG_MIXED_B, False),
+        (CASE_DIAG0_LOWER_PLUS, False),
+        (CASE_DIAG0_LOWER_MINUS, False),
+    ),
+    "jordan": ((CASE_JORDAN_PLUS, False), (CASE_JORDAN_MINUS, False)),
+    "irreducible": ((CASE_IRRED_PLUS, True), (CASE_IRRED_MINUS, True)),
+}
+
+
+def _case(cls: ConjClass, i: int, psi: Mat2) -> tuple[str, bool]:
+    """(case, simple) of the i-th entry psi of y_phi(cls).
+
+    Past the leading entries, a trace-zero diagonal phi = diag(a, -a) has
+    the family ((k,1),(a^2-k^2,-k)), simple unless k = +-a; a trace-zero
+    irreducible phi has the computed orbit representatives, all simple,
+    split by whether 1 - phi - psi is singular (the conic case).
+    """
+    leading = _LEADING_CASES[cls.kind]
+    if i < len(leading):
+        return leading[i]
+    p = cls.rep.p
+    if cls.kind == "diag":
+        return CASE_DIAG0_FAMILY, psi.a not in (cls.a, p - cls.a)
+    conic = (Mat2.identity(p) - cls.rep - psi).det() == 0
+    return (CASE_IRRED0_CONIC if conic else CASE_IRRED0_ROOT), True
+
+
 def _enumerate_odd(p: int) -> list[Gl2Row]:
-    rows: list[Gl2Row] = []
-    for a in range(1, p):
-        phi = Mat2.scalar(a, p)
-        rows.append(_row(phi, phi, CASE_SCALAR_PLUS, False))
-        rows.append(_row(phi, -phi, CASE_SCALAR_MINUS, False))
-        rows.append(_row(phi, Mat2.diag(a, -a, p), CASE_SCALAR_SPLIT, False))
-    for a in range(1, p):
-        for b in range(a + 1, p):
-            phi = Mat2.diag(a, b, p)
-            rows.append(_row(phi, phi, CASE_DIAG_PLUS, False))
-            rows.append(_row(phi, -phi, CASE_DIAG_MINUS, False))
-            rows.append(_row(phi, Mat2.diag(-a, b, p), CASE_DIAG_MIXED_A, False))
-            rows.append(_row(phi, Mat2.diag(a, -b, p), CASE_DIAG_MIXED_B, False))
-            if b == p - a:
-                rows.append(_row(phi, Mat2(a, 0, 1, -a, p), CASE_DIAG0_LOWER_PLUS, False))
-                rows.append(_row(phi, Mat2(-a, 0, 1, a, p), CASE_DIAG0_LOWER_MINUS, False))
-                for k in range(p):
-                    psi = Mat2(k, 1, a * a - k * k, -k, p)
-                    simple = k != a and k != p - a
-                    rows.append(_row(phi, psi, CASE_DIAG0_FAMILY, simple))
-    for a in range(1, p):
-        phi = Mat2(a, 1, 0, a, p)
-        rows.append(_row(phi, phi, CASE_JORDAN_PLUS, False))
-        rows.append(_row(phi, -phi, CASE_JORDAN_MINUS, False))
-    for cls in conjugacy_classes(p):
-        if cls.kind != "irreducible":
-            continue
-        phi = cls.rep
-        rows.append(_row(phi, phi, CASE_IRRED_PLUS, True))
-        rows.append(_row(phi, -phi, CASE_IRRED_MINUS, True))
-        if cls.b == 0:
-            identity = Mat2.identity(p)
-            for psi in y_phi(cls)[2:]:
-                conic = (identity - phi - psi).det() == 0
-                case = CASE_IRRED0_CONIC if conic else CASE_IRRED0_ROOT
-                rows.append(_row(phi, psi, case, True))
-    return rows
+    return [
+        _row(cls.rep, psi, *_case(cls, i, psi))
+        for cls in conjugacy_classes(p)
+        for i, psi in enumerate(y_phi(cls))
+    ]
 
 
 def _enumerate_p2() -> list[Gl2Row]:

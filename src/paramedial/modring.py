@@ -1,10 +1,11 @@
 """Exact arithmetic in Z_{p^k}, its unit group, and 2x2 matrices over Z_p.
 
-Everything here is a small immutable value type: residues carry their
-modulus, matrices and vectors carry the prime they live over, and all
-operations reduce eagerly to the least non-negative representative.
-Mixing values over different moduli is a programming error and raises
-``MixedModulusError`` instead of coercing.
+Elements and automorphisms of Z_{p^k} are plain ints, least non-negative
+residues mod p^k; ``Modulus`` names the ring.  Matrices and vectors over
+Z_p are small immutable value types that carry the prime they live over,
+and all their operations reduce eagerly to the least non-negative
+representative.  Mixing matrices or vectors over different primes is a
+programming error and raises ``MixedModulusError`` instead of coercing.
 
 Supported range: the modulus p^k must stay below 2**31 so that products
 of two reduced values fit comfortably in native integers before Python
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from typing import Iterator
 
 MAX_MODULUS = 2**31
@@ -65,78 +65,12 @@ class Modulus:
         return self.p**self.k
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z_{p^k}, stored as its least non-negative representative."""
+def unit_group(m: Modulus) -> list[int]:
+    """All units of Z_{p^k} in ascending order; size p^k - p^(k-1).
 
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus.n:
-            object.__setattr__(self, "value", self.value % self.modulus.n)
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise MixedModulusError(f"{self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value + other.value) % self.modulus.n, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value - other.value) % self.modulus.n, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value * other.value) % self.modulus.n, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value % self.modulus.n, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def is_unit(self) -> bool:
-        return gcd(self.value, self.modulus.p) == 1
-
-
-@dataclass(frozen=True)
-class Unit:
-    """An invertible residue; these are exactly the automorphisms of Z_{p^k}."""
-
-    residue: Residue
-
-    def __post_init__(self):
-        if not self.residue.is_unit():
-            raise ValueError(f"{self.residue.value} is divisible by {self.residue.modulus.p}")
-
-    @property
-    def value(self) -> int:
-        return self.residue.value
-
-    @property
-    def modulus(self) -> Modulus:
-        return self.residue.modulus
-
-    def __mul__(self, other: "Unit") -> "Unit":
-        return Unit(self.residue * other.residue)
-
-    def __neg__(self) -> "Unit":
-        return Unit(-self.residue)
-
-    def inverse(self) -> "Unit":
-        n = self.modulus.n
-        return Unit(Residue(pow(self.value, -1, n), self.modulus))
-
-    def apply(self, x: Residue) -> Residue:
-        return self.residue * x
-
-
-def unit_group(m: Modulus) -> list[Unit]:
-    """All units of Z_{p^k} in ascending order; size p^k - p^(k-1)."""
-    return [Unit(Residue(v, m)) for v in range(1, m.n) if v % m.p != 0]
+    The units are exactly the automorphisms x -> u x of Z_{p^k}.
+    """
+    return [v for v in range(1, m.n) if v % m.p != 0]
 
 
 # -- square roots in the field Z_p -------------------------------------------
@@ -168,14 +102,6 @@ def sqrt_mod_prime(x: int, p: int) -> tuple[int, ...]:
     if x == 0:
         return (0,)
     return (r, p - r)
-
-
-def sqrt_residue(x: Residue) -> tuple[Residue, ...]:
-    """Square roots of a residue over an odd prime modulus (k = 1)."""
-    m = x.modulus
-    if m.k != 1:
-        raise ValueError("square roots are only provided over the field Z_p")
-    return tuple(Residue(r, m) for r in sqrt_mod_prime(x.value, m.p))
 
 
 def is_square_mod(x: int, p: int) -> bool:
@@ -354,28 +280,6 @@ def all_matrices(p: int) -> Iterator[Mat2]:
 def gl2(p: int) -> list[Mat2]:
     """All invertible 2x2 matrices over Z_p; |GL(2,p)| = (p^2-1)(p^2-p)."""
     return [m for m in all_matrices(p) if m.det() != 0]
-
-
-def image_and_cosets(m: Mat2) -> tuple[list[Vec2], list[Vec2]]:
-    """Basis of Im(M) and a full transversal of Z_p^2 / Im(M).
-
-    The transversal has p^(2-rank) entries, starts with the zero vector
-    and is otherwise ordered deterministically: for rank one it consists
-    of the multiples t*w of the lexicographically least vector w outside
-    the image, in order of t.
-    """
-    p = m.p
-    zero = Vec2(0, 0, p)
-    rank = m.rank()
-    col1 = Vec2(m.a, m.c, p)
-    col2 = Vec2(m.b, m.d, p)
-    if rank == 2:
-        return [col1, col2], [zero]
-    if rank == 0:
-        return [], all_vectors(p)
-    basis = col1 if not col1.is_zero() else col2
-    w = vector_outside_line(basis)
-    return [basis], [w.smul(t) for t in range(p)]
 
 
 def in_line(v: Vec2, direction: Vec2) -> bool:

@@ -4,6 +4,12 @@ Nothing in here knows about the structured case analysis used by the
 enumerators; it classifies by raw orbit computation and raw table
 search so the two routes stay independent.  Exhaustive methods suffice
 at the supported scale, so there is no permutation-group cleverness.
+
+For the same reason the 2x2 arithmetic of the triple action runs on its
+own tuple kernel (``_mmul``/``_minv``/``_mvec``) rather than on
+``modring.Mat2``: this module is the reference the enumerators are
+checked against, and a kernel shared with them could hide one bug on
+both sides.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from .affine import AffineForm, CyclicGroup, ElemAbelian2Group, GroupDescriptor, QuasigroupTable
-from .modring import Mat2, Modulus, Residue, Unit, Vec2, unit_group
+from .modring import Mat2, Vec2, unit_group
 
 DEFAULT_MAX_POINTS = 10**7
 
@@ -207,24 +213,23 @@ class TripleClassification:
 
 
 def encode_triple(form: AffineForm) -> tuple:
+    """The form as a raw triple: ints over Z_{p^k}, entry tuples over Z_p x Z_p."""
     if isinstance(form.group, CyclicGroup):
-        return (form.phi.value, form.psi.value, form.c.value)
+        return (form.phi, form.psi, form.c)
     return (form.phi.entries(), form.psi.entries(), form.c.entries())
 
 
 def decode_triple(group: GroupDescriptor, triple: tuple) -> AffineForm:
-    if isinstance(group, CyclicGroup):
-        m = group.modulus
-        phi, psi, c = triple
-        return AffineForm(group, Unit(Residue(phi, m)), Unit(Residue(psi, m)), Residue(c, m))
-    p = group.p
     phi, psi, c = triple
+    if isinstance(group, CyclicGroup):
+        return AffineForm(group, phi, psi, c)
+    p = group.p
     return AffineForm(group, Mat2(*phi, p), Mat2(*psi, p), Vec2(*c, p))
 
 
 def _cyclic_spec(group: CyclicGroup, with_elements: bool) -> ActionSpec:
     n = group.modulus.n
-    units = [u.value for u in unit_group(group.modulus)]
+    units = unit_group(group.modulus)
     by_square = {}
     for u in units:
         by_square.setdefault(u * u % n, []).append(u)
@@ -354,14 +359,6 @@ def classify_triples(
 # -- raw Cayley-table isomorphism ---------------------------------------------
 
 
-def _row_perm(table, i):
-    return table[i]
-
-
-def _col_perm(table, j):
-    return tuple(row[j] for row in table)
-
-
 def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
     seen = [False] * len(perm)
     lengths = []
@@ -387,8 +384,8 @@ def _signature(table) -> list[tuple]:
     for x in range(n):
         sigs.append(
             (
-                _cycle_type(_row_perm(table, x)),
-                _cycle_type(_col_perm(table, x)),
+                _cycle_type(table[x]),
+                _cycle_type([row[x] for row in table]),
                 table[x][x] == x,
                 diag_indeg[x],
             )

@@ -19,12 +19,11 @@ from paramedial.affine import (
     table_from_text,
     table_to_text,
 )
-from paramedial.modring import Mat2, Modulus, Residue, Unit, Vec2
+from paramedial.modring import Mat2, Modulus, Vec2
 
 
 def cyclic_form(p, k, phi, psi, c):
-    m = Modulus(p, k)
-    return AffineForm(CyclicGroup(m), Unit(Residue(phi, m)), Unit(Residue(psi, m)), Residue(c, m))
+    return AffineForm(CyclicGroup(Modulus(p, k)), phi, psi, c)
 
 
 def elem2_form(p, phi, psi, c=(0, 0)):
@@ -114,6 +113,15 @@ def test_paramedial_condition_is_structural():
 def test_affine_form_rejects_singular_matrices():
     with pytest.raises(ValueError):
         elem2_form(3, (1, 0, 0, 0), (1, 0, 0, 0))
+
+
+def test_cyclic_form_fields_are_reduced_units():
+    form = cyclic_form(3, 2, 10, -1, 20)
+    assert (form.phi, form.psi, form.c) == (1, 8, 2)
+    with pytest.raises(ValueError):
+        cyclic_form(3, 2, 3, 3, 0)
+    with pytest.raises(TypeError):
+        cyclic_form(3, 2, 1.0, 1, 0)
 
 
 CYCLIC_PAIRS_9 = [(phi, psi) for phi in range(1, 9) for psi in range(1, 9)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import paramedial
 from paramedial.affine import is_simple
 from paramedial.cli import CACHE_ENV, form_from_dict, main, record_to_dict
 from paramedial.enum_gl2 import enumerate_gl2
@@ -44,9 +48,14 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--group", "cyclic", "4", "1"])
-    assert exc.value.code == 2
+    for argv in (
+        ["count", "--group", "cyclic", "4", "1"],
+        ["count", "--order", "0"],
+        ["count", "--order", "-3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_enumerate_json_record_count(tmp_path, capsys):
@@ -165,3 +174,11 @@ def test_verify_oracle_bound(capsys):
     code, _, err = run(capsys, "verify", "--group", "elem2", "7", "--level", "oracle")
     assert code == 3
     assert "bounded" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, paramedial.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -14,7 +14,7 @@ from paramedial.oracle import classify_triples, encode_triple
 
 
 def triples(m):
-    return [(f.phi.value, f.psi.value, f.c.value) for f in enumerate_cyclic(m).forms]
+    return [(f.phi, f.psi, f.c) for f in enumerate_cyclic(m).forms]
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,36 @@
+"""Byte-for-byte pins of `enumerate` output in every format.
+
+Each value is the first 16 hex digits of the sha256 of the file written by
+`paramedial enumerate --group ... --format F --out PATH`.  A change that
+alters any of them alters the public output and must say so.
+"""
+
+import hashlib
+
+import pytest
+
+from paramedial.cli import main
+
+GOLDEN = {
+    ("elem2", "2"): {"json": "54dd3ed9f1da81cd", "csv": "c948ca9a44685891", "tables": "dcf300bc26e1014f"},
+    ("elem2", "3"): {"json": "4beb0985b19e15b7", "csv": "856c6396efffdaea", "tables": "6e525e86d8f94723"},
+    ("elem2", "5"): {"json": "b7447c63d59583fd", "csv": "8224a035d0ebfd0b", "tables": "3d0c86b6d8d0b7c7"},
+    ("elem2", "7"): {"json": "5d03dacf77f8384c", "csv": "c14015033d2ae659", "tables": "085ee76d347d51da"},
+    ("cyclic", "2", "4"): {"json": "df75ddad016859e1", "csv": "61e7fca42486ed7f", "tables": "7e59a75098cae5ac"},
+    ("cyclic", "3", "2"): {"json": "2ad2938746b3ed59", "csv": "8499ad530905b8d1", "tables": "a72b032740d62107"},
+    ("cyclic", "5", "3"): {"json": "051154c789c39c1c", "csv": "100d729445981a61", "tables": "1b04bed8293ec9ee"},
+}
+
+CASES = [
+    pytest.param(group, fmt, digest, id="-".join((*group, fmt)))
+    for group, by_fmt in GOLDEN.items()
+    for fmt, digest in by_fmt.items()
+]
+
+
+@pytest.mark.parametrize("group,fmt,digest", CASES)
+def test_enumerate_output_digest(tmp_path, monkeypatch, group, fmt, digest):
+    monkeypatch.delenv("PARAMEDIAL_CACHE_DIR", raising=False)
+    out = tmp_path / f"out.{fmt}"
+    assert main(["enumerate", "--group", *group, "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest

@@ -3,7 +3,8 @@
 Output of ``enumerate`` is byte-deterministic for fixed arguments, so it
 can be diffed and cached: when the PARAMEDIAL_CACHE_DIR environment
 variable is set, serialized results are stored there keyed by command,
-parameters and library version, and a warm run replays the exact bytes.
+parameters and library version, each with its sha256, and a warm run
+replays the exact bytes once the digest matches (otherwise it recomputes).
 Run manifests (which carry a timestamp) are only written on request via
 --manifest, never into the primary output.
 
@@ -172,10 +173,16 @@ def _cache_path(key: str) -> str | None:
 
 
 def _cache_load(path: str | None) -> bytes | None:
+    """The cached output, or None on a miss.  An entry is the hex sha256
+    of the output, a newline, then the output; an entry whose digest does
+    not match (corrupt or truncated) is a miss too."""
     if path is None or not os.path.exists(path):
         return None
     with open(path, "rb") as fh:
-        return fh.read()
+        digest, _, data = fh.read().partition(b"\n")
+    if digest != hashlib.sha256(data).hexdigest().encode():
+        return None
+    return data
 
 
 def _cache_store(path: str | None, data: bytes) -> None:
@@ -184,6 +191,7 @@ def _cache_store(path: str | None, data: bytes) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
     with os.fdopen(fd, "wb") as fh:
+        fh.write(hashlib.sha256(data).hexdigest().encode() + b"\n")
         fh.write(data)
     os.replace(tmp, path)
 
@@ -216,7 +224,7 @@ def _emit(data: bytes, out_path: str | None) -> None:
 def cmd_count(args, parser) -> int:
     if args.order is not None:
         if args.order < 1:
-            parser.error(f"--order must be at least 1, got {args.order}")
+            parser.exit(EXIT_USAGE, f"error: --order must be at least 1, got {args.order}\n")
         count = pq_total(args.order)
         params = {"order": args.order}
     else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .affine import AffineForm, CyclicGroup
-from .modring import Modulus, unit_group
+from .modring import MAX_MODULUS, Modulus, unit_group
 
 
 class UnsupportedOrder(ValueError):
@@ -123,7 +123,9 @@ def pq_total(n: int) -> int:
 
     Multiplicative over coprime factors; each prime power p^e contributes
     the sum over the abelian groups of that order, which this library
-    covers for e <= 2.
+    covers for e <= 2 and p^e < MAX_MODULUS.  Trial division stops below
+    sqrt(MAX_MODULUS), so a cofactor left at MAX_MODULUS or above has only
+    prime factors whose powers are out of range, and is refused.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -132,7 +134,7 @@ def pq_total(n: int) -> int:
     total = 1
     rest = n
     d = 2
-    while d * d <= rest:
+    while d * d <= rest and d * d < MAX_MODULUS:
         if rest % d == 0:
             e = 0
             while rest % d == 0:
@@ -140,6 +142,11 @@ def pq_total(n: int) -> int:
                 e += 1
             total *= _abelian_count_for_prime_power(d, e)
         d += 1
+    if rest >= MAX_MODULUS:
+        raise UnsupportedOrder(
+            f"order {n} has a factor {rest} >= 2^31 with no prime factor below {d}; "
+            f"only prime powers below 2^31 are classified"
+        )
     if rest > 1:
         total *= _abelian_count_for_prime_power(rest, 1)
     return total

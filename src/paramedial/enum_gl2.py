@@ -3,18 +3,21 @@
 Aut(Z_p^2) = GL(2,p), so the classification walks the conjugacy classes:
 
   * X: class representatives phi (scalar, distinct-diagonal, Jordan, and
-    companion matrices of irreducible quadratics), with their centralizers;
+    companion matrices of irreducible quadratics);
   * S_phi: all square roots psi of phi^2, from the Cayley-Hamilton trick;
-  * Y_phi: orbit representatives of the centralizer conjugating S_phi;
+  * Y_phi: orbit representatives of the centralizer C(phi) conjugating S_phi;
   * G_{phi,psi}: a transversal of the joint-centralizer action on
     Z_p^2 / Im(1 - phi - psi), which has 1 or 2 elements here.
 
 Each emitted triple (phi, psi, c) with phi in X, psi in Y_phi and c in
 G_{phi,psi} is one isomorphism class, 4p^2 - 2 in total for odd p.  The
 only case without a closed-form list of Y_phi is phi = ((0,1),(a,0)) with
-a a non-square: there the orbit partition is computed directly and
-cross-checked against Burnside's lemma, and the count of matrices psi
-admitting two constants comes down to counting points on a conic.
+a a non-square.  There C(phi) = F_p[phi]^x, whose scalars act trivially,
+so y_phi conjugates S_phi by one matrix per scalar coset (p + 1 in all);
+burnside_orbit_count repeats the partition with all p^2 - 1 elements
+through the generic orbit oracle as an independent cross-check.  The
+count of matrices psi admitting two constants comes down to counting
+points on a conic.
 
 p = 2 degenerates (no 2^-1, no pairs 0 < a < b) and is routed through
 the generic orbit oracle instead; it yields 7 classes.
@@ -23,13 +26,12 @@ the generic orbit oracle instead; it yields 7 classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .affine import AffineForm, ClassRecord, ElemAbelian2Group
 from .modring import (
     Mat2,
     Vec2,
-    gl2,
     is_prime,
     is_square_mod,
     sqrt_mod_prime,
@@ -64,19 +66,7 @@ def nonsquares(p: int) -> list[int]:
     return [a for a in range(1, p) if not is_square_mod(a, p)]
 
 
-# -- conjugacy classes of GL(2,p) and their centralizers -----------------------
-
-
-@dataclass(frozen=True)
-class Centralizer:
-    """The subgroup commuting with a fixed matrix: order, membership, elements."""
-
-    order: int
-    contains: Callable[[Mat2], bool]
-    _generate: Callable[[], list[Mat2]]
-
-    def elements(self) -> list[Mat2]:
-        return self._generate()
+# -- conjugacy classes of GL(2,p) -----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -92,49 +82,6 @@ class ConjClass:
     a: int
     b: Optional[int]
     rep: Mat2
-    centralizer: Centralizer
-
-
-def _scalar_centralizer(p: int) -> Centralizer:
-    return Centralizer(
-        order=(p * p - 1) * (p * p - p),
-        contains=lambda m: m.det() != 0,
-        _generate=lambda: gl2(p),
-    )
-
-
-def _diag_centralizer(p: int) -> Centralizer:
-    return Centralizer(
-        order=(p - 1) ** 2,
-        contains=lambda m: m.b == 0 and m.c == 0 and m.a != 0 and m.d != 0,
-        _generate=lambda: [
-            Mat2.diag(u, v, p) for u in range(1, p) for v in range(1, p)
-        ],
-    )
-
-
-def _jordan_centralizer(p: int) -> Centralizer:
-    return Centralizer(
-        order=p * (p - 1),
-        contains=lambda m: m.c == 0 and m.a == m.d and m.a != 0,
-        _generate=lambda: [
-            Mat2(u, v, 0, u, p) for u in range(1, p) for v in range(p)
-        ],
-    )
-
-
-def _irreducible_centralizer(p: int, a: int, b: int) -> Centralizer:
-    return Centralizer(
-        order=p * p - 1,
-        contains=lambda m: m.c == a * m.b % p and m.d == (m.a + b * m.b) % p
-        and (m.a != 0 or m.b != 0),
-        _generate=lambda: [
-            Mat2(u, v, a * v, u + b * v, p)
-            for u in range(p)
-            for v in range(p)
-            if u != 0 or v != 0
-        ],
-    )
 
 
 def conjugacy_classes(p: int) -> list[ConjClass]:
@@ -146,18 +93,16 @@ def conjugacy_classes(p: int) -> list[ConjClass]:
     _require_odd_prime(p)
     classes: list[ConjClass] = []
     for a in range(1, p):
-        classes.append(ConjClass("scalar", a, None, Mat2.scalar(a, p), _scalar_centralizer(p)))
+        classes.append(ConjClass("scalar", a, None, Mat2.scalar(a, p)))
     for a in range(1, p):
         for b in range(a + 1, p):
-            classes.append(ConjClass("diag", a, b, Mat2.diag(a, b, p), _diag_centralizer(p)))
+            classes.append(ConjClass("diag", a, b, Mat2.diag(a, b, p)))
     for a in range(1, p):
-        classes.append(ConjClass("jordan", a, None, Mat2(a, 1, 0, a, p), _jordan_centralizer(p)))
+        classes.append(ConjClass("jordan", a, None, Mat2(a, 1, 0, a, p)))
     for a in range(1, p):
         for b in range(p):
             if not is_square_mod(b * b + 4 * a, p):
-                classes.append(
-                    ConjClass("irreducible", a, b, Mat2(0, 1, a, b, p), _irreducible_centralizer(p, a, b))
-                )
+                classes.append(ConjClass("irreducible", a, b, Mat2(0, 1, a, b, p)))
     return classes
 
 
@@ -240,30 +185,17 @@ def conic_count(p: int, a: int) -> int:
 # -- orbit representatives Y_phi -------------------------------------------------
 
 
-def _centralizer_orbits(cls: ConjClass, points: list[Mat2]):
-    from .oracle import ActionSpec, orbits
-
-    elements = cls.centralizer.elements()
-    inverses = {g: g.inv() for g in elements}
-    spec = ActionSpec(
-        points=points,
-        act=lambda g, m: g @ m @ inverses[g],
-        compose=lambda g, h: g @ h,
-        identity=Mat2.identity(cls.rep.p),
-        elements=elements,
-        order=cls.centralizer.order,
-        name=f"centralizer-conjugation-{cls.kind}",
-    )
-    return orbits(spec)
-
-
 def y_phi(cls: ConjClass) -> list[Mat2]:
     """Orbit representatives of the centralizer conjugation on S_phi.
 
     Closed-form lists exist for every kind except the trace-zero
-    irreducible representative ((0,1),(a,0)), where the p - 2
-    non-central orbits have no canonical description; those are computed
-    directly and represented by the least matrix of each orbit.
+    irreducible representative phi = ((0,1),(a,0)), where the p - 2
+    non-central orbits have no canonical description.  There
+    C(phi) = {uI + v phi}, and its scalars act trivially, so phi and the
+    p matrices I + v phi (one per scalar coset) give every conjugate.
+    Walking the sorted S_phi, the first point not yet seen is the least
+    of its orbit and represents it.  burnside_orbit_count is the
+    all-elements cross-check of this partition.
     """
     p = cls.rep.p
     a = cls.a
@@ -281,12 +213,19 @@ def y_phi(cls: ConjClass) -> list[Mat2]:
         return [phi, -phi]
     if cls.b != 0:
         return [phi, -phi]
-    # Trace-zero irreducible case: compute the orbit partition of S_phi.
-    part = _centralizer_orbits(cls, sqrt_set(phi.square()))
-    singles = [orb[0] for orb in part.orbits if len(orb) == 1]
+    cosets = [phi] + [Mat2(1, v, a * v, 1, p) for v in range(p)]
+    conjugators = [(x, x.inv()) for x in cosets]
+    seen: set[Mat2] = set()
+    singles: list[Mat2] = []
+    extras: list[Mat2] = []
+    for m in sqrt_set(phi.square()):
+        if m in seen:
+            continue
+        orbit = {x @ m @ xi for x, xi in conjugators}
+        seen |= orbit
+        (singles if len(orbit) == 1 else extras).append(m)
     if sorted(singles) != sorted([phi, -phi]):
         raise AssertionError("singleton orbits are not exactly {phi, -phi}")
-    extras = [orb[0] for orb in part.orbits if len(orb) > 1]
     if len(extras) != p - 2:
         raise AssertionError(f"expected {p - 2} non-central orbits, found {len(extras)}")
     return [phi, -phi] + extras
@@ -294,30 +233,36 @@ def y_phi(cls: ConjClass) -> list[Mat2]:
 
 def burnside_orbit_count(cls: ConjClass) -> tuple[int, tuple[int, ...]]:
     """Orbit count and size multiset for the trace-zero irreducible case,
-    computed both by fixed-point averaging and by direct partition.
+    computed by the generic oracle over all p^2 - 1 elements uI + v phi of
+    the centralizer, both by fixed-point averaging and by direct partition.
 
-    Both routes must agree; the result is exactly p orbits with sizes
-    {1, 1, (p+1) x (p-2)}.
+    Both routes must agree, and the least points of the non-singleton
+    orbits must be y_phi(cls)[2:]; the result is exactly p orbits with
+    sizes {1, 1, (p+1) x (p-2)}.
     """
+    from .oracle import ActionSpec, burnside_count, orbits
+
     p = cls.rep.p
     if cls.kind != "irreducible" or cls.b != 0:
         raise ValueError("Burnside counting applies to the ((0,1),(a,0)) representative")
-    s_phi = sqrt_set(cls.rep.square())
-    elements = cls.centralizer.elements()
-    fixed_total = 0
-    for g in elements:
-        fixed_total += sum(1 for m in s_phi if g @ m == m @ g)
-    if fixed_total % cls.centralizer.order != 0:
-        raise AssertionError("fixed-point total not divisible by the centralizer order")
-    by_average = fixed_total // cls.centralizer.order
-
-    part = _centralizer_orbits(cls, s_phi)
-    sizes = tuple(sorted(len(orb) for orb in part.orbits))
+    elements = [Mat2(u, v, cls.a * v, u, p) for u in range(p) for v in range(p) if u or v]
+    inverses = {g: g.inv() for g in elements}
+    spec = ActionSpec(
+        points=sqrt_set(cls.rep.square()),
+        act=lambda g, m: g @ m @ inverses[g],
+        compose=lambda g, h: g @ h,
+        identity=Mat2.identity(p),
+        elements=elements,
+    )
+    by_average = burnside_count(spec)
+    part = orbits(spec)
     if by_average != len(part.orbits):
         raise AssertionError(
             f"Burnside average {by_average} disagrees with direct partition {len(part.orbits)}"
         )
-    return by_average, sizes
+    if y_phi(cls)[2:] != [orb[0] for orb in part.orbits if len(orb) > 1]:
+        raise AssertionError("y_phi disagrees with the least points of the non-singleton orbits")
+    return by_average, tuple(sorted(len(orb) for orb in part.orbits))
 
 
 # -- coset representatives G_{phi,psi} -------------------------------------------

@@ -45,7 +45,6 @@ class ActionSpec:
     elements: Optional[Sequence[Any]] = None
     generators: Optional[Sequence[Any]] = None
     order: Optional[int] = None
-    name: str = ""
 
     def group_order(self) -> int:
         if self.order is not None:
@@ -258,7 +257,6 @@ def _cyclic_spec(group: CyclicGroup, with_elements: bool) -> ActionSpec:
         elements=elements,
         generators=generators,
         order=len(units) * n,
-        name=f"iso-triples-{group.describe()}",
     )
 
 
@@ -326,7 +324,6 @@ def _elem2_spec(group: ElemAbelian2Group, with_elements: bool) -> ActionSpec:
         elements=elements,
         generators=generators,
         order=len(gl) * p * p,
-        name=f"iso-triples-{group.describe()}",
     )
 
 

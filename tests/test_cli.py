@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import paramedial
 from paramedial.affine import is_simple
-from paramedial.cli import CACHE_ENV, form_from_dict, main, record_to_dict
+from paramedial.cli import CACHE_ENV, _cache_load, form_from_dict, main, record_to_dict
 from paramedial.enum_gl2 import enumerate_gl2
 
 
@@ -42,6 +47,43 @@ def test_count_unsupported_order(capsys):
     code, _, err = run(capsys, "count", "--order", "27")
     assert code == 2
     assert "Z_3 x Z_9" in err and "rank >= 3" in err
+
+
+@pytest.mark.parametrize("order", ["2147483659", "1000000000000000003"])
+def test_count_order_with_a_large_prime_exits_fast(capsys, order):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--order", order)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _count_exit(n: int) -> tuple[int, str]:
+    """Exit code and stderr of ``count --order n``; a usage exit raises
+    SystemExit, as argparse's own do."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["count", "--order", str(n)])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@given(st.integers(min_value=-10, max_value=2**64))
+@example(0)
+@example(2**31 - 1)
+@example(2**31 + 11)
+@example(46349 * 46351)
+@settings(max_examples=150)
+def test_count_order_is_total(n):
+    code, err = _count_exit(n)
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+    else:
+        assert err == ""
 
 
 def test_usage_error_exit_code(capsys):
@@ -121,6 +163,20 @@ def test_enumerate_deterministic_and_cached(tmp_path, capsys, monkeypatch):
     c = tmp_path / "c.json"
     assert run(capsys, "enumerate", "--group", "elem2", "3", "--out", str(c))[0] == 0
     assert a.read_bytes() == c.read_bytes()
+
+
+@pytest.mark.parametrize("corrupt", [b"garbage", None], ids=["garbage", "truncated"])
+def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, monkeypatch, corrupt):
+    argv = ("enumerate", "--group", "cyclic", "3", "1", "--format", "csv")
+    code, uncached, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    assert run(capsys, *argv) == (0, uncached, "")
+    (entry,) = tmp_path.iterdir()
+    entry.write_bytes(corrupt if corrupt is not None else entry.read_bytes()[:-5])
+    assert _cache_load(str(entry)) is None
+    assert run(capsys, *argv) == (0, uncached, "")
+    assert _cache_load(str(entry)) == uncached.encode()
 
 
 def test_manifest_carries_digest(tmp_path, capsys):

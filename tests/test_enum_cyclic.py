@@ -164,3 +164,14 @@ def test_pq_total_unsupported_cube():
         pq_total(24)  # 8 = 2^3 factor
     with pytest.raises(ValueError):
         pq_total(0)
+
+
+@pytest.mark.parametrize("n", [2147483659, 1000000000000000003, 46349 * 46351])
+def test_pq_total_refuses_a_cofactor_beyond_the_modulus_range(n):
+    with pytest.raises(UnsupportedOrder, match="2\\^31"):
+        pq_total(n)
+
+
+def test_pq_total_largest_supported_prime():
+    p = 2**31 - 1
+    assert pq_total(p) == pq_total(2 * p) == 2 * p - 1

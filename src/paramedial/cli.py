@@ -63,8 +63,9 @@ def _parse_group(tokens: list[str], parser: argparse.ArgumentParser) -> GroupDes
         if tokens[0] == "elem2" and len(tokens) == 2:
             return ElemAbelian2Group(int(tokens[1]))
     except ValueError as exc:
-        parser.error(str(exc))
-    parser.error(f"expected '--group cyclic P K' or '--group elem2 P', got {tokens!r}")
+        parser.exit(EXIT_USAGE, f"error: {exc}\n")
+    expected = "expected '--group cyclic P K' or '--group elem2 P'"
+    parser.exit(EXIT_USAGE, f"error: {expected}, got {tokens!r}\n")
 
 
 def _group_json(group: GroupDescriptor) -> dict:

@@ -6,8 +6,9 @@ then a transversal of the unit action on Z_{p^k} / Im(1 - phi - psi).
 
 For odd p the pairs are exactly psi = +-phi and the constants depend on
 i = v_p(1 - 2 phi): the transversal is {0, 1, p, ..., p^(i-1)}.  For
-p = 2 every valid pair forces Im(1 - phi - psi) to be everything (the
-sum phi + psi is even), so c = 0 throughout; with k <= 2 the
+p = 2 and k >= 3 the square roots of phi^2 mod 2^k are exactly +-phi and
++-phi + 2^(k-1), and every valid pair forces Im(1 - phi - psi) to be
+everything (the sum phi + psi is even), so c = 0 throughout; with k <= 2 the
 representative list is taken from the generic orbit oracle and the
 counts 1 and 4 are hard-checked.
 """
@@ -75,9 +76,9 @@ def enumerate_cyclic(m: Modulus) -> CyclicClassification:
             raise AssertionError(f"oracle found {cls.count} classes over Z_{n}, expected {expected}")
         triples = [(f.phi, f.psi, f.c) for f in cls.representatives]
     elif m.p == 2:
-        units = unit_group(m)
-        for phi in units:
-            matches = [psi for psi in units if (phi * phi - psi * psi) % n == 0]
+        half = n // 2
+        for phi in unit_group(m):
+            matches = {phi, n - phi, (phi + half) % n, (half - phi) % n}
             if len(matches) != 4:
                 raise AssertionError(f"unit {phi} mod {n} has {len(matches)} square-matches, expected 4")
             triples.extend((phi, psi, 0) for psi in matches)

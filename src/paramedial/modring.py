@@ -265,10 +265,6 @@ class Mat2:
         return ((self.a, self.b), (self.c, self.d))
 
 
-def all_vectors(p: int) -> list[Vec2]:
-    return [Vec2(x, y, p) for x in range(p) for y in range(p)]
-
-
 def all_matrices(p: int) -> Iterator[Mat2]:
     for a in range(p):
         for b in range(p):
@@ -282,14 +278,11 @@ def gl2(p: int) -> list[Mat2]:
     return [m for m in all_matrices(p) if m.det() != 0]
 
 
-def in_line(v: Vec2, direction: Vec2) -> bool:
-    """Whether v lies on the line spanned by a non-zero direction vector."""
-    return (v.x * direction.y - v.y * direction.x) % v.p == 0
-
-
 def vector_outside_line(direction: Vec2) -> Vec2:
-    """Lexicographically least vector not on the given line."""
-    for v in all_vectors(direction.p):
-        if not in_line(v, direction):
-            return v
-    raise ValueError("direction vector is zero")
+    """Lexicographically least vector not on the line spanned by a non-zero
+    direction: (0, 1), unless the line is the y-axis, then (1, 0)."""
+    if direction.is_zero():
+        raise ValueError("direction vector is zero")
+    if direction.x:
+        return Vec2(0, 1, direction.p)
+    return Vec2(1, 0, direction.p)

@@ -468,6 +468,30 @@ def table_isomorphic(t1: QuasigroupTable, t2: QuasigroupTable, max_order: int = 
     return extend({}, set())
 
 
+# -- the paramedial identity on explicit tables -------------------------------
+
+
+def satisfies_paramedial_identity(table: QuasigroupTable) -> bool:
+    """Exhaustive check of (x*y)*(u*v) = (v*y)*(u*x) over all n^4 quadruples.
+
+    Works on any magma, latin or not, and shares nothing with the
+    affine-recovery test ``affine.is_paramedial``, which it is the
+    reference for.  Vectorized with one n^3 slab per x so memory stays
+    cubic; numpy is imported here so importing the package stays light.
+    """
+    import numpy as np
+
+    t = np.array(table.rows, dtype=np.int64)
+    n = table.n
+    t_uv = t[None, :, :]  # axes (y, u, v) -> t[u][v]
+    for x in range(n):
+        lhs = t[t[x][:, None, None], t_uv]
+        rhs = t[t.T[:, None, :], t[:, x][None, :, None]]  # t[v][y], t[u][x]
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
 # -- congruences on explicit tables -------------------------------------------
 
 

@@ -19,7 +19,10 @@ from paramedial.affine import (
     table_from_text,
     table_to_text,
 )
+from paramedial.enum_cyclic import enumerate_cyclic
+from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.modring import Mat2, Modulus, Vec2
+from paramedial.oracle import satisfies_paramedial_identity
 
 
 def cyclic_form(p, k, phi, psi, c):
@@ -80,6 +83,24 @@ def test_symmetric_group_table_is_not_paramedial():
     table = raw_table(compose, 6)
     assert is_latin(table)
     assert not is_paramedial(table)
+    assert not satisfies_paramedial_identity(table)
+    assert not paramedial_by_loop(table)
+
+
+def test_commutative_loop_that_is_not_a_group_is_not_paramedial():
+    # identity 0, symmetric and latin, but (2+2)+4 = 3 != 2 = 2+(2+4)
+    rows = (
+        (0, 1, 2, 3, 4, 5),
+        (1, 0, 3, 2, 5, 4),
+        (2, 3, 4, 5, 0, 1),
+        (3, 2, 5, 4, 1, 0),
+        (4, 5, 0, 1, 3, 2),
+        (5, 4, 1, 0, 2, 3),
+    )
+    table = QuasigroupTable(6, rows)
+    assert is_latin(table) and rows[rows[2][2]][4] != rows[2][rows[2][4]]
+    assert not is_paramedial(table)
+    assert not satisfies_paramedial_identity(table)
     assert not paramedial_by_loop(table)
 
 
@@ -91,7 +112,17 @@ def test_is_paramedial_matches_loop_reference_on_mixed_tables():
         raw_table(lambda x, y: (3 * x + 2 * y) % 7, 7),
     ]
     for t in tables:
-        assert is_paramedial(t) == paramedial_by_loop(t)
+        assert is_paramedial(t) == satisfies_paramedial_identity(t) == paramedial_by_loop(t)
+
+
+def test_non_latin_table_is_outside_the_recovery_test():
+    # the identity holds in the constant magma, but it is no quasigroup:
+    # is_paramedial decides paramedial quasigroups, the oracle the identity
+    constant = raw_table(lambda x, y: 0, 3)
+    assert satisfies_paramedial_identity(constant) and paramedial_by_loop(constant)
+    assert not is_paramedial(constant)
+    # latin-failing table whose entries leave 0..n-1
+    assert not is_paramedial(QuasigroupTable(2, ((0, 1), (1, 2))))
 
 
 def test_is_latin_counterexamples():
@@ -193,6 +224,20 @@ def test_invariant_subgroups_irreducible_rotation():
     form = elem2_form(3, (0, 1, 2, 0), (0, 1, 2, 0))
     assert invariant_proper_subgroups(form) == []
     assert is_simple(form)
+
+
+def test_invariant_subgroups_match_full_images():
+    # reference: a subgroup is invariant when its whole phi- and psi-images equal it
+    forms = [r.form for p in (3, 5) for r in enumerate_gl2(p).records()]
+    forms += list(enumerate_cyclic(Modulus(2, 4)).forms) + list(enumerate_cyclic(Modulus(3, 3)).forms)
+    for form in forms:
+        g = form.group
+        expected = [
+            sub
+            for sub in proper_subgroups(g)
+            if {g.apply(form.phi, x) for x in sub} == set(sub) == {g.apply(form.psi, x) for x in sub}
+        ]
+        assert invariant_proper_subgroups(form) == expected
 
 
 def test_simplicity_prime_order_and_mixed_pair():

@@ -100,6 +100,15 @@ def test_usage_error_exit_code(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("spec", [["cyclic", "4", "1"], ["elem2", "9"], ["foo", "3"]])
+def test_bad_group_prints_one_error_line(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--group", *spec])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_enumerate_json_record_count(tmp_path, capsys):
     out_file = tmp_path / "classes.json"
     code, _, _ = run(capsys, "enumerate", "--group", "elem2", "3", "--out", str(out_file))

@@ -98,6 +98,19 @@ def test_two_power_pairs_have_four_matching_roots_and_zero_constant():
         assert all(len(v) == 4 for v in by_phi.values())
 
 
+@pytest.mark.parametrize("k", range(3, 13))
+def test_two_power_roots_match_a_scan_of_all_units(k):
+    # brute force: pair every unit with every unit of the same square
+    m = Modulus(2, k)
+    by_square = {}
+    for u in range(1, m.n, 2):
+        by_square.setdefault(u * u % m.n, []).append(u)
+    expected = sorted(
+        (phi, psi, 0) for phi in range(1, m.n, 2) for psi in by_square[phi * phi % m.n]
+    )
+    assert triples(m) == expected
+
+
 @pytest.mark.parametrize(
     "p,k",
     [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1)],

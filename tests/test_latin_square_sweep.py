@@ -4,16 +4,19 @@ is isomorphic to one of the enumerated affine classes of that order.
 This sweeps ALL latin squares of each order (not just reduced ones,
 since relabelling must act simultaneously on rows, columns and symbols),
 filters the paramedial ones by the raw identity, and matches each
-against the class representatives by raw table isomorphism.
+against the class representatives by raw table isomorphism.  Along the
+way the O(n^3) affine-recovery test ``is_paramedial`` is compared with
+the n^4 identity oracle on every square of order <= 4, and must accept
+every paramedial square of order 5.
 """
 
 import pytest
 
-from paramedial.affine import QuasigroupTable, materialize
+from paramedial.affine import QuasigroupTable, is_paramedial, materialize
 from paramedial.enum_cyclic import enumerate_cyclic
 from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.modring import Modulus
-from paramedial.oracle import table_isomorphic
+from paramedial.oracle import satisfies_paramedial_identity, table_isomorphic
 
 
 def all_latin_squares(n):
@@ -80,10 +83,14 @@ def test_every_paramedial_latin_square_is_affine(n, total_squares):
     paramedial_count = 0
     for rows in all_latin_squares(n):
         square_count += 1
-        if not paramedial_raw(rows, n):
-            continue
-        paramedial_count += 1
         table = QuasigroupTable(n, rows)
+        raw = paramedial_raw(rows, n)
+        if n <= 4:
+            assert is_paramedial(table) == satisfies_paramedial_identity(table) == raw
+        if not raw:
+            continue
+        assert is_paramedial(table)
+        paramedial_count += 1
         matches = [i for i, rep in enumerate(reps) if table_isomorphic(table, rep)]
         assert len(matches) == 1, f"order {n}: {len(matches)} class matches for {rows}"
         seen_classes.add(matches[0])

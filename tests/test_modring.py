@@ -15,6 +15,7 @@ from paramedial.modring import (
     is_square_mod,
     sqrt_mod_prime,
     unit_group,
+    vector_outside_line,
 )
 
 ODD_PRIMES = [3, 5, 7, 11, 13]
@@ -131,3 +132,13 @@ def test_sqrt_rejects_non_prime_field():
         sqrt_mod_prime(1, 9)
     with pytest.raises(ValueError):
         sqrt_mod_prime(1, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_vector_outside_line_is_the_least_off_the_line(p):
+    vectors = sorted(Vec2(x, y, p) for x in range(p) for y in range(p))
+    for d in vectors[1:]:
+        off = [v for v in vectors if (v.x * d.y - v.y * d.x) % p != 0]
+        assert vector_outside_line(d) == off[0]
+    with pytest.raises(ValueError):
+        vector_outside_line(Vec2(0, 0, p))

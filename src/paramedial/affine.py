@@ -150,6 +150,8 @@ class QuasigroupTable:
     def __post_init__(self):
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise ValueError("table shape does not match the stated order")
+        if self.n and not (0 <= min(map(min, self.rows)) and max(map(max, self.rows)) < self.n):
+            raise ValueError(f"table entries must lie in 0..{self.n - 1}")
 
 
 def materialize(form: AffineForm) -> QuasigroupTable:

@@ -55,6 +55,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+ORACLE_MAX_ORDER = 27  # verify --level oracle: cyclic up to order 27, elem2 p <= 5
+
 
 def _parse_group(tokens: list[str], parser: argparse.ArgumentParser) -> GroupDescriptor:
     try:
@@ -280,6 +282,29 @@ class _Report:
             print(f"FAIL: {name}" + (f" ({detail})" if detail else ""))
 
 
+def _verify_against_oracle(
+    group: GroupDescriptor, forms: tuple[AffineForm, ...], expected: int, report: _Report
+) -> None:
+    """Check that the orbit oracle finds `expected` classes and that the
+    forms hit each of them exactly once."""
+    if group.order > ORACLE_MAX_ORDER:
+        raise ResourceLimitError(
+            f"oracle verification is bounded to groups of order <= {ORACLE_MAX_ORDER}, "
+            f"{group.describe()} has order {group.order}"
+        )
+    oracle_cls = classify_triples(group, max_order=ORACLE_MAX_ORDER)
+    report.check(
+        f"oracle orbit count equals {expected}",
+        oracle_cls.count == expected,
+        f"got {oracle_cls.count}",
+    )
+    hit = {oracle_cls.orbit_of(f) for f in forms}
+    report.check(
+        "representatives hit every orbit exactly once",
+        len(hit) == len(forms) == oracle_cls.count,
+    )
+
+
 def _verify_cyclic(group: CyclicGroup, level: str, report: _Report) -> None:
     m = group.modulus
     cls = enumerate_cyclic(m)
@@ -296,17 +321,7 @@ def _verify_cyclic(group: CyclicGroup, level: str, report: _Report) -> None:
     keys = [encode_triple(f) for f in cls.forms]
     report.check("classes are sorted and distinct", keys == sorted(set(keys)))
     if level == "oracle":
-        oracle_cls = classify_triples(group, max_order=27)
-        report.check(
-            f"oracle orbit count equals {expected}",
-            oracle_cls.count == expected,
-            f"got {oracle_cls.count}",
-        )
-        hit = {oracle_cls.orbit_of(f) for f in cls.forms}
-        report.check(
-            "representatives hit every orbit exactly once",
-            len(hit) == len(cls.forms) == oracle_cls.count,
-        )
+        _verify_against_oracle(group, cls.forms, expected, report)
 
 
 def _verify_elem2(group: ElemAbelian2Group, level: str, report: _Report) -> None:
@@ -342,19 +357,7 @@ def _verify_elem2(group: ElemAbelian2Group, level: str, report: _Report) -> None
     ok_flags = all(is_simple(rec.form) == rec.simple for rec in cls.records())
     report.check("simplicity flags match the invariant-subgroup criterion", ok_flags)
     if level == "oracle":
-        if p > 5:
-            raise ResourceLimitError(f"oracle verification over Z_{p}^2 is bounded to p <= 5")
-        oracle_cls = classify_triples(group)
-        report.check(
-            f"oracle orbit count equals {expected}",
-            oracle_cls.count == expected,
-            f"got {oracle_cls.count}",
-        )
-        hit = {oracle_cls.partition.index[encode_triple(rec.form)] for rec in cls.records()}
-        report.check(
-            "representatives hit every orbit exactly once",
-            len(hit) == cls.total == oracle_cls.count,
-        )
+        _verify_against_oracle(group, tuple(rec.form for rec in cls.records()), expected, report)
 
 
 def cmd_verify(args, parser) -> int:

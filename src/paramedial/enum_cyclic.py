@@ -6,11 +6,11 @@ then a transversal of the unit action on Z_{p^k} / Im(1 - phi - psi).
 
 For odd p the pairs are exactly psi = +-phi and the constants depend on
 i = v_p(1 - 2 phi): the transversal is {0, 1, p, ..., p^(i-1)}.  For
-p = 2 and k >= 3 the square roots of phi^2 mod 2^k are exactly +-phi and
-+-phi + 2^(k-1), and every valid pair forces Im(1 - phi - psi) to be
-everything (the sum phi + psi is even), so c = 0 throughout; with k <= 2 the
-representative list is taken from the generic orbit oracle and the
-counts 1 and 4 are hard-checked.
+p = 2 every unit squares to 1 mod 2 and mod 4, so with k <= 2 psi runs
+over all units; with k >= 3 the square roots of phi^2 mod 2^k are exactly
++-phi and +-phi + 2^(k-1).  Either way 1 - phi - psi is odd, a unit, so
+Im(1 - phi - psi) is everything and c = 0 throughout.  Every case is a
+closed form; nothing here runs the orbit oracle.
 """
 
 from __future__ import annotations
@@ -67,20 +67,16 @@ def enumerate_cyclic(m: Modulus) -> CyclicClassification:
     group = CyclicGroup(m)
     n = m.n
     triples: list[tuple[int, int, int]] = []
-    if m.p == 2 and m.k <= 2:
-        from .oracle import classify_triples
-
-        cls = classify_triples(group)
-        expected = {1: 1, 2: 4}[m.k]
-        if cls.count != expected:
-            raise AssertionError(f"oracle found {cls.count} classes over Z_{n}, expected {expected}")
-        triples = [(f.phi, f.psi, f.c) for f in cls.representatives]
-    elif m.p == 2:
+    if m.p == 2:
         half = n // 2
-        for phi in unit_group(m):
-            matches = {phi, n - phi, (phi + half) % n, (half - phi) % n}
-            if len(matches) != 4:
-                raise AssertionError(f"unit {phi} mod {n} has {len(matches)} square-matches, expected 4")
+        units = unit_group(m)
+        for phi in units:
+            if m.k <= 2:
+                matches = units
+            else:
+                matches = {phi, n - phi, (phi + half) % n, (half - phi) % n}
+                if len(matches) != 4:
+                    raise AssertionError(f"unit {phi} mod {n} has {len(matches)} square-matches, expected 4")
             triples.extend((phi, psi, 0) for psi in matches)
     else:
         for phi in unit_group(m):

@@ -4,20 +4,21 @@ Aut(Z_p^2) = GL(2,p), so the classification walks the conjugacy classes:
 
   * X: class representatives phi (scalar, distinct-diagonal, Jordan, and
     companion matrices of irreducible quadratics);
-  * S_phi: all square roots psi of phi^2, from the Cayley-Hamilton trick;
-  * Y_phi: orbit representatives of the centralizer C(phi) conjugating S_phi;
+  * S_phi: all square roots psi of phi^2 (sqrt_set, by Cayley-Hamilton);
+  * Y_phi: orbit representatives of the centralizer C(phi) conjugating
+    S_phi, listed without building S_phi;
   * G_{phi,psi}: a transversal of the joint-centralizer action on
     Z_p^2 / Im(1 - phi - psi), which has 1 or 2 elements here.
 
 Each emitted triple (phi, psi, c) with phi in X, psi in Y_phi and c in
-G_{phi,psi} is one isomorphism class, 4p^2 - 2 in total for odd p.  The
-only case without a closed-form list of Y_phi is phi = ((0,1),(a,0)) with
-a a non-square.  There C(phi) = F_p[phi]^x, whose scalars act trivially,
-so y_phi conjugates S_phi by one matrix per scalar coset (p + 1 in all);
-burnside_orbit_count repeats the partition with all p^2 - 1 elements
-through the generic orbit oracle as an independent cross-check.  The
-count of matrices psi admitting two constants comes down to counting
-points on a conic.
+G_{phi,psi} is one isomorphism class, 4p^2 - 2 in total for odd p, and
+every piece is a closed form.  For the trace-zero irreducible
+phi = ((0,1),(a,0)) the p - 2 non-central orbits of Y_phi are the levels
+of t = tr(phi psi), conics with p + 1 points each (see y_phi);
+burnside_orbit_count repeats that partition through the generic orbit
+oracle as an independent cross-check.  The level t = 1 - 2a, where
+1 - phi - psi is singular and psi admits two constants, is the conic
+that conic_count counts.
 
 p = 2 degenerates (no 2^-1, no pairs 0 < a < b) and is routed through
 the generic orbit oracle instead; it yields 7 classes.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .affine import AffineForm, ClassRecord, ElemAbelian2Group
+from .affine import AffineForm, ClassRecord, ElemAbelian2Group, is_simple
 from .modring import (
     Mat2,
     Vec2,
@@ -188,13 +189,28 @@ def conic_count(p: int, a: int) -> int:
 def y_phi(cls: ConjClass) -> list[Mat2]:
     """Orbit representatives of the centralizer conjugation on S_phi.
 
-    Closed-form lists exist for every kind except the trace-zero
-    irreducible representative phi = ((0,1),(a,0)), where the p - 2
-    non-central orbits have no canonical description.  There
-    C(phi) = {uI + v phi}, and its scalars act trivially, so phi and the
-    p matrices I + v phi (one per scalar coset) give every conjugate.
-    Walking the sorted S_phi, the first point not yet seen is the least
-    of its orbit and represents it.  burnside_orbit_count is the
+    Every kind has a closed-form list.  For the trace-zero irreducible
+    representative phi = ((0,1),(a,0)), a a non-square, C(phi) is
+    F_p[phi]^x = {uI + v phi}; its scalars act trivially, so the acting
+    group has order p + 1.  S_phi holds the p^2 - p matrices
+    psi = ((k,l),(m,-k)) with k^2 + lm = a, and conjugation by C(phi)
+    leaves t = tr(phi psi) = m + a l unchanged.  With m = t - a l, the
+    level t is the conic k^2 - a l^2 + t l - a = 0:
+
+      * t = +-2a gives k^2 = a (l -+ 1)^2, so k = 0 and l = +-1 since a is
+        a non-square: the level is the fixed point psi = +-phi.
+      * Any other t gives a non-degenerate conic (determinant a^2 - t^2/4)
+        without points at infinity (k^2 = a l^2 forces k = l = 0), so it
+        has p + 1 points.  A non-scalar g in C(phi) generates F_p[phi], so
+        g fixing psi would put psi in the field F_p[phi], whose only roots
+        of a are +-phi.  The action is therefore free off +-phi: each
+        orbit has p + 1 points and fills its level.
+
+    The representative of level t is its least point (k, l): the least k
+    for which a l^2 - t l + (a - k^2) = 0 is solvable, i.e. for which
+    t^2 - 4a(a - k^2) is a square r^2, then the smaller root
+    l = (t +- r) / 2a.  The level t = 1 - 2a is the irred0.psi-conic case,
+    since det(1 - phi - psi) = 1 - 2a - t.  burnside_orbit_count is the
     all-elements cross-check of this partition.
     """
     p = cls.rep.p
@@ -209,26 +225,24 @@ def y_phi(cls: ConjClass) -> list[Mat2]:
             reps += [Mat2(a, 0, 1, -a, p), Mat2(-a, 0, 1, a, p)]
             reps += [Mat2(k, 1, a * a - k * k, -k, p) for k in range(p)]
         return reps
-    if cls.kind == "jordan":
+    if cls.kind == "jordan" or cls.b != 0:
         return [phi, -phi]
-    if cls.b != 0:
-        return [phi, -phi]
-    cosets = [phi] + [Mat2(1, v, a * v, 1, p) for v in range(p)]
-    conjugators = [(x, x.inv()) for x in cosets]
-    seen: set[Mat2] = set()
-    singles: list[Mat2] = []
-    extras: list[Mat2] = []
-    for m in sqrt_set(phi.square()):
-        if m in seen:
+    inv_2a = pow(2 * a, -1, p)
+    levels = []
+    for t in range(p):
+        if t in (2 * a % p, -2 * a % p):
             continue
-        orbit = {x @ m @ xi for x, xi in conjugators}
-        seen |= orbit
-        (singles if len(orbit) == 1 else extras).append(m)
-    if sorted(singles) != sorted([phi, -phi]):
-        raise AssertionError("singleton orbits are not exactly {phi, -phi}")
-    if len(extras) != p - 2:
-        raise AssertionError(f"expected {p - 2} non-central orbits, found {len(extras)}")
-    return [phi, -phi] + extras
+        for k in range(p):
+            roots = sqrt_mod_prime(t * t - 4 * a * (a - k * k), p)
+            if roots:
+                l = min((t + r) * inv_2a % p for r in roots)
+                levels.append(Mat2(k, l, t - a * l, -k, p))
+                break
+    square = phi.square()
+    for psi in levels:
+        if psi.square() != square:
+            raise AssertionError(f"{psi} is not a square root of {square}")
+    return [phi, -phi] + sorted(levels)
 
 
 def burnside_orbit_count(cls: ConjClass) -> tuple[int, tuple[int, ...]]:
@@ -362,8 +376,8 @@ def _case(cls: ConjClass, i: int, psi: Mat2) -> tuple[str, bool]:
 
     Past the leading entries, a trace-zero diagonal phi = diag(a, -a) has
     the family ((k,1),(a^2-k^2,-k)), simple unless k = +-a; a trace-zero
-    irreducible phi has the computed orbit representatives, all simple,
-    split by whether 1 - phi - psi is singular (the conic case).
+    irreducible phi has one representative per conic level, all simple,
+    split by whether 1 - phi - psi is singular (the level t = 1 - 2a).
     """
     leading = _LEADING_CASES[cls.kind]
     if i < len(leading):
@@ -384,24 +398,14 @@ def _enumerate_odd(p: int) -> list[Gl2Row]:
 
 
 def _enumerate_p2() -> list[Gl2Row]:
-    from .affine import is_simple
     from .oracle import classify_triples
 
-    group = ElemAbelian2Group(2)
-    cls = classify_triples(group)
-    grouped: dict[tuple, list] = {}
-    order: list[tuple] = []
-    flags: dict[tuple, bool] = {}
-    for form in cls.representatives:
-        key = (form.phi, form.psi)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-            flags[key] = is_simple(form)
-        grouped[key].append(form.c)
+    grouped: dict[tuple[Mat2, Mat2], list[AffineForm]] = {}
+    for form in classify_triples(ElemAbelian2Group(2)).representatives:
+        grouped.setdefault((form.phi, form.psi), []).append(form)
     return [
-        Gl2Row(phi, psi, CASE_P2_ORACLE, tuple(grouped[(phi, psi)]), flags[(phi, psi)])
-        for phi, psi in order
+        Gl2Row(phi, psi, CASE_P2_ORACLE, tuple(f.c for f in forms), is_simple(forms[0]))
+        for (phi, psi), forms in grouped.items()
     ]
 
 

@@ -175,17 +175,8 @@ class Mat2:
             object.__setattr__(self, f, getattr(self, f) % self.p)
 
     @classmethod
-    def from_rows(cls, rows, p: int) -> "Mat2":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d, p)
-
-    @classmethod
     def identity(cls, p: int) -> "Mat2":
         return cls(1, 0, 0, 1, p)
-
-    @classmethod
-    def zero(cls, p: int) -> "Mat2":
-        return cls(0, 0, 0, 0, p)
 
     @classmethod
     def scalar(cls, t: int, p: int) -> "Mat2":

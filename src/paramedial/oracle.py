@@ -69,9 +69,6 @@ class OrbitPartition:
     group_order: int
     index: dict = field(repr=False)
 
-    def orbit_of(self, point) -> int:
-        return self.index[point]
-
 
 def orbits(spec: ActionSpec, max_points: int = DEFAULT_MAX_POINTS) -> OrbitPartition:
     """Exact orbit partition of the point set under the action.

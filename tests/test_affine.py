@@ -121,8 +121,17 @@ def test_non_latin_table_is_outside_the_recovery_test():
     constant = raw_table(lambda x, y: 0, 3)
     assert satisfies_paramedial_identity(constant) and paramedial_by_loop(constant)
     assert not is_paramedial(constant)
-    # latin-failing table whose entries leave 0..n-1
-    assert not is_paramedial(QuasigroupTable(2, ((0, 1), (1, 2))))
+    # entries outside 0..n-1 are no table at all
+    with pytest.raises(ValueError):
+        QuasigroupTable(2, ((0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("bad", [5, -1])
+def test_out_of_range_entries_are_rejected(bad):
+    with pytest.raises(ValueError, match="entries"):
+        QuasigroupTable(2, ((0, 1), (1, bad)))
+    with pytest.raises(ValueError, match="entries"):
+        table_from_text(f"order 2\n0 1\n1 {bad}\n")
 
 
 def test_is_latin_counterexamples():

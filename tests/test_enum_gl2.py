@@ -21,7 +21,7 @@ from paramedial.enum_gl2 import (
     sqrt_set,
     y_phi,
 )
-from paramedial.modring import Mat2, Vec2, all_matrices, gl2, is_square_mod
+from paramedial.modring import Mat2, Vec2, all_matrices, gl2, is_prime, is_square_mod
 from paramedial.oracle import ActionSpec, classify_triples, encode_triple, orbits
 
 ODD = [3, 5, 7]
@@ -207,6 +207,53 @@ def test_burnside_orbit_structure(p):
         count, sizes = burnside_orbit_count(cls)
         assert count == p
         assert sizes == expected_sizes
+
+
+def _mat_pow(m, e):
+    result = Mat2.identity(m.p)
+    while e:
+        if e & 1:
+            result = result @ m
+        m = m @ m
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_closed_form_y_phi_matches_a_cyclic_generator_partition(p):
+    # C(phi) = F_p[phi]^x is cyclic of order p^2 - 1, so one generator
+    # uI + v phi of that order partitions S_phi, taken here by brute
+    # force from k^2 + lm = a rather than from sqrt_set
+    n = p * p - 1
+    factors = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+    identity = Mat2.identity(p)
+    for cls in tracezero_irreducible_classes(p):
+        a = cls.a
+        gen = next(
+            g
+            for g in (Mat2(u, v, a * v, u, p) for u in range(p) for v in range(1, p))
+            if all(_mat_pow(g, n // q) != identity for q in factors)
+        )
+        inverse = {gen: gen.inv()}
+        roots = [
+            (k, l, m)
+            for k in range(p)
+            for l in range(p)
+            for m in range(p)
+            if (k * k + l * m - a) % p == 0
+        ]
+        spec = ActionSpec(
+            points=[Mat2(k, l, m, -k, p) for k, l, m in roots],
+            act=lambda g, x: g @ x @ inverse[g],
+            compose=lambda g, h: g @ h,
+            identity=identity,
+            generators=[gen],
+            order=n,
+        )
+        part = orbits(spec)
+        reps = y_phi(cls)
+        assert reps[:2] == [cls.rep, -cls.rep]
+        assert sorted(reps) == list(part.representatives)
 
 
 def test_burnside_rejects_other_kinds():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .modring import Mat2, Modulus, Vec2, is_prime
+from .modring import MAX_MODULUS, Mat2, Modulus, Vec2, is_prime
 
 
 class ParamedialConditionError(ValueError):
@@ -59,6 +59,8 @@ class ElemAbelian2Group:
     p: int
 
     def __post_init__(self):
+        if self.p >= MAX_MODULUS:  # before the trial division of is_prime
+            raise ValueError(f"p={self.p} exceeds the supported range (< 2^31)")
         if not is_prime(self.p):
             raise ValueError(f"p={self.p} is not prime")
 
@@ -133,7 +135,7 @@ class AffineForm:
 
 @dataclass(frozen=True)
 class ClassRecord:
-    """An affine form together with its classification row label."""
+    """An affine form with its classification row label and whether it is simple."""
 
     form: AffineForm
     case: str

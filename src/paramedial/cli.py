@@ -38,7 +38,6 @@ from .affine import (
 )
 from .enum_cyclic import (
     UnsupportedOrder,
-    case_label,
     closed_form_count,
     enumerate_cyclic,
     gl2_closed_count,
@@ -78,8 +77,7 @@ def _group_json(group: GroupDescriptor) -> dict:
 
 def _records_for(group: GroupDescriptor) -> list[ClassRecord]:
     if isinstance(group, CyclicGroup):
-        cls = enumerate_cyclic(group.modulus)
-        return [ClassRecord(f, case_label(f), is_simple(f)) for f in cls.forms]
+        return list(enumerate_cyclic(group.modulus).records)
     return enumerate_gl2(group.p).records()
 
 
@@ -118,42 +116,96 @@ def form_from_dict(d: dict) -> AffineForm:
     )
 
 
-def _flat_matrix(rows: list[list[int]]) -> str:
-    return ";".join(",".join(str(v) for v in row) for row in rows)
+def _entries(form: AffineForm) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """phi, psi and c of a form as flat row-major tuples of ints."""
+    if isinstance(form.group, CyclicGroup):
+        return (form.phi,), (form.psi,), (form.c,)
+    return form.phi.entries(), form.psi.entries(), form.c.entries()
+
+
+def _flat_fields(form: AffineForm) -> tuple[str, str, str]:
+    """phi, psi and c as csv and table headers show them: matrix rows
+    split by ';', entries by ','."""
+    if isinstance(form.group, CyclicGroup):
+        return str(form.phi), str(form.psi), str(form.c)
+    return (
+        "%d,%d;%d,%d" % form.phi.entries(),
+        "%d,%d;%d,%d" % form.psi.entries(),
+        "%d,%d" % form.c.entries(),
+    )
+
+
+def _json_layout(value, depth: int) -> str:
+    """`value` laid out as json.dumps(indent=2, sort_keys=True) lays it
+    out at nesting `depth`.  Leaves are strings already in their final
+    form (JSON text or %-placeholders); dicts and lists are nested and
+    never empty."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_json_layout(value[k], depth + 1)}" for k in sorted(value)]
+        opening, closing = "{", "}"
+    else:
+        items = [_json_layout(v, depth + 1) for v in value]
+        opening, closing = "[", "]"
+    pad = "\n" + "  " * (depth + 1)
+    return opening + pad + ("," + pad).join(items) + "\n" + "  " * depth + closing
+
+
+def _quote(text: str) -> str:
+    return json.encoder.encode_basestring_ascii(text)  # what json.dumps writes
+
+
+def _json_template(group: GroupDescriptor) -> str:
+    """One record of `group` as a list item of the json output, with %
+    placeholders for c, case, phi, psi and simple in that (key) order."""
+    dim = 1 if isinstance(group, CyclicGroup) else 2
+    vector = ["%d"] * dim
+    matrix = [vector] * dim
+    block = {k: _quote(v) if isinstance(v, str) else str(v) for k, v in _group_json(group).items()}
+    record = {"c": vector, "case": "%s", "group": block, "phi": matrix, "psi": matrix, "simple": "%s"}
+    return "  " + _json_layout(record, 1)
 
 
 def render_records(records: list[ClassRecord], fmt: str) -> bytes:
+    """The records in `fmt`.  json is byte-identical to
+    json.dumps([record_to_dict(r) ...], indent=2, sort_keys=True) + "\n",
+    but each record is written through its group's template."""
     if fmt == "json":
-        payload = [record_to_dict(r) for r in records]
-        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        # Each record is encoded as it is written, so the output exists
+        # once as parts and once joined, never also as one str.
+        parts = []
+        separator = "[\n"
+        group = template = None
+        for rec in records:
+            form = rec.form
+            if form.group is not group:
+                group = form.group
+                template = _json_template(group)
+            phi, psi, c = _entries(form)
+            values = (*c, _quote(rec.case), *phi, *psi, "true" if rec.simple else "false")
+            parts.append((separator + template % values).encode())
+            separator = ",\n"
+        parts.append(b"\n]\n" if parts else b"[]\n")
+        return b"".join(parts)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["group", "phi", "psi", "c", "simple", "case"])
-        for rec in records:
-            d = record_to_dict(rec)
-            writer.writerow(
-                [
-                    rec.form.group.describe(),
-                    _flat_matrix(d["phi"]),
-                    _flat_matrix(d["psi"]),
-                    ",".join(str(v) for v in d["c"]),
-                    "true" if rec.simple else "false",
-                    rec.case,
-                ]
-            )
+        writer.writerows(
+            (rec.form.group.describe(), *_flat_fields(rec.form), "true" if rec.simple else "false", rec.case)
+            for rec in records
+        )
         return buf.getvalue().encode()
     if fmt == "tables":
         chunks = []
         for rec in records:
-            d = record_to_dict(rec)
+            phi, psi, c = _flat_fields(rec.form)
             header = (
                 f"# group={rec.form.group.describe()}"
                 f" case={rec.case}"
                 f" simple={'true' if rec.simple else 'false'}"
-                f" phi={_flat_matrix(d['phi'])}"
-                f" psi={_flat_matrix(d['psi'])}"
-                f" c={','.join(str(v) for v in d['c'])}"
+                f" phi={phi} psi={psi} c={c}"
             )
             chunks.append(header + "\n" + table_to_text(materialize(rec.form)))
         return "\n".join(chunks).encode()
@@ -308,20 +360,21 @@ def _verify_against_oracle(
 def _verify_cyclic(group: CyclicGroup, level: str, report: _Report) -> None:
     m = group.modulus
     cls = enumerate_cyclic(m)
+    forms = cls.forms
     expected = closed_form_count(m)
     report.check(
         f"count over Z_{m.n} equals closed form {expected}",
         cls.count == expected,
         f"got {cls.count}",
     )
-    ok_units = all(f.phi % m.p != 0 and f.psi % m.p != 0 for f in cls.forms)
+    ok_units = all(f.phi % m.p != 0 and f.psi % m.p != 0 for f in forms)
     report.check("phi and psi are units", ok_units)
-    ok_pm = all((f.phi**2 - f.psi**2) % m.n == 0 for f in cls.forms)
+    ok_pm = all((f.phi**2 - f.psi**2) % m.n == 0 for f in forms)
     report.check("phi^2 = psi^2 for every class", ok_pm)
-    keys = [encode_triple(f) for f in cls.forms]
+    keys = [encode_triple(f) for f in forms]
     report.check("classes are sorted and distinct", keys == sorted(set(keys)))
     if level == "oracle":
-        _verify_against_oracle(group, cls.forms, expected, report)
+        _verify_against_oracle(group, forms, expected, report)
 
 
 def _verify_elem2(group: ElemAbelian2Group, level: str, report: _Report) -> None:

@@ -11,14 +11,27 @@ over all units; with k >= 3 the square roots of phi^2 mod 2^k are exactly
 +-phi and +-phi + 2^(k-1).  Either way 1 - phi - psi is odd, a unit, so
 Im(1 - phi - psi) is everything and c = 0 throughout.  Every case is a
 closed form; nothing here runs the orbit oracle.
+
+The classes come out as one stream of ClassRecords in output order, each
+labelled by the branch that produced it (``cyclic.p2``,
+``cyclic.psi-minus`` or ``cyclic.psi-plus.i{i}``).  Simplicity is a
+closed form too: a class is simple exactly when k = 1.  Every proper
+non-trivial subgroup of Z_{p^k} is one of the chain p^i Z_{p^k}
+(0 < i < k), and each is characteristic, so it is invariant under every
+phi and psi; there is one exactly when k > 1.  ``cli verify`` checks the
+flags against ``affine.is_simple``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .affine import AffineForm, CyclicGroup
+from .affine import AffineForm, ClassRecord, CyclicGroup
 from .modring import MAX_MODULUS, Modulus, unit_group
+
+CASE_P2 = "cyclic.p2"
+CASE_PSI_MINUS = "cyclic.psi-minus"
 
 
 class UnsupportedOrder(ValueError):
@@ -28,11 +41,15 @@ class UnsupportedOrder(ValueError):
 @dataclass(frozen=True)
 class CyclicClassification:
     modulus: Modulus
-    forms: tuple[AffineForm, ...]
+    records: tuple[ClassRecord, ...]
+
+    @property
+    def forms(self) -> tuple[AffineForm, ...]:
+        return tuple(rec.form for rec in self.records)
 
     @property
     def count(self) -> int:
-        return len(self.forms)
+        return len(self.records)
 
 
 def closed_form_count(m: Modulus) -> int:
@@ -48,25 +65,24 @@ def closed_form_count(m: Modulus) -> int:
     return 2 * p**k - p ** (k - 1) + sum(p**i for i in range(k - 1))
 
 
-def _coset_transversal(phi: int, m: Modulus) -> list[int]:
-    """Constants for psi = phi: zero plus the powers p^0..p^(i-1), where
-    p^i = gcd(1 - 2 phi, p^k)."""
+def _image_exponent(phi: int, m: Modulus) -> int:
+    """The i with p^i = gcd(1 - 2 phi, p^k): for psi = phi the constants
+    are zero plus the powers p^0..p^(i-1)."""
     v = (1 - 2 * phi) % m.n
     if v == 0:
-        i = m.k
-    else:
-        i = 0
-        while v % m.p == 0:
-            v //= m.p
-            i += 1
-    return [0] + [m.p**j for j in range(i)]
+        return m.k
+    i = 0
+    while v % m.p == 0:
+        v //= m.p
+        i += 1
+    return i
 
 
-def enumerate_cyclic(m: Modulus) -> CyclicClassification:
-    """All classes over Z_{p^k}, ordered by (phi, psi, c) ascending."""
+def _records(m: Modulus) -> Iterator[ClassRecord]:
+    """Every class over Z_{p^k}, ordered by (phi, psi, c) ascending."""
     group = CyclicGroup(m)
     n = m.n
-    triples: list[tuple[int, int, int]] = []
+    simple = m.k == 1
     if m.p == 2:
         half = n // 2
         units = unit_group(m)
@@ -74,28 +90,28 @@ def enumerate_cyclic(m: Modulus) -> CyclicClassification:
             if m.k <= 2:
                 matches = units
             else:
-                matches = {phi, n - phi, (phi + half) % n, (half - phi) % n}
+                matches = sorted({phi, n - phi, (phi + half) % n, (half - phi) % n})
                 if len(matches) != 4:
                     raise AssertionError(f"unit {phi} mod {n} has {len(matches)} square-matches, expected 4")
-            triples.extend((phi, psi, 0) for psi in matches)
-    else:
-        for phi in unit_group(m):
-            triples.append((phi, n - phi, 0))
-            triples.extend((phi, phi, c) for c in _coset_transversal(phi, m))
-    triples.sort()
-    forms = tuple(AffineForm(group, phi, psi, c) for phi, psi, c in triples)
-    return CyclicClassification(modulus=m, forms=forms)
+            for psi in matches:
+                yield ClassRecord(AffineForm(group, phi, psi, 0), CASE_P2, simple)
+        return
+    plus_cases = [f"cyclic.psi-plus.i{i}" for i in range(m.k + 1)]
+    for phi in unit_group(m):
+        # n is odd, so psi = -phi differs from phi and sorts on one side of it.
+        minus = ClassRecord(AffineForm(group, phi, n - phi, 0), CASE_PSI_MINUS, simple)
+        if n - phi < phi:
+            yield minus
+        i = _image_exponent(phi, m)
+        for c in [0] + [m.p**j for j in range(i)]:
+            yield ClassRecord(AffineForm(group, phi, phi, c), plus_cases[i], simple)
+        if n - phi > phi:
+            yield minus
 
 
-def case_label(form: AffineForm) -> str:
-    """Classification row label of a cyclic form."""
-    m = form.group.modulus
-    if m.p == 2:
-        return "cyclic.p2"
-    if form.psi == -form.phi % m.n:
-        return "cyclic.psi-minus"
-    i = len(_coset_transversal(form.phi, m)) - 1
-    return f"cyclic.psi-plus.i{i}"
+def enumerate_cyclic(m: Modulus) -> CyclicClassification:
+    """All classes over Z_{p^k}, ordered by (phi, psi, c) ascending."""
+    return CyclicClassification(modulus=m, records=tuple(_records(m)))
 
 
 def gl2_closed_count(p: int) -> int:

@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Iterator
 
 MAX_MODULUS = 2**31
+MAX_EXPONENT = 30  # p^k < 2^31 with p >= 2 needs k <= 30
 
 
 class MixedModulusError(ValueError):
@@ -53,10 +54,16 @@ class Modulus:
     k: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
+        # Range checks first: trial division of a huge p, or p**k for a
+        # huge k, would run for an unbounded time before refusing it.
+        if self.p >= MAX_MODULUS:
+            raise ValueError(f"p={self.p} exceeds the supported range (< 2^31)")
         if self.k < 1:
             raise ValueError(f"exponent k={self.k} must be >= 1")
+        if self.k > MAX_EXPONENT:
+            raise ValueError(f"exponent k={self.k} exceeds the supported range (<= {MAX_EXPONENT})")
+        if not is_prime(self.p):
+            raise ValueError(f"p={self.p} is not prime")
         if self.p**self.k >= MAX_MODULUS:
             raise ValueError(f"{self.p}^{self.k} exceeds the supported range (< 2^31)")
 

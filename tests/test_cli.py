@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -12,7 +13,17 @@ from hypothesis import strategies as st
 
 import paramedial
 from paramedial.affine import is_simple
-from paramedial.cli import CACHE_ENV, _cache_load, form_from_dict, main, record_to_dict
+from paramedial.cli import (
+    CACHE_ENV,
+    _cache_load,
+    _records_for,
+    _parse_group,
+    build_parser,
+    form_from_dict,
+    main,
+    record_to_dict,
+    render_records,
+)
 from paramedial.enum_gl2 import enumerate_gl2
 
 
@@ -107,6 +118,24 @@ def test_bad_group_prints_one_error_line(capsys, spec):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [["elem2", "1000000000000000003"], ["cyclic", "1000000000000000003", "1"], ["cyclic", "3", "100000000"]],
+)
+def test_huge_group_arguments_exit_fast(spec):
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "paramedial", "count", "--group", *spec],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 2 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_enumerate_json_record_count(tmp_path, capsys):
@@ -247,3 +276,53 @@ def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, paramedial.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def _reference_render(records, fmt: str) -> bytes:
+    """The json and csv renderings through record_to_dict and the stdlib encoders."""
+    if fmt == "json":
+        payload = [record_to_dict(r) for r in records]
+        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["group", "phi", "psi", "c", "simple", "case"])
+    for rec in records:
+        d = record_to_dict(rec)
+        writer.writerow(
+            [
+                rec.form.group.describe(),
+                ";".join(",".join(str(v) for v in row) for row in d["phi"]),
+                ";".join(",".join(str(v) for v in row) for row in d["psi"]),
+                ",".join(str(v) for v in d["c"]),
+                "true" if rec.simple else "false",
+                rec.case,
+            ]
+        )
+    return buf.getvalue().encode()
+
+
+def _records(*spec):
+    return _records_for(_parse_group(list(spec), build_parser()))
+
+
+RENDER_INPUTS = {
+    "elem2-2": lambda: _records("elem2", "2"),
+    "elem2-3": lambda: _records("elem2", "3"),
+    "elem2-5": lambda: _records("elem2", "5"),
+    "elem2-17": lambda: _records("elem2", "17"),
+    "cyclic-2-1": lambda: _records("cyclic", "2", "1"),
+    "cyclic-2-10": lambda: _records("cyclic", "2", "10"),
+    "cyclic-3-6": lambda: _records("cyclic", "3", "6"),
+    "cyclic-101-2": lambda: _records("cyclic", "101", "2"),
+    "empty": lambda: [],
+    "mixed-groups": lambda: [
+        *_records("cyclic", "3", "1"), *_records("elem2", "3"), *_records("cyclic", "5", "1")
+    ],
+}
+
+
+@pytest.mark.parametrize("name", RENDER_INPUTS)
+def test_render_records_matches_the_reference_encoders(name):
+    records = RENDER_INPUTS[name]()
+    for fmt in ("json", "csv"):
+        assert render_records(records, fmt) == _reference_render(records, fmt), fmt

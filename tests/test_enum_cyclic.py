@@ -1,9 +1,8 @@
 import pytest
 
-from paramedial.affine import CyclicGroup
+from paramedial.affine import CyclicGroup, is_simple
 from paramedial.enum_cyclic import (
     UnsupportedOrder,
-    case_label,
     closed_form_count,
     enumerate_cyclic,
     gl2_closed_count,
@@ -125,9 +124,7 @@ def test_oracle_equivalence_up_to_27(p, k):
 
 
 def test_case_labels():
-    m = Modulus(3, 1)
-    forms = enumerate_cyclic(m).forms
-    labels = [case_label(f) for f in forms]
+    labels = [rec.case for rec in enumerate_cyclic(Modulus(3, 1)).records]
     assert labels == [
         "cyclic.psi-plus.i0",
         "cyclic.psi-minus",
@@ -135,7 +132,30 @@ def test_case_labels():
         "cyclic.psi-plus.i1",
         "cyclic.psi-plus.i1",
     ]
-    assert all(case_label(f) == "cyclic.p2" for f in enumerate_cyclic(Modulus(2, 3)).forms)
+    assert all(rec.case == "cyclic.p2" for rec in enumerate_cyclic(Modulus(2, 3)).records)
+
+
+def reference_case_label(form) -> str:
+    """The row label by its definition: p = 2, psi = -phi, or psi = phi
+    with p^i the largest power of p (up to p^k) dividing 1 - 2 phi."""
+    m = form.group.modulus
+    if m.p == 2:
+        return "cyclic.p2"
+    if form.psi == -form.phi % m.n:
+        return "cyclic.psi-minus"
+    i = max(i for i in range(m.k + 1) if (1 - 2 * form.phi) % m.p**i == 0)
+    return f"cyclic.psi-plus.i{i}"
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 5)] + [(5, k) for k in range(1, 4)]
+    + [(101, 1), (101, 2)],
+)
+def test_stream_simplicity_and_labels_match_their_definitions(p, k):
+    for rec in enumerate_cyclic(Modulus(p, k)).records:
+        assert rec.simple == is_simple(rec.form)
+        assert rec.case == reference_case_label(rec.form)
 
 
 def test_gl2_closed_count():

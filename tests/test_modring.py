@@ -29,6 +29,11 @@ def test_modulus_validation():
         Modulus(3, 0)
     with pytest.raises(ValueError):
         Modulus(2, 40)  # over the machine-word bound
+    assert Modulus(2, 30).n == 2**30
+    assert Modulus(2**31 - 1, 1).n == 2**31 - 1
+    for p, k in [(2, 31), (2**31 + 11, 1), (3, 10**8), (10**18 + 3, 1), (10**18 + 4, 1)]:
+        with pytest.raises(ValueError, match="exceeds the supported range"):
+            Modulus(p, k)
 
 
 def test_mixed_modulus_rejected():

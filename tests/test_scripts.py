@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under scripts/ run to completion on small inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,40 @@ def test_script_exits_zero(argv):
         text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+CANNED_RUN = """\
+workload cyclic-sweep, seed 7: 2 passes, 8 requests, 0 failed (failed_frac 0.0000)
+items_per_s = 13500 1/s
+{"correct": true, "attempted": 8, "failed": 0, "metrics": {"items_per_s": {"value": 13500.0, "unit": "1/s"}}}
+"""
+
+
+def test_bench_record_turns_run_output_into_a_bench_file(tmp_path):
+    run = tmp_path / "run.txt"
+    run.write_text(CANNED_RUN)
+    out = tmp_path / "BENCH_test.json"
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), str(out), str(run), str(run)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    record = {
+        "workload": "cyclic-sweep",
+        "seed": 7,
+        "traced": False,
+        "correct": True,
+        "attempted": 8,
+        "failed": 0,
+        "metrics": {"items_per_s": {"value": 13500.0, "unit": "1/s"}},
+    }
+    assert json.loads(out.read_text()) == {"runs": [record, record]}
+
+    run.write_text("not perfbench output\n")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), str(out), str(run)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2 and len(result.stderr.splitlines()) == 1

@@ -2,7 +2,7 @@
 """Census of the simple paramedial quasigroups of order p^2.
 
 Prints, per case family, how many simple classes it contributes, checks
-the total against the per-family closed forms, and cross-checks every
+the total against the closed form p(2p - 3), and cross-checks every
 flag against the congruence-based table oracle (for small p).
 
 Usage: python3 scripts/simple_census.py [--primes 3 5 7]
@@ -10,8 +10,10 @@ Usage: python3 scripts/simple_census.py [--primes 3 5 7]
 
 import argparse
 import sys
+from collections import Counter
 
-from paramedial.enum_gl2 import enumerate_gl2, simple_subset
+from paramedial.enum_cyclic import simple_closed_count
+from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.modring import is_prime
 from paramedial.oracle import simple_via_subgroup_congruences
 
@@ -28,31 +30,23 @@ def main() -> int:
         if not is_prime(p) or p == 2:
             print(f"skipping p={p} (need an odd prime)")
             continue
-        cls = enumerate_gl2(p)
-        simple = simple_subset(cls)
-        print(f"\np = {p}: {simple.total} simple classes out of {cls.total}")
-        by_case: dict[str, int] = {}
-        for row in simple.rows:
-            by_case[row.case] = by_case.get(row.case, 0) + row.count
+        records = enumerate_gl2(p).records()
+        by_case = Counter(rec.case for rec in records if rec.simple)
+        simple_total = sum(by_case.values())
+        print(f"\np = {p}: {simple_total} simple classes out of {len(records)}")
         for case in sorted(by_case):
             print(f"  {case:<22} {by_case[case]}")
-        expected = (
-            (p * p - 4 * p + 5) // 2
-            + (p - 3)
-            + (p * p - p)
-            + (p - 1) * (p - 3) // 2
-            + (p - 1)
-        )
-        if simple.total != expected:
+        expected = simple_closed_count(p)
+        if simple_total != expected:
             failures += 1
             print(f"  MISMATCH: expected {expected}")
         if p <= args.oracle_max_p:
             bad = sum(
                 1
-                for rec in cls.records()
+                for rec in records
                 if rec.simple != simple_via_subgroup_congruences(rec.form)
             )
-            print(f"  congruence-oracle check on {cls.total} explicit tables: "
+            print(f"  congruence-oracle check on {len(records)} explicit tables: "
                   f"{'ok' if bad == 0 else f'{bad} disagreements'}")
             failures += bad
     return 1 if failures else 0

@@ -42,8 +42,9 @@ from .enum_cyclic import (
     enumerate_cyclic,
     gl2_closed_count,
     pq_total,
+    simple_closed_count,
 )
-from .enum_gl2 import coset_reps_for, enumerate_gl2, simple_subset
+from .enum_gl2 import coset_reps_for, enumerate_gl2
 from .modring import Mat2, Modulus, Vec2
 from .oracle import ResourceLimitError, classify_triples, encode_triple
 
@@ -55,6 +56,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 ORACLE_MAX_ORDER = 27  # verify --level oracle: cyclic up to order 27, elem2 p <= 5
+TABLES_MAX_ENTRIES = 2**25  # enumerate --format tables: records x n^2 entries at most
 
 
 def _parse_group(tokens: list[str], parser: argparse.ArgumentParser) -> GroupDescriptor:
@@ -309,6 +311,13 @@ def cmd_enumerate(args, parser) -> int:
         records = _records_for(group)
         if args.simple_only:
             records = [r for r in records if r.simple]
+        if args.format == "tables":
+            entries = len(records) * group.order**2
+            if entries > TABLES_MAX_ENTRIES:
+                raise ResourceLimitError(
+                    f"--format tables is bounded to {TABLES_MAX_ENTRIES} table entries, "
+                    f"{group.describe()} needs {len(records)} tables of {group.order}^2 = {entries}"
+                )
         data = render_records(records, args.format)
         _cache_store(key_path, data)
     try:
@@ -379,38 +388,36 @@ def _verify_cyclic(group: CyclicGroup, level: str, report: _Report) -> None:
 
 def _verify_elem2(group: ElemAbelian2Group, level: str, report: _Report) -> None:
     p = group.p
-    cls = enumerate_gl2(p)
+    records = enumerate_gl2(p).records()
     expected = gl2_closed_count(p)
     report.check(
         f"count over Z_{p}^2 equals closed form {expected}",
-        cls.total == expected,
-        f"got {cls.total}",
+        len(records) == expected,
+        f"got {len(records)}",
     )
-    ok_struct = True
-    for row in cls.rows:
-        if row.phi.det() == 0 or row.psi.det() == 0 or row.phi.square() != row.psi.square():
-            ok_struct = False
-        if list(row.coset_reps) != coset_reps_for(row.phi, row.psi):
-            ok_struct = False
+    constants: dict[tuple[Mat2, Mat2], list[Vec2]] = {}
+    for rec in records:
+        constants.setdefault((rec.form.phi, rec.form.psi), []).append(rec.form.c)
+    ok_struct = all(
+        phi.det() != 0
+        and psi.det() != 0
+        and phi.square() == psi.square()
+        and cs == coset_reps_for(phi, psi)
+        for (phi, psi), cs in constants.items()
+    )
     report.check("rows satisfy phi^2 = psi^2 with admissible constants", ok_struct)
     if p != 2:
-        simple_total = simple_subset(cls).total
-        formula = (
-            (p * p - 4 * p + 5) // 2
-            + (p - 3)
-            + (p * p - p)
-            + (p - 1) * (p - 3) // 2
-            + (p - 1)
-        )
+        simple_total = sum(rec.simple for rec in records)
+        formula = simple_closed_count(p)
         report.check(
             f"simple class count equals {formula}",
             simple_total == formula,
             f"got {simple_total}",
         )
-    ok_flags = all(is_simple(rec.form) == rec.simple for rec in cls.records())
+    ok_flags = all(is_simple(rec.form) == rec.simple for rec in records)
     report.check("simplicity flags match the invariant-subgroup criterion", ok_flags)
     if level == "oracle":
-        _verify_against_oracle(group, tuple(rec.form for rec in cls.records()), expected, report)
+        _verify_against_oracle(group, tuple(rec.form for rec in records), expected, report)
 
 
 def cmd_verify(args, parser) -> int:

@@ -119,6 +119,13 @@ def gl2_closed_count(p: int) -> int:
     return 7 if p == 2 else 4 * p * p - 2
 
 
+def simple_closed_count(p: int) -> int:
+    """Number of simple classes over Z_p x Z_p: p(2p - 3) for odd p, 3 for
+    p = 2.  For odd p they are the diag0.psi-family members with k != +-a
+    and every irreducible phi's psi; see enum_gl2.y_phi."""
+    return 3 if p == 2 else p * (2 * p - 3)
+
+
 def _abelian_count_for_prime_power(p: int, e: int) -> int:
     if e == 1:
         return closed_form_count(Modulus(p, 1))

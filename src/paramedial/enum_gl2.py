@@ -10,24 +10,27 @@ Aut(Z_p^2) = GL(2,p), so the classification walks the conjugacy classes:
   * G_{phi,psi}: a transversal of the joint-centralizer action on
     Z_p^2 / Im(1 - phi - psi), which has 1 or 2 elements here.
 
-Each emitted triple (phi, psi, c) with phi in X, psi in Y_phi and c in
+Each triple (phi, psi, c) with phi in X, psi in Y_phi and c in
 G_{phi,psi} is one isomorphism class, 4p^2 - 2 in total for odd p, and
-every piece is a closed form.  For the trace-zero irreducible
-phi = ((0,1),(a,0)) the p - 2 non-central orbits of Y_phi are the levels
-of t = tr(phi psi), conics with p + 1 points each (see y_phi);
-burnside_orbit_count repeats that partition through the generic orbit
-oracle as an independent cross-check.  The level t = 1 - 2a, where
-1 - phi - psi is singular and psi admits two constants, is the conic
-that conic_count counts.
+every piece is a closed form.  The classes come out as one stream of
+ClassRecords in output order.  y_phi lists each psi with its case
+label and whether its classes are simple, both set by the branch that
+builds it.  For the trace-zero irreducible phi = ((0,1),(a,0)) the p - 2
+non-central orbits of Y_phi are the levels of t = tr(phi psi), conics
+with p + 1 points each (see y_phi); burnside_orbit_count repeats that
+partition through the generic orbit oracle as an independent
+cross-check.  The level t = 1 - 2a, where 1 - phi - psi is singular and
+psi admits two constants, is the conic that conic_count counts.
 
 p = 2 degenerates (no 2^-1, no pairs 0 < a < b) and is routed through
-the generic orbit oracle instead; it yields 7 classes.
+the generic orbit oracle instead; it yields 7 classes, each labelled
+``p2-oracle`` with its simplicity from affine.is_simple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .affine import AffineForm, ClassRecord, ElemAbelian2Group, is_simple
 from .modring import (
@@ -186,11 +189,15 @@ def conic_count(p: int, a: int) -> int:
 # -- orbit representatives Y_phi -------------------------------------------------
 
 
-def y_phi(cls: ConjClass) -> list[Mat2]:
-    """Orbit representatives of the centralizer conjugation on S_phi.
+def y_phi(cls: ConjClass) -> list[tuple[Mat2, str, bool]]:
+    """Orbit representatives psi of the centralizer conjugation on S_phi,
+    each as (psi, case, simple): its case label and whether the classes
+    it gives are simple.
 
-    Every kind has a closed-form list.  For the trace-zero irreducible
-    representative phi = ((0,1),(a,0)), a a non-square, C(phi) is
+    Every kind has a closed-form list.  For the trace-zero diagonal
+    phi = diag(a, -a) the family ((k,1),(a^2-k^2,-k)) is simple unless
+    k = +-a, where psi shares an eigenvector with phi.  For the trace-zero
+    irreducible representative phi = ((0,1),(a,0)), a a non-square, C(phi) is
     F_p[phi]^x = {uI + v phi}; its scalars act trivially, so the acting
     group has order p + 1.  S_phi holds the p^2 - p matrices
     psi = ((k,l),(m,-k)) with k^2 + lm = a, and conjugation by C(phi)
@@ -209,25 +216,45 @@ def y_phi(cls: ConjClass) -> list[Mat2]:
     The representative of level t is its least point (k, l): the least k
     for which a l^2 - t l + (a - k^2) = 0 is solvable, i.e. for which
     t^2 - 4a(a - k^2) is a square r^2, then the smaller root
-    l = (t +- r) / 2a.  The level t = 1 - 2a is the irred0.psi-conic case,
-    since det(1 - phi - psi) = 1 - 2a - t.  burnside_orbit_count is the
-    all-elements cross-check of this partition.
+    l = (t +- r) / 2a.  Every level is simple; the level t = 1 - 2a is the
+    irred0.psi-conic case, since det(1 - phi - psi) = 1 - 2a - t, and the
+    others are irred0.psi-root.  burnside_orbit_count is the all-elements
+    cross-check of this partition.
     """
     p = cls.rep.p
     a = cls.a
     phi = cls.rep
     if cls.kind == "scalar":
-        return [Mat2.scalar(a, p), Mat2.scalar(-a, p), Mat2.diag(a, -a, p)]
+        return [
+            (Mat2.scalar(a, p), CASE_SCALAR_PLUS, False),
+            (Mat2.scalar(-a, p), CASE_SCALAR_MINUS, False),
+            (Mat2.diag(a, -a, p), CASE_SCALAR_SPLIT, False),
+        ]
     if cls.kind == "diag":
         b = cls.b
-        reps = [Mat2.diag(a, b, p), Mat2.diag(-a, -b, p), Mat2.diag(-a, b, p), Mat2.diag(a, -b, p)]
+        reps = [
+            (Mat2.diag(a, b, p), CASE_DIAG_PLUS, False),
+            (Mat2.diag(-a, -b, p), CASE_DIAG_MINUS, False),
+            (Mat2.diag(-a, b, p), CASE_DIAG_MIXED_A, False),
+            (Mat2.diag(a, -b, p), CASE_DIAG_MIXED_B, False),
+        ]
         if b == p - a:
-            reps += [Mat2(a, 0, 1, -a, p), Mat2(-a, 0, 1, a, p)]
-            reps += [Mat2(k, 1, a * a - k * k, -k, p) for k in range(p)]
+            reps += [
+                (Mat2(a, 0, 1, -a, p), CASE_DIAG0_LOWER_PLUS, False),
+                (Mat2(-a, 0, 1, a, p), CASE_DIAG0_LOWER_MINUS, False),
+            ]
+            reps += [
+                (Mat2(k, 1, a * a - k * k, -k, p), CASE_DIAG0_FAMILY, k not in (a, b))
+                for k in range(p)
+            ]
         return reps
-    if cls.kind == "jordan" or cls.b != 0:
-        return [phi, -phi]
+    if cls.kind == "jordan":
+        return [(phi, CASE_JORDAN_PLUS, False), (-phi, CASE_JORDAN_MINUS, False)]
+    central = [(phi, CASE_IRRED_PLUS, True), (-phi, CASE_IRRED_MINUS, True)]
+    if cls.b != 0:
+        return central
     inv_2a = pow(2 * a, -1, p)
+    conic_level = (1 - 2 * a) % p
     levels = []
     for t in range(p):
         if t in (2 * a % p, -2 * a % p):
@@ -236,13 +263,14 @@ def y_phi(cls: ConjClass) -> list[Mat2]:
             roots = sqrt_mod_prime(t * t - 4 * a * (a - k * k), p)
             if roots:
                 l = min((t + r) * inv_2a % p for r in roots)
-                levels.append(Mat2(k, l, t - a * l, -k, p))
+                case = CASE_IRRED0_CONIC if t == conic_level else CASE_IRRED0_ROOT
+                levels.append((Mat2(k, l, t - a * l, -k, p), case, True))
                 break
     square = phi.square()
-    for psi in levels:
+    for psi, _, _ in levels:
         if psi.square() != square:
             raise AssertionError(f"{psi} is not a square root of {square}")
-    return [phi, -phi] + sorted(levels)
+    return central + sorted(levels)
 
 
 def burnside_orbit_count(cls: ConjClass) -> tuple[int, tuple[int, ...]]:
@@ -251,7 +279,7 @@ def burnside_orbit_count(cls: ConjClass) -> tuple[int, tuple[int, ...]]:
     the centralizer, both by fixed-point averaging and by direct partition.
 
     Both routes must agree, and the least points of the non-singleton
-    orbits must be y_phi(cls)[2:]; the result is exactly p orbits with
+    orbits must be the psi of y_phi(cls)[2:]; the result is exactly p orbits with
     sizes {1, 1, (p+1) x (p-2)}.
     """
     from .oracle import ActionSpec, burnside_count, orbits
@@ -274,7 +302,7 @@ def burnside_orbit_count(cls: ConjClass) -> tuple[int, tuple[int, ...]]:
         raise AssertionError(
             f"Burnside average {by_average} disagrees with direct partition {len(part.orbits)}"
         )
-    if y_phi(cls)[2:] != [orb[0] for orb in part.orbits if len(orb) > 1]:
+    if [psi for psi, _, _ in y_phi(cls)[2:]] != [orb[0] for orb in part.orbits if len(orb) > 1]:
         raise AssertionError("y_phi disagrees with the least points of the non-singleton orbits")
     return by_average, tuple(sorted(len(orb) for orb in part.orbits))
 
@@ -311,112 +339,36 @@ def coset_reps_for(phi: Mat2, psi: Mat2) -> list[Vec2]:
 
 
 @dataclass(frozen=True)
-class Gl2Row:
-    """One (phi, psi) pair with its admissible constants."""
-
-    phi: Mat2
-    psi: Mat2
-    case: str
-    coset_reps: tuple[Vec2, ...]
-    simple: bool
-
-    @property
-    def count(self) -> int:
-        return len(self.coset_reps)
-
-
-@dataclass(frozen=True)
 class Gl2Classification:
     p: int
-    rows: tuple[Gl2Row, ...]
+    classes: tuple[ClassRecord, ...]
 
     @property
     def total(self) -> int:
-        return sum(r.count for r in self.rows)
+        return len(self.classes)
 
     def records(self) -> list[ClassRecord]:
-        group = ElemAbelian2Group(self.p)
-        out = []
-        for row in self.rows:
-            for c in row.coset_reps:
-                out.append(
-                    ClassRecord(AffineForm(group, row.phi, row.psi, c), row.case, row.simple)
-                )
-        return out
+        return list(self.classes)
 
 
-def _row(phi: Mat2, psi: Mat2, case: str, simple: bool) -> Gl2Row:
-    return Gl2Row(phi, psi, case, tuple(coset_reps_for(phi, psi)), simple)
+def _records(p: int) -> Iterator[ClassRecord]:
+    """Every class over Z_p x Z_p in output order: by the conjugacy class
+    of phi, then in y_phi's order, then by c."""
+    group = ElemAbelian2Group(p)
+    if p == 2:
+        from .oracle import classify_triples
 
-
-# Case label and simplicity of the leading entries of y_phi(cls), per kind
-# and in y_phi's order.  Entries past these belong to the one open-ended
-# family of their kind, labelled by _case.
-_LEADING_CASES = {
-    "scalar": (
-        (CASE_SCALAR_PLUS, False),
-        (CASE_SCALAR_MINUS, False),
-        (CASE_SCALAR_SPLIT, False),
-    ),
-    "diag": (
-        (CASE_DIAG_PLUS, False),
-        (CASE_DIAG_MINUS, False),
-        (CASE_DIAG_MIXED_A, False),
-        (CASE_DIAG_MIXED_B, False),
-        (CASE_DIAG0_LOWER_PLUS, False),
-        (CASE_DIAG0_LOWER_MINUS, False),
-    ),
-    "jordan": ((CASE_JORDAN_PLUS, False), (CASE_JORDAN_MINUS, False)),
-    "irreducible": ((CASE_IRRED_PLUS, True), (CASE_IRRED_MINUS, True)),
-}
-
-
-def _case(cls: ConjClass, i: int, psi: Mat2) -> tuple[str, bool]:
-    """(case, simple) of the i-th entry psi of y_phi(cls).
-
-    Past the leading entries, a trace-zero diagonal phi = diag(a, -a) has
-    the family ((k,1),(a^2-k^2,-k)), simple unless k = +-a; a trace-zero
-    irreducible phi has one representative per conic level, all simple,
-    split by whether 1 - phi - psi is singular (the level t = 1 - 2a).
-    """
-    leading = _LEADING_CASES[cls.kind]
-    if i < len(leading):
-        return leading[i]
-    p = cls.rep.p
-    if cls.kind == "diag":
-        return CASE_DIAG0_FAMILY, psi.a not in (cls.a, p - cls.a)
-    conic = (Mat2.identity(p) - cls.rep - psi).det() == 0
-    return (CASE_IRRED0_CONIC if conic else CASE_IRRED0_ROOT), True
-
-
-def _enumerate_odd(p: int) -> list[Gl2Row]:
-    return [
-        _row(cls.rep, psi, *_case(cls, i, psi))
-        for cls in conjugacy_classes(p)
-        for i, psi in enumerate(y_phi(cls))
-    ]
-
-
-def _enumerate_p2() -> list[Gl2Row]:
-    from .oracle import classify_triples
-
-    grouped: dict[tuple[Mat2, Mat2], list[AffineForm]] = {}
-    for form in classify_triples(ElemAbelian2Group(2)).representatives:
-        grouped.setdefault((form.phi, form.psi), []).append(form)
-    return [
-        Gl2Row(phi, psi, CASE_P2_ORACLE, tuple(f.c for f in forms), is_simple(forms[0]))
-        for (phi, psi), forms in grouped.items()
-    ]
+        for form in classify_triples(group).representatives:
+            yield ClassRecord(form, CASE_P2_ORACLE, is_simple(form))
+        return
+    for cls in conjugacy_classes(p):
+        for psi, case, simple in y_phi(cls):
+            for c in coset_reps_for(cls.rep, psi):
+                yield ClassRecord(AffineForm(group, cls.rep, psi, c), case, simple)
 
 
 def enumerate_gl2(p: int) -> Gl2Classification:
     """All classes over Z_p x Z_p: 4p^2 - 2 for odd p, 7 for p = 2."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    rows = _enumerate_p2() if p == 2 else _enumerate_odd(p)
-    return Gl2Classification(p=p, rows=tuple(rows))
-
-
-def simple_subset(cls: Gl2Classification) -> Gl2Classification:
-    """The rows whose quasigroups are simple (no common eigenvector)."""
-    return Gl2Classification(p=cls.p, rows=tuple(r for r in cls.rows if r.simple))
+    return Gl2Classification(p=p, classes=tuple(_records(p)))

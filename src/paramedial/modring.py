@@ -137,21 +137,6 @@ class Vec2:
         object.__setattr__(self, "x", self.x % self.p)
         object.__setattr__(self, "y", self.y % self.p)
 
-    def _check(self, other: "Vec2") -> None:
-        if self.p != other.p:
-            raise MixedModulusError(f"p={self.p} vs p={other.p}")
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        self._check(other)
-        return Vec2(self.x + other.x, self.y + other.y, self.p)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        self._check(other)
-        return Vec2(self.x - other.x, self.y - other.y, self.p)
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y, self.p)
-
     def smul(self, t: int) -> "Vec2":
         return Vec2(t * self.x, t * self.y, self.p)
 

@@ -175,6 +175,25 @@ def test_enumerate_tables_format(tmp_path, capsys):
         assert all(sorted(r) == ["0", "1", "2"] for r in rows)
 
 
+def test_enumerate_tables_over_the_entry_bound_exits_fast(tmp_path):
+    # cyclic 2 10: 2 048 tables of 1 024^2 entries, refused before any is built
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = src
+    out_file = tmp_path / "tables.txt"
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "paramedial", "enumerate", "--group", "cyclic", "2", "10",
+         "--format", "tables", "--out", str(out_file)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 3 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "bounded" in lines[0]
+    assert not out_file.exists()
+
+
 def test_enumerate_csv_layout(tmp_path, capsys):
     out_file = tmp_path / "classes.csv"
     code, _, _ = run(

@@ -1,15 +1,16 @@
+from collections import Counter
 from math import comb
 
 import pytest
 
 from paramedial.affine import ElemAbelian2Group, is_simple
+from paramedial.enum_cyclic import simple_closed_count
 from paramedial.enum_gl2 import (
     CASE_DIAG0_FAMILY,
     CASE_IRRED0_CONIC,
     CASE_IRRED0_ROOT,
     CASE_IRRED_MINUS,
     CASE_IRRED_PLUS,
-    Gl2Classification,
     burnside_orbit_count,
     conic_count,
     conic_solutions,
@@ -17,7 +18,6 @@ from paramedial.enum_gl2 import (
     coset_reps_for,
     enumerate_gl2,
     nonsquares,
-    simple_subset,
     sqrt_set,
     y_phi,
 )
@@ -27,11 +27,20 @@ from paramedial.oracle import ActionSpec, classify_triples, encode_triple, orbit
 ODD = [3, 5, 7]
 
 
-def case_counts(cls: Gl2Classification) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for row in cls.rows:
-        counts[row.case] = counts.get(row.case, 0) + row.count
-    return counts
+def case_counts(records) -> Counter:
+    return Counter(rec.case for rec in records)
+
+
+def constants_by_pair(records) -> dict:
+    """The constants c of the records, grouped by (phi, psi)."""
+    grouped: dict = {}
+    for rec in records:
+        grouped.setdefault((rec.form.phi, rec.form.psi), []).append(rec.form.c)
+    return grouped
+
+
+def psis(cls):
+    return [psi for psi, _, _ in y_phi(cls)]
 
 
 # -- conjugacy classes ----------------------------------------------------------
@@ -169,7 +178,7 @@ def test_y_phi_hits_each_centralizer_orbit_once(p):
             elements=centralizer,
         )
         part = orbits(spec)
-        hits = sorted(part.index[m] for m in y_phi(cls))
+        hits = sorted(part.index[m] for m in psis(cls))
         assert hits == list(range(len(part.orbits)))
 
 
@@ -177,7 +186,7 @@ def test_y_phi_members_square_to_phi_squared():
     for p in ODD:
         for cls in conjugacy_classes(p):
             target = cls.rep.square()
-            for psi in y_phi(cls):
+            for psi in psis(cls):
                 assert psi.square() == target
 
 
@@ -251,7 +260,7 @@ def test_closed_form_y_phi_matches_a_cyclic_generator_partition(p):
             order=n,
         )
         part = orbits(spec)
-        reps = y_phi(cls)
+        reps = psis(cls)
         assert reps[:2] == [cls.rep, -cls.rep]
         assert sorted(reps) == list(part.representatives)
 
@@ -323,7 +332,7 @@ def test_total_class_count(p, total):
 
 @pytest.mark.parametrize("p", ODD)
 def test_family_subtotals(p):
-    counts = case_counts(enumerate_gl2(p))
+    counts = case_counts(enumerate_gl2(p).records())
     scalar = sum(v for c, v in counts.items() if c.startswith("scalar"))
     diag = sum(v for c, v in counts.items() if c.startswith("diag"))
     jordan = sum(v for c, v in counts.items() if c.startswith("jordan"))
@@ -336,7 +345,7 @@ def test_family_subtotals(p):
 
 @pytest.mark.parametrize("p", ODD)
 def test_per_case_counts(p):
-    counts = case_counts(enumerate_gl2(p))
+    counts = case_counts(enumerate_gl2(p).records())
     assert counts["scalar.psi-plus"] == p
     assert counts["scalar.psi-minus"] == p - 1
     assert counts["scalar.psi-split"] == p
@@ -357,33 +366,33 @@ def test_per_case_counts(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_rows_are_structurally_valid(p):
-    cls = enumerate_gl2(p)
-    for row in cls.rows:
-        assert row.phi.is_invertible() and row.psi.is_invertible()
-        assert row.phi.square() == row.psi.square()
-        assert row.coset_reps[0] == Vec2(0, 0, p)
+    for (phi, psi), constants in constants_by_pair(enumerate_gl2(p).records()).items():
+        assert phi.is_invertible() and psi.is_invertible()
+        assert phi.square() == psi.square()
+        assert constants[0] == Vec2(0, 0, p)
         if p != 2:
-            assert list(row.coset_reps) == coset_reps_for(row.phi, row.psi)
+            assert constants == coset_reps_for(phi, psi)
 
 
 def test_p2_goes_through_the_oracle_path():
     cls = enumerate_gl2(2)
     assert cls.total == 7
-    assert all(r.case == "p2-oracle" for r in cls.rows)
+    assert all(r.case == "p2-oracle" for r in cls.records())
     assert sum(1 for r in cls.records() if r.simple) == 3
 
 
 # -- simplicity ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p,count", [(3, 9), (5, 35), (7, 77)])
+@pytest.mark.parametrize("p,count", [(3, 9), (5, 35), (7, 77), (2, 3), (11, 209), (13, 299), (31, 1829)])
 def test_simple_class_count(p, count):
-    assert simple_subset(enumerate_gl2(p)).total == count
+    assert sum(rec.simple for rec in enumerate_gl2(p).records()) == count == simple_closed_count(p)
 
 
 @pytest.mark.parametrize("p", ODD)
 def test_simple_family_counts(p):
-    counts = case_counts(simple_subset(enumerate_gl2(p)))
+    simple = [rec for rec in enumerate_gl2(p).records() if rec.simple]
+    counts = case_counts(simple)
     assert counts.get(CASE_IRRED_PLUS, 0) == (p * p - p) // 2
     assert counts.get(CASE_IRRED_MINUS, 0) == (p * p - p) // 2
     assert counts.get(CASE_IRRED0_ROOT, 0) == (p - 1) * (p - 3) // 2
@@ -391,16 +400,9 @@ def test_simple_family_counts(p):
     family = counts.get(CASE_DIAG0_FAMILY, 0)
     assert family == (p * p - 4 * p + 5) // 2 + (p - 3)
     # split of the family by number of admissible constants
-    ones = sum(
-        r.count
-        for r in simple_subset(enumerate_gl2(p)).rows
-        if r.case == CASE_DIAG0_FAMILY and r.count == 1
-    )
-    twos = sum(
-        r.count
-        for r in simple_subset(enumerate_gl2(p)).rows
-        if r.case == CASE_DIAG0_FAMILY and r.count == 2
-    )
+    family_pairs = constants_by_pair(rec for rec in simple if rec.case == CASE_DIAG0_FAMILY)
+    ones = sum(len(cs) for cs in family_pairs.values() if len(cs) == 1)
+    twos = sum(len(cs) for cs in family_pairs.values() if len(cs) == 2)
     assert ones == (p * p - 4 * p + 5) // 2
     assert twos == p - 3
 
@@ -412,8 +414,25 @@ def test_simple_flags_agree_with_invariant_subgroup_criterion(p):
 
 
 def test_simple_rows_have_no_diagonalizable_scalar_or_jordan_phi():
-    for row in simple_subset(enumerate_gl2(5)).rows:
-        assert row.case.startswith("irred") or row.case == CASE_DIAG0_FAMILY
+    for rec in enumerate_gl2(5).records():
+        if rec.simple:
+            assert rec.case.startswith("irred") or rec.case == CASE_DIAG0_FAMILY
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_stream_simplicity_and_labels_match_their_definitions(p):
+    identity = Mat2.identity(p)
+    cases = set()
+    for rec in enumerate_gl2(p).records():
+        phi, psi = rec.form.phi, rec.form.psi
+        cases.add(rec.case)
+        assert rec.simple == is_simple(rec.form)
+        if rec.case.startswith("irred0"):
+            singular = (identity - phi - psi).det() == 0
+            assert (rec.case == CASE_IRRED0_CONIC) == singular
+        if rec.case == CASE_DIAG0_FAMILY:
+            assert rec.simple == (psi.a not in (phi.a, p - phi.a))
+    assert {CASE_IRRED0_CONIC, CASE_DIAG0_FAMILY} <= cases
 
 
 # -- oracle equivalence ----------------------------------------------------------------

@@ -13,7 +13,10 @@ Two underlying groups are supported: the cyclic group Z_{p^k} and the
 rank-two elementary abelian group Z_p x Z_p.  Elements are encoded as
 indices 0..n-1: a residue encodes as itself, and a vector (x, y) over
 Z_p encodes as x*p + y.  Table equality and all file output depend on
-this encoding, so it is fixed.
+this encoding, so it is fixed.  ``AffineForm`` is where affine data is
+validated: over Z_{p^k} phi, psi and c are ints, over Z_p x Z_p a pair
+of 4-tuples (row-major matrices) and a 2-tuple, all reduced on
+construction; everything downstream relies on that.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .modring import MAX_MODULUS, Mat2, Modulus, Vec2, is_prime
+from .modring import MAX_MODULUS, Mat2, Modulus, Vec2, is_prime, mat_det, mat_mul, mat_vec
 
 
 class ParamedialConditionError(ValueError):
@@ -73,12 +76,10 @@ class ElemAbelian2Group:
         return (x // p + y // p) % p * p + (x % p + y % p) % p
 
     def apply(self, aut: Mat2, x: int) -> int:
-        p = self.p
-        v = aut.matvec(Vec2(x // p, x % p, p))
-        return v.x * p + v.y
+        return self.encode(mat_vec(aut, divmod(x, self.p), self.p))
 
     def encode(self, element: Vec2) -> int:
-        return element.x * self.p + element.y
+        return element[0] * self.p + element[1]
 
     def describe(self) -> str:
         return f"elem2({self.p})"
@@ -92,11 +93,13 @@ class AffineForm:
     """One isomorphism-class representative (G, phi, psi, c).
 
     Over Z_{p^k}, phi and psi are units u (the automorphisms x -> u x)
-    and c is an element, all plain ints reduced mod p^k on construction;
-    over Z_p x Z_p they are a Mat2 pair and a Vec2.  Construction checks
-    that phi and psi are invertible automorphisms of the stated group and
-    that phi^2 = psi^2; violating the latter raises
-    ParamedialConditionError so the paramedial invariant is structural.
+    and c is an element, all plain ints; over Z_p x Z_p they are 4-tuples
+    (a, b, c, d) of ints, the matrices ((a,b),(c,d)), and a 2-tuple of
+    ints.  Construction reduces every entry mod p^k or p (a value of the
+    wrong type or arity raises TypeError), checks that phi and psi are
+    invertible (ValueError) and that phi^2 = psi^2; violating the latter
+    raises ParamedialConditionError so the paramedial invariant is
+    structural.
     """
 
     group: GroupDescriptor
@@ -119,18 +122,15 @@ class AffineForm:
                 )
         else:
             p = self.group.p
-            if not (isinstance(self.phi, Mat2) and isinstance(self.psi, Mat2)):
-                raise TypeError("elementary-abelian forms take Mat2 automorphisms")
-            if self.phi.p != p or self.psi.p != p:
-                raise ValueError("matrix modulus does not match the group")
-            if not isinstance(self.c, Vec2) or self.c.p != p:
-                raise ValueError("constant must be a vector over the group prime")
-            if not (self.phi.is_invertible() and self.psi.is_invertible()):
+            for f, size in (("phi", 4), ("psi", 4), ("c", 2)):
+                v = getattr(self, f)
+                if not (isinstance(v, tuple) and len(v) == size and all(isinstance(x, int) for x in v)):
+                    raise TypeError(f"{f} must be a {size}-tuple of ints, got {v!r}")
+                object.__setattr__(self, f, tuple(x % p for x in v))
+            if mat_det(self.phi, p) == 0 or mat_det(self.psi, p) == 0:
                 raise ValueError("phi and psi must be invertible")
-            if self.phi.square() != self.psi.square():
-                raise ParamedialConditionError(
-                    f"phi^2 != psi^2 for phi={self.phi.entries()}, psi={self.psi.entries()}"
-                )
+            if mat_mul(self.phi, self.phi, p) != mat_mul(self.psi, self.psi, p):
+                raise ParamedialConditionError(f"phi^2 != psi^2 for phi={self.phi}, psi={self.psi}")
 
 
 @dataclass(frozen=True)
@@ -259,10 +259,8 @@ def proper_subgroups(group: GroupDescriptor) -> list[tuple[int, ...]]:
         m = group.modulus
         return [tuple(range(0, m.n, m.p**i)) for i in range(1, m.k)]
     p = group.p
-    directions = [Vec2(0, 1, p)] + [Vec2(1, t, p) for t in range(p)]
-    lines = []
-    for d in directions:
-        lines.append(tuple(sorted(group.encode(d.smul(t)) for t in range(p))))
+    lines = [tuple(range(p))]  # the span of (0, 1)
+    lines += [tuple(s * p + s * t % p for s in range(p)) for t in range(p)]  # of (1, t)
     return sorted(lines)
 
 

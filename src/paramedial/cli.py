@@ -45,7 +45,7 @@ from .enum_cyclic import (
     simple_closed_count,
 )
 from .enum_gl2 import coset_reps_for, enumerate_gl2
-from .modring import Mat2, Modulus, Vec2
+from .modring import Mat2, Modulus, Vec2, mat_det, mat_mul
 from .oracle import ResourceLimitError, classify_triples, encode_triple
 
 CACHE_ENV = "PARAMEDIAL_CACHE_DIR"
@@ -84,21 +84,14 @@ def _records_for(group: GroupDescriptor) -> list[ClassRecord]:
 
 
 def record_to_dict(rec: ClassRecord) -> dict:
-    """JSON form of one class: matrices row-major, vectors flat."""
-    form = rec.form
-    if isinstance(form.group, CyclicGroup):
-        phi = [[form.phi]]
-        psi = [[form.psi]]
-        c = [form.c]
-    else:
-        phi = [list(r) for r in form.phi.rows()]
-        psi = [list(r) for r in form.psi.rows()]
-        c = list(form.c.entries())
+    """JSON form of one class: matrices as lists of rows, vectors flat."""
+    phi, psi, c = _entries(rec.form)
+    dim = len(c)
     return {
-        "group": _group_json(form.group),
-        "phi": phi,
-        "psi": psi,
-        "c": c,
+        "group": _group_json(rec.form.group),
+        "phi": [list(phi[i : i + dim]) for i in range(0, dim * dim, dim)],
+        "psi": [list(psi[i : i + dim]) for i in range(0, dim * dim, dim)],
+        "c": list(c),
         "simple": rec.simple,
         "case": rec.case,
     }
@@ -109,20 +102,16 @@ def form_from_dict(d: dict) -> AffineForm:
     if g["kind"] == "cyclic":
         group = CyclicGroup(Modulus(g["p"], g["k"]))
         return AffineForm(group, d["phi"][0][0], d["psi"][0][0], d["c"][0])
-    p = g["p"]
-    group = ElemAbelian2Group(p)
-    (a, b), (c_, d_) = d["phi"]
-    (e, f), (g_, h) = d["psi"]
-    return AffineForm(
-        group, Mat2(a, b, c_, d_, p), Mat2(e, f, g_, h, p), Vec2(d["c"][0], d["c"][1], p)
-    )
+    phi = tuple(v for row in d["phi"] for v in row)
+    psi = tuple(v for row in d["psi"] for v in row)
+    return AffineForm(ElemAbelian2Group(g["p"]), phi, psi, tuple(d["c"]))
 
 
 def _entries(form: AffineForm) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """phi, psi and c of a form as flat row-major tuples of ints."""
     if isinstance(form.group, CyclicGroup):
         return (form.phi,), (form.psi,), (form.c,)
-    return form.phi.entries(), form.psi.entries(), form.c.entries()
+    return form.phi, form.psi, form.c
 
 
 def _flat_fields(form: AffineForm) -> tuple[str, str, str]:
@@ -130,11 +119,7 @@ def _flat_fields(form: AffineForm) -> tuple[str, str, str]:
     split by ';', entries by ','."""
     if isinstance(form.group, CyclicGroup):
         return str(form.phi), str(form.psi), str(form.c)
-    return (
-        "%d,%d;%d,%d" % form.phi.entries(),
-        "%d,%d;%d,%d" % form.psi.entries(),
-        "%d,%d" % form.c.entries(),
-    )
+    return "%d,%d;%d,%d" % form.phi, "%d,%d;%d,%d" % form.psi, "%d,%d" % form.c
 
 
 def _json_layout(value, depth: int) -> str:
@@ -306,27 +291,29 @@ def cmd_enumerate(args, parser) -> int:
         "format": args.format,
     }
     key_path = _cache_path(_cache_key("enumerate", params))
-    data = _cache_load(key_path)
-    if data is None:
-        records = _records_for(group)
-        if args.simple_only:
-            records = [r for r in records if r.simple]
-        if args.format == "tables":
-            entries = len(records) * group.order**2
-            if entries > TABLES_MAX_ENTRIES:
-                raise ResourceLimitError(
-                    f"--format tables is bounded to {TABLES_MAX_ENTRIES} table entries, "
-                    f"{group.describe()} needs {len(records)} tables of {group.order}^2 = {entries}"
-                )
-        data = render_records(records, args.format)
-        _cache_store(key_path, data)
+    action = f"use cache entry {key_path}"
     try:
+        data = _cache_load(key_path)
+        if data is None:
+            records = _records_for(group)
+            if args.simple_only:
+                records = [r for r in records if r.simple]
+            if args.format == "tables":
+                entries = len(records) * group.order**2
+                if entries > TABLES_MAX_ENTRIES:
+                    raise ResourceLimitError(
+                        f"--format tables is bounded to {TABLES_MAX_ENTRIES} table entries, "
+                        f"{group.describe()} needs {len(records)} tables of {group.order}^2 = {entries}"
+                    )
+            data = render_records(records, args.format)
+            _cache_store(key_path, data)
+        action = f"write {args.out or '<stdout>'}"
         _emit(data, args.out)
         if args.manifest:
+            action = f"write {args.manifest}"
             _write_manifest(args.manifest, "enumerate", params, data)
     except OSError as exc:
-        target = args.out or args.manifest or "<stdout>"
-        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
+        print(f"error: cannot {action}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 
@@ -399,21 +386,20 @@ def _verify_elem2(group: ElemAbelian2Group, level: str, report: _Report) -> None
     for rec in records:
         constants.setdefault((rec.form.phi, rec.form.psi), []).append(rec.form.c)
     ok_struct = all(
-        phi.det() != 0
-        and psi.det() != 0
-        and phi.square() == psi.square()
-        and cs == coset_reps_for(phi, psi)
+        mat_det(phi, p) != 0
+        and mat_det(psi, p) != 0
+        and mat_mul(phi, phi, p) == mat_mul(psi, psi, p)
+        and cs == coset_reps_for(phi, psi, p)
         for (phi, psi), cs in constants.items()
     )
     report.check("rows satisfy phi^2 = psi^2 with admissible constants", ok_struct)
-    if p != 2:
-        simple_total = sum(rec.simple for rec in records)
-        formula = simple_closed_count(p)
-        report.check(
-            f"simple class count equals {formula}",
-            simple_total == formula,
-            f"got {simple_total}",
-        )
+    simple_total = sum(rec.simple for rec in records)
+    formula = simple_closed_count(p)
+    report.check(
+        f"simple class count equals {formula}",
+        simple_total == formula,
+        f"got {simple_total}",
+    )
     ok_flags = all(is_simple(rec.form) == rec.simple for rec in records)
     report.check("simplicity flags match the invariant-subgroup criterion", ok_flags)
     if level == "oracle":

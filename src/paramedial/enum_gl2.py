@@ -38,8 +38,11 @@ from .modring import (
     Vec2,
     is_prime,
     is_square_mod,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    mat_neg,
     sqrt_mod_prime,
-    vector_outside_line,
 )
 
 CASE_SCALAR_PLUS = "scalar.psi-plus"
@@ -82,6 +85,7 @@ class ConjClass:
     an irreducible x^2 - b x - a.
     """
 
+    p: int
     kind: str
     a: int
     b: Optional[int]
@@ -97,23 +101,23 @@ def conjugacy_classes(p: int) -> list[ConjClass]:
     _require_odd_prime(p)
     classes: list[ConjClass] = []
     for a in range(1, p):
-        classes.append(ConjClass("scalar", a, None, Mat2.scalar(a, p)))
+        classes.append(ConjClass(p, "scalar", a, None, (a, 0, 0, a)))
     for a in range(1, p):
         for b in range(a + 1, p):
-            classes.append(ConjClass("diag", a, b, Mat2.diag(a, b, p)))
+            classes.append(ConjClass(p, "diag", a, b, (a, 0, 0, b)))
     for a in range(1, p):
-        classes.append(ConjClass("jordan", a, None, Mat2(a, 1, 0, a, p)))
+        classes.append(ConjClass(p, "jordan", a, None, (a, 1, 0, a)))
     for a in range(1, p):
         for b in range(p):
             if not is_square_mod(b * b + 4 * a, p):
-                classes.append(ConjClass("irreducible", a, b, Mat2(0, 1, a, b, p)))
+                classes.append(ConjClass(p, "irreducible", a, b, (0, 1, a, b)))
     return classes
 
 
 # -- square roots of 2x2 matrices ----------------------------------------------
 
 
-def sqrt_set(a_mat: Mat2) -> list[Mat2]:
+def sqrt_set(a_mat: Mat2, p: int) -> list[Mat2]:
     """All X with X^2 = A over Z_p, p odd, in lexicographic order.
 
     Non-scalar A: Cayley-Hamilton forces X = (A + delta I) / tau with
@@ -122,38 +126,35 @@ def sqrt_set(a_mat: Mat2) -> list[Mat2]:
     +-sqrt(c) I (when c is a square) the trace-zero matrices
     ((k,l),(m,-k)) with k^2 + lm = c all square to cI.
     """
-    p = a_mat.p
     if p == 2:
         raise ValueError("square-root formulas need an odd prime")
     roots: set[Mat2] = set()
-    if a_mat.is_scalar():
-        c = a_mat.a
-        for r in sqrt_mod_prime(c, p):
-            roots.add(Mat2.scalar(r, p))
-            roots.add(Mat2.scalar(-r, p))
+    a, b, c, d = a_mat
+    if b == 0 and c == 0 and a == d:
+        for r in sqrt_mod_prime(a, p):
+            roots.add((r, 0, 0, r))
+            roots.add((-r % p, 0, 0, -r % p))
         for k in range(p):
-            need = (c - k * k) % p
+            need = (a - k * k) % p
             if need == 0:
-                roots.update(Mat2(k, 0, m, -k, p) for m in range(p))
-                roots.update(Mat2(k, l, 0, -k, p) for l in range(p))
+                roots.update((k, 0, m, -k % p) for m in range(p))
+                roots.update((k, l, 0, -k % p) for l in range(p))
             else:
-                roots.update(
-                    Mat2(k, l, need * pow(l, -1, p) % p, -k, p) for l in range(1, p)
-                )
+                roots.update((k, l, need * pow(l, -1, p) % p, -k % p) for l in range(1, p))
     else:
-        t = a_mat.tr()
-        for delta in sqrt_mod_prime(a_mat.det(), p) or ():
+        t = a + d
+        for delta in sqrt_mod_prime(mat_det(a_mat, p), p):
             for sign in (1, -1):
-                d = sign * delta % p
-                for tau in sqrt_mod_prime(t + 2 * d, p):
+                s = sign * delta % p
+                for tau in sqrt_mod_prime(t + 2 * s, p):
                     if tau == 0:
                         continue
                     ti = pow(tau, -1, p)
-                    x = (a_mat + Mat2.scalar(d, p)).smul(ti)
+                    x = ((a + s) * ti % p, b * ti % p, c * ti % p, (d + s) * ti % p)
                     roots.add(x)
-                    roots.add(-x)
+                    roots.add(mat_neg(x, p))
     for x in roots:
-        assert x.square() == a_mat
+        assert mat_mul(x, x, p) == a_mat
     return sorted(roots)
 
 
@@ -221,36 +222,34 @@ def y_phi(cls: ConjClass) -> list[tuple[Mat2, str, bool]]:
     others are irred0.psi-root.  burnside_orbit_count is the all-elements
     cross-check of this partition.
     """
-    p = cls.rep.p
-    a = cls.a
-    phi = cls.rep
+    p, a, phi = cls.p, cls.a, cls.rep
     if cls.kind == "scalar":
         return [
-            (Mat2.scalar(a, p), CASE_SCALAR_PLUS, False),
-            (Mat2.scalar(-a, p), CASE_SCALAR_MINUS, False),
-            (Mat2.diag(a, -a, p), CASE_SCALAR_SPLIT, False),
+            (phi, CASE_SCALAR_PLUS, False),
+            (mat_neg(phi, p), CASE_SCALAR_MINUS, False),
+            ((a, 0, 0, p - a), CASE_SCALAR_SPLIT, False),
         ]
     if cls.kind == "diag":
         b = cls.b
         reps = [
-            (Mat2.diag(a, b, p), CASE_DIAG_PLUS, False),
-            (Mat2.diag(-a, -b, p), CASE_DIAG_MINUS, False),
-            (Mat2.diag(-a, b, p), CASE_DIAG_MIXED_A, False),
-            (Mat2.diag(a, -b, p), CASE_DIAG_MIXED_B, False),
+            (phi, CASE_DIAG_PLUS, False),
+            (mat_neg(phi, p), CASE_DIAG_MINUS, False),
+            ((p - a, 0, 0, b), CASE_DIAG_MIXED_A, False),
+            ((a, 0, 0, p - b), CASE_DIAG_MIXED_B, False),
         ]
         if b == p - a:
             reps += [
-                (Mat2(a, 0, 1, -a, p), CASE_DIAG0_LOWER_PLUS, False),
-                (Mat2(-a, 0, 1, a, p), CASE_DIAG0_LOWER_MINUS, False),
+                ((a, 0, 1, b), CASE_DIAG0_LOWER_PLUS, False),
+                ((b, 0, 1, a), CASE_DIAG0_LOWER_MINUS, False),
             ]
             reps += [
-                (Mat2(k, 1, a * a - k * k, -k, p), CASE_DIAG0_FAMILY, k not in (a, b))
+                ((k, 1, (a * a - k * k) % p, -k % p), CASE_DIAG0_FAMILY, k not in (a, b))
                 for k in range(p)
             ]
         return reps
     if cls.kind == "jordan":
-        return [(phi, CASE_JORDAN_PLUS, False), (-phi, CASE_JORDAN_MINUS, False)]
-    central = [(phi, CASE_IRRED_PLUS, True), (-phi, CASE_IRRED_MINUS, True)]
+        return [(phi, CASE_JORDAN_PLUS, False), (mat_neg(phi, p), CASE_JORDAN_MINUS, False)]
+    central = [(phi, CASE_IRRED_PLUS, True), (mat_neg(phi, p), CASE_IRRED_MINUS, True)]
     if cls.b != 0:
         return central
     inv_2a = pow(2 * a, -1, p)
@@ -264,11 +263,11 @@ def y_phi(cls: ConjClass) -> list[tuple[Mat2, str, bool]]:
             if roots:
                 l = min((t + r) * inv_2a % p for r in roots)
                 case = CASE_IRRED0_CONIC if t == conic_level else CASE_IRRED0_ROOT
-                levels.append((Mat2(k, l, t - a * l, -k, p), case, True))
+                levels.append(((k, l, (t - a * l) % p, -k % p), case, True))
                 break
-    square = phi.square()
+    square = mat_mul(phi, phi, p)
     for psi, _, _ in levels:
-        if psi.square() != square:
+        if mat_mul(psi, psi, p) != square:
             raise AssertionError(f"{psi} is not a square root of {square}")
     return central + sorted(levels)
 
@@ -284,16 +283,16 @@ def burnside_orbit_count(cls: ConjClass) -> tuple[int, tuple[int, ...]]:
     """
     from .oracle import ActionSpec, burnside_count, orbits
 
-    p = cls.rep.p
+    p = cls.p
     if cls.kind != "irreducible" or cls.b != 0:
         raise ValueError("Burnside counting applies to the ((0,1),(a,0)) representative")
-    elements = [Mat2(u, v, cls.a * v, u, p) for u in range(p) for v in range(p) if u or v]
-    inverses = {g: g.inv() for g in elements}
+    elements = [(u, v, cls.a * v % p, u) for u in range(p) for v in range(p) if u or v]
+    inverses = {g: mat_inv(g, p) for g in elements}
     spec = ActionSpec(
-        points=sqrt_set(cls.rep.square()),
-        act=lambda g, m: g @ m @ inverses[g],
-        compose=lambda g, h: g @ h,
-        identity=Mat2.identity(p),
+        points=sqrt_set(mat_mul(cls.rep, cls.rep, p), p),
+        act=lambda g, m: mat_mul(mat_mul(g, m, p), inverses[g], p),
+        compose=lambda g, h: mat_mul(g, h, p),
+        identity=(1, 0, 0, 1),
         elements=elements,
     )
     by_average = burnside_count(spec)
@@ -310,29 +309,25 @@ def burnside_orbit_count(cls: ConjClass) -> tuple[int, tuple[int, ...]]:
 # -- coset representatives G_{phi,psi} -------------------------------------------
 
 
-def coset_reps_for(phi: Mat2, psi: Mat2) -> list[Vec2]:
+def coset_reps_for(phi: Mat2, psi: Mat2, p: int) -> list[Vec2]:
     """Transversal of the joint-centralizer action on Z_p^2 / Im(1-phi-psi).
 
     Full rank leaves only the zero coset.  Rank one gives {0, w} for any
     w outside the image, because every centralizer contains the scalar
     matrices, which act transitively on the non-zero cosets; w is the
-    least such vector.  Rank zero happens only for phi = psi = 2^-1 I,
-    where the joint centralizer is all of GL(2,p) and any non-zero
-    vector serves: {0, (1,0)}.
+    least such vector.  That is (0, 1) unless the first row (a, b) of
+    1 - phi - psi is zero: only then is the image inside the y-axis, and
+    (1, 0) is the least vector off it.  Rank zero happens only for
+    phi = psi = 2^-1 I, where the joint centralizer is all of GL(2,p) and
+    any non-zero vector serves; the same rule gives {0, (1,0)}.
     """
-    if phi.square() != psi.square():
+    if mat_mul(phi, phi, p) != mat_mul(psi, psi, p):
         raise ValueError("phi^2 != psi^2")
-    p = phi.p
-    m = Mat2.identity(p) - phi - psi
-    zero = Vec2(0, 0, p)
-    rank = m.rank()
-    if rank == 2:
-        return [zero]
-    if rank == 0:
-        return [zero, Vec2(1, 0, p)]
-    col1 = Vec2(m.a, m.c, p)
-    direction = col1 if not col1.is_zero() else Vec2(m.b, m.d, p)
-    return [zero, vector_outside_line(direction)]
+    a, b = (1 - phi[0] - psi[0]) % p, (-phi[1] - psi[1]) % p
+    c, d = (-phi[2] - psi[2]) % p, (1 - phi[3] - psi[3]) % p
+    if (a * d - b * c) % p:
+        return [(0, 0)]
+    return [(0, 0), (0, 1) if a or b else (1, 0)]
 
 
 # -- the full classification ------------------------------------------------------
@@ -363,7 +358,7 @@ def _records(p: int) -> Iterator[ClassRecord]:
         return
     for cls in conjugacy_classes(p):
         for psi, case, simple in y_phi(cls):
-            for c in coset_reps_for(cls.rep, psi):
+            for c in coset_reps_for(cls.rep, psi, p):
                 yield ClassRecord(AffineForm(group, cls.rep, psi, c), case, simple)
 
 

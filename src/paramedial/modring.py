@@ -1,11 +1,12 @@
 """Exact arithmetic in Z_{p^k}, its unit group, and 2x2 matrices over Z_p.
 
 Elements and automorphisms of Z_{p^k} are plain ints, least non-negative
-residues mod p^k; ``Modulus`` names the ring.  Matrices and vectors over
-Z_p are small immutable value types that carry the prime they live over,
-and all their operations reduce eagerly to the least non-negative
-representative.  Mixing matrices or vectors over different primes is a
-programming error and raises ``MixedModulusError`` instead of coercing.
+residues mod p^k; ``Modulus`` names the ring.  A matrix over Z_p is the
+flat row-major tuple (a, b, c, d) of least residues and a vector is
+(x, y), so tuple order is the canonical lexicographic order.  The
+functions below take p, expect reduced entries and return reduced
+tuples; data from outside is validated and reduced once, by
+``affine.AffineForm``.
 
 Supported range: the modulus p^k must stay below 2**31 so that products
 of two reduced values fit comfortably in native integers before Python
@@ -14,16 +15,13 @@ would even need big ints; constructors reject anything larger.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 MAX_MODULUS = 2**31
 MAX_EXPONENT = 30  # p^k < 2^31 with p >= 2 needs k <= 30
-
-
-class MixedModulusError(ValueError):
-    """Arithmetic between values over different moduli."""
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -117,155 +115,41 @@ def is_square_mod(x: int, p: int) -> bool:
 
 # -- 2x2 matrices and vectors over Z_p ----------------------------------------
 
-
-@lru_cache(maxsize=None)
-def _check_mat_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"matrix modulus {p} is not prime")
+Mat2 = tuple[int, int, int, int]  # ((a, b), (c, d)) row-major as (a, b, c, d)
+Vec2 = tuple[int, int]
 
 
-@dataclass(frozen=True, order=True)
-class Vec2:
-    """A vector in Z_p^2; ordering is lexicographic by (x, y)."""
-
-    x: int
-    y: int
-    p: int
-
-    def __post_init__(self):
-        _check_mat_prime(self.p)
-        object.__setattr__(self, "x", self.x % self.p)
-        object.__setattr__(self, "y", self.y % self.p)
-
-    def smul(self, t: int) -> "Vec2":
-        return Vec2(t * self.x, t * self.y, self.p)
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-    def entries(self) -> tuple[int, int]:
-        return (self.x, self.y)
+def mat_mul(m: Mat2, n: Mat2, p: int) -> Mat2:
+    a, b, c, d = m
+    e, f, g, h = n
+    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
 
 
-@dataclass(frozen=True, order=True)
-class Mat2:
-    """A 2x2 matrix ((a, b), (c, d)) over Z_p, row-major.
+def mat_neg(m: Mat2, p: int) -> Mat2:
+    return (-m[0] % p, -m[1] % p, -m[2] % p, -m[3] % p)
 
-    Ordering is lexicographic by entries, which is the canonical order
-    used whenever a deterministic representative has to be picked.
-    """
 
-    a: int
-    b: int
-    c: int
-    d: int
-    p: int
+def mat_det(m: Mat2, p: int) -> int:
+    return (m[0] * m[3] - m[1] * m[2]) % p
 
-    def __post_init__(self):
-        _check_mat_prime(self.p)
-        for f in ("a", "b", "c", "d"):
-            object.__setattr__(self, f, getattr(self, f) % self.p)
 
-    @classmethod
-    def identity(cls, p: int) -> "Mat2":
-        return cls(1, 0, 0, 1, p)
+def mat_inv(m: Mat2, p: int) -> Mat2:
+    det = mat_det(m, p)
+    if det == 0:
+        raise SingularMatrixError(f"{m} has determinant 0 mod {p}")
+    di = pow(det, -1, p)
+    return (di * m[3] % p, -di * m[1] % p, -di * m[2] % p, di * m[0] % p)
 
-    @classmethod
-    def scalar(cls, t: int, p: int) -> "Mat2":
-        return cls(t, 0, 0, t, p)
 
-    @classmethod
-    def diag(cls, a: int, d: int, p: int) -> "Mat2":
-        return cls(a, 0, 0, d, p)
-
-    def _check(self, other: "Mat2") -> None:
-        if self.p != other.p:
-            raise MixedModulusError(f"p={self.p} vs p={other.p}")
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        self._check(other)
-        p = self.p
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            p,
-        )
-
-    def __add__(self, other: "Mat2") -> "Mat2":
-        self._check(other)
-        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d, self.p)
-
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        self._check(other)
-        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d, self.p)
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d, self.p)
-
-    def smul(self, t: int) -> "Mat2":
-        return Mat2(t * self.a, t * self.b, t * self.c, t * self.d, self.p)
-
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.p
-
-    def tr(self) -> int:
-        return (self.a + self.d) % self.p
-
-    def rank(self) -> int:
-        if self.det() != 0:
-            return 2
-        if self.a or self.b or self.c or self.d:
-            return 1
-        return 0
-
-    def is_invertible(self) -> bool:
-        return self.det() != 0
-
-    def is_scalar(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.a == self.d
-
-    def inv(self) -> "Mat2":
-        det = self.det()
-        if det == 0:
-            raise SingularMatrixError(f"{self} has determinant 0")
-        di = pow(det, -1, self.p)
-        return Mat2(di * self.d, -di * self.b, -di * self.c, di * self.a, self.p)
-
-    def square(self) -> "Mat2":
-        return self @ self
-
-    def matvec(self, v: Vec2) -> Vec2:
-        if self.p != v.p:
-            raise MixedModulusError(f"p={self.p} vs p={v.p}")
-        return Vec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y, self.p)
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
+def mat_vec(m: Mat2, v: Vec2, p: int) -> Vec2:
+    return ((m[0] * v[0] + m[1] * v[1]) % p, (m[2] * v[0] + m[3] * v[1]) % p)
 
 
 def all_matrices(p: int) -> Iterator[Mat2]:
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    yield Mat2(a, b, c, d, p)
+    """All p^4 matrices over Z_p in lexicographic order."""
+    return itertools.product(range(p), repeat=4)
 
 
 def gl2(p: int) -> list[Mat2]:
     """All invertible 2x2 matrices over Z_p; |GL(2,p)| = (p^2-1)(p^2-p)."""
-    return [m for m in all_matrices(p) if m.det() != 0]
-
-
-def vector_outside_line(direction: Vec2) -> Vec2:
-    """Lexicographically least vector not on the line spanned by a non-zero
-    direction: (0, 1), unless the line is the y-axis, then (1, 0)."""
-    if direction.is_zero():
-        raise ValueError("direction vector is zero")
-    if direction.x:
-        return Vec2(0, 1, direction.p)
-    return Vec2(1, 0, direction.p)
+    return [m for m in all_matrices(p) if mat_det(m, p) != 0]

@@ -6,8 +6,9 @@ search so the two routes stay independent.  Exhaustive methods suffice
 at the supported scale, so there is no permutation-group cleverness.
 
 For the same reason the 2x2 arithmetic of the triple action runs on its
-own tuple kernel (``_mmul``/``_minv``/``_mvec``) rather than on
-``modring.Mat2``: this module is the reference the enumerators are
+own kernel (``_mmul``/``_minv``/``_mvec``) rather than on ``modring``'s
+``mat_mul``/``mat_inv``/``mat_vec``, although both work on the same
+(a, b, c, d) tuples: this module is the reference the enumerators are
 checked against, and a kernel shared with them could hide one bug on
 both sides.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from .affine import AffineForm, CyclicGroup, ElemAbelian2Group, GroupDescriptor, QuasigroupTable
-from .modring import Mat2, Vec2, unit_group
+from .modring import unit_group
 
 DEFAULT_MAX_POINTS = 10**7
 
@@ -210,17 +211,11 @@ class TripleClassification:
 
 def encode_triple(form: AffineForm) -> tuple:
     """The form as a raw triple: ints over Z_{p^k}, entry tuples over Z_p x Z_p."""
-    if isinstance(form.group, CyclicGroup):
-        return (form.phi, form.psi, form.c)
-    return (form.phi.entries(), form.psi.entries(), form.c.entries())
+    return (form.phi, form.psi, form.c)
 
 
 def decode_triple(group: GroupDescriptor, triple: tuple) -> AffineForm:
-    phi, psi, c = triple
-    if isinstance(group, CyclicGroup):
-        return AffineForm(group, phi, psi, c)
-    p = group.p
-    return AffineForm(group, Mat2(*phi, p), Mat2(*psi, p), Vec2(*c, p))
+    return AffineForm(group, *triple)
 
 
 def _cyclic_spec(group: CyclicGroup, with_elements: bool) -> ActionSpec:

@@ -28,7 +28,7 @@ from paramedial.enum_gl2 import (
     nonsquares,
     sqrt_set,
 )
-from paramedial.modring import Modulus, all_matrices
+from paramedial.modring import Modulus, all_matrices, mat_mul
 from paramedial.oracle import (
     classify_tables,
     classify_triples,
@@ -127,11 +127,11 @@ def test_criterion_4_matrix_square_roots():
         mats = list(all_matrices(p))
         seen = set()
         for cls in conjugacy_classes(p):
-            a = cls.rep.square()
+            a = mat_mul(cls.rep, cls.rep, p)
             if a in seen:
                 continue
             seen.add(a)
-            ok &= sqrt_set(a) == sorted(x for x in mats if x.square() == a)
+            ok &= sqrt_set(a, p) == sorted(x for x in mats if mat_mul(x, x, p) == a)
     elapsed = time.perf_counter() - start
     report(4, "square-root sets equal brute force over all p^4 matrices", ok, elapsed)
 

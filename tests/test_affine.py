@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from paramedial.affine import (
     AffineForm,
+    ClassRecord,
     CyclicGroup,
     ElemAbelian2Group,
     ParamedialConditionError,
@@ -21,8 +22,9 @@ from paramedial.affine import (
 )
 from paramedial.enum_cyclic import enumerate_cyclic
 from paramedial.enum_gl2 import enumerate_gl2
-from paramedial.modring import Mat2, Modulus, Vec2
-from paramedial.oracle import satisfies_paramedial_identity
+from paramedial.cli import form_from_dict, record_to_dict
+from paramedial.modring import Modulus, gl2, mat_mul
+from paramedial.oracle import encode_triple, satisfies_paramedial_identity
 
 
 def cyclic_form(p, k, phi, psi, c):
@@ -30,8 +32,7 @@ def cyclic_form(p, k, phi, psi, c):
 
 
 def elem2_form(p, phi, psi, c=(0, 0)):
-    g = ElemAbelian2Group(p)
-    return AffineForm(g, Mat2(*phi, p), Mat2(*psi, p), Vec2(*c, p))
+    return AffineForm(ElemAbelian2Group(p), phi, psi, c)
 
 
 def raw_table(op, n):
@@ -164,6 +165,28 @@ def test_cyclic_form_fields_are_reduced_units():
         cyclic_form(3, 2, 1.0, 1, 0)
 
 
+def test_elem2_form_fields_are_reduced_int_tuples():
+    form = elem2_form(3, (4, -3, 9, -1), (1, 0, 0, 2), (5, -1))
+    assert (form.phi, form.psi, form.c) == ((1, 0, 0, 2), (1, 0, 0, 2), (2, 2))
+    with pytest.raises(ValueError):
+        elem2_form(3, (1, 2, 2, 4), (1, 0, 0, 1))  # det = 0 mod 3
+    with pytest.raises(ParamedialConditionError):
+        elem2_form(5, (1, 0, 0, 1), (2, 0, 0, 1))
+    for phi, c in [
+        ([1, 0, 0, 1], (0, 0)),
+        ((1, 0, 0), (0, 0)),
+        ((1.0, 0, 0, 1), (0, 0)),
+        ((1, 0, 0, 1), [0, 0]),
+        ((1, 0, 0, 1), (0, 0, 0)),
+        ((1, 0, 0, 1), (0.0, 0)),
+    ]:
+        with pytest.raises(TypeError):
+            elem2_form(3, phi, (1, 0, 0, 1), c)
+    rec = ClassRecord(form, "case", True)
+    rebuilt = form_from_dict(record_to_dict(rec))
+    assert rebuilt == form and encode_triple(rebuilt) == encode_triple(form)
+
+
 CYCLIC_PAIRS_9 = [(phi, psi) for phi in range(1, 9) for psi in range(1, 9)
                   if phi % 3 and psi % 3 and (phi * phi - psi * psi) % 9 == 0]
 
@@ -176,16 +199,15 @@ def test_materialized_cyclic_forms_are_latin_paramedial(pair, c):
     assert is_paramedial(table)
 
 
-GL3 = [m for m in (Mat2(a, b, c, d, 3) for a in range(3) for b in range(3)
-                   for c in range(3) for d in range(3)) if m.det() != 0]
-ELEM2_PAIRS_3 = [(f, s) for f in GL3 for s in GL3 if f.square() == s.square()]
+GL3 = gl2(3)
+ELEM2_PAIRS_3 = [(f, s) for f in GL3 for s in GL3 if mat_mul(f, f, 3) == mat_mul(s, s, 3)]
 
 
 @given(st.sampled_from(ELEM2_PAIRS_3), st.integers(0, 2), st.integers(0, 2))
 @settings(max_examples=40)
 def test_materialized_elem2_forms_are_latin_paramedial(pair, cx, cy):
     g = ElemAbelian2Group(3)
-    form = AffineForm(g, pair[0], pair[1], Vec2(cx, cy, 3))
+    form = AffineForm(g, pair[0], pair[1], (cx, cy))
     table = materialize(form)
     assert is_latin(table)
     assert is_paramedial(table)

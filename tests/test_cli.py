@@ -262,6 +262,23 @@ def test_enumerate_io_error(tmp_path, capsys):
     assert "missing" in err
 
 
+def test_unusable_cache_dir_prints_one_error_line(tmp_path):
+    # the cache directory lies under a regular file, so storing the entry fails
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {**os.environ, "PYTHONPATH": src, CACHE_ENV: str(blocker / "sub")}
+    result = subprocess.run(
+        [sys.executable, "-m", "paramedial", "enumerate", "--group", "cyclic", "3", "1",
+         "--format", "csv"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(blocker / "sub") in lines[0]
+    assert "Traceback" not in result.stderr
+
+
 def test_json_round_trip():
     records = enumerate_gl2(3).records()
     for rec in records:
@@ -281,6 +298,7 @@ def test_verify_oracle_elem2(capsys):
     code, out, _ = run(capsys, "verify", "--group", "elem2", "2", "--level", "oracle")
     assert code == 0
     assert "oracle orbit count equals 7" in out
+    assert "ok: simple class count equals 3" in out
 
 
 def test_verify_oracle_bound(capsys):

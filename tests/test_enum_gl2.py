@@ -21,10 +21,38 @@ from paramedial.enum_gl2 import (
     sqrt_set,
     y_phi,
 )
-from paramedial.modring import Mat2, Vec2, all_matrices, gl2, is_prime, is_square_mod
+from paramedial.modring import (
+    all_matrices,
+    gl2,
+    is_prime,
+    is_square_mod,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    mat_neg,
+    mat_vec,
+)
 from paramedial.oracle import ActionSpec, classify_triples, encode_triple, orbits
 
 ODD = [3, 5, 7]
+IDENTITY = (1, 0, 0, 1)
+
+
+def square(m, p):
+    return mat_mul(m, m, p)
+
+
+def conjugation_spec(points, p, **group):
+    """GL(2,p) conjugation on `points`; `group` gives elements or generators and order."""
+    gens = group.get("elements") or group["generators"]
+    inverses = {g: mat_inv(g, p) for g in gens}
+    return ActionSpec(
+        points=points,
+        act=lambda g, x: mat_mul(mat_mul(g, x, p), inverses[g], p),
+        compose=lambda g, h: mat_mul(g, h, p),
+        identity=IDENTITY,
+        **group,
+    )
 
 
 def case_counts(records) -> Counter:
@@ -54,7 +82,8 @@ def test_conjugacy_class_census_p3():
         kinds[c.kind] = kinds.get(c.kind, 0) + 1
     assert kinds == {"scalar": 2, "diag": 1, "jordan": 2, "irreducible": 3}
     scalars = [c.rep for c in classes if c.kind == "scalar"]
-    assert scalars == [Mat2.identity(3), Mat2.scalar(2, 3)]
+    assert scalars == [(1, 0, 0, 1), (2, 0, 0, 2)]
+    assert all(c.p == 3 for c in classes)
     for c in classes:
         if c.kind == "irreducible":
             assert not is_square_mod(c.b * c.b + 4 * c.a, 3)
@@ -81,17 +110,8 @@ def _primitive_root(p):
 @pytest.mark.parametrize("p", ODD)
 def test_representatives_hit_every_conjugacy_class_once(p):
     elements = gl2(p)
-    gens = [Mat2(1, 1, 0, 1, p), Mat2(1, 0, 1, 1, p), Mat2.diag(_primitive_root(p), 1, p)]
-    inv = {g: g.inv() for g in gens}
-    spec = ActionSpec(
-        points=elements,
-        act=lambda g, x: g @ x @ inv[g],
-        compose=lambda g, h: g @ h,
-        identity=Mat2.identity(p),
-        generators=gens,
-        order=len(elements),
-    )
-    part = orbits(spec)
+    gens = [(1, 1, 0, 1), (1, 0, 1, 1), (_primitive_root(p), 0, 0, 1)]
+    part = orbits(conjugation_spec(elements, p, generators=gens, order=len(elements)))
     reps = [c.rep for c in conjugacy_classes(p)]
     assert len(part.orbits) == len(reps)
     assert sorted(part.index[r] for r in reps) == list(range(len(reps)))
@@ -101,27 +121,26 @@ def test_representatives_hit_every_conjugacy_class_once(p):
 
 
 def test_sqrt_identity_has_14_roots_mod_3():
-    roots = sqrt_set(Mat2.identity(3))
+    roots = sqrt_set(IDENTITY, 3)
     assert len(roots) == 14
-    brute = sorted(m for m in all_matrices(3) if m.square() == Mat2.identity(3))
+    brute = sorted(m for m in all_matrices(3) if square(m, 3) == IDENTITY)
     assert roots == brute
 
 
 def test_sqrt_scalar_roots_mod_5():
-    a = Mat2.scalar(4, 5)
-    roots = sqrt_set(a)
-    assert Mat2.scalar(2, 5) in roots and Mat2.scalar(3, 5) in roots
+    roots = sqrt_set((4, 0, 0, 4), 5)
+    assert (2, 0, 0, 2) in roots and (3, 0, 0, 3) in roots
     for k in range(5):
         for l in range(5):
             for m in range(5):
                 if (k * k + l * m) % 5 == 4:
-                    assert Mat2(k, l, m, -k, 5) in roots
+                    assert (k, l, m, -k % 5) in roots
 
 
 def test_sqrt_nonsquare_scalar_mod_3():
-    roots = sqrt_set(Mat2.scalar(2, 3))
+    roots = sqrt_set((2, 0, 0, 2), 3)
     assert len(roots) == 6  # p(p-1): no scalar roots, only trace-zero ones
-    assert all(r.tr() == 0 for r in roots)
+    assert all((r[0] + r[3]) % 3 == 0 for r in roots)
 
 
 @pytest.mark.parametrize("p", ODD)
@@ -129,23 +148,23 @@ def test_sqrt_set_equals_brute_force_for_all_squared_representatives(p):
     mats = list(all_matrices(p))
     seen = set()
     for cls in conjugacy_classes(p):
-        a = cls.rep.square()
+        a = square(cls.rep, p)
         if a in seen:
             continue
         seen.add(a)
-        assert sqrt_set(a) == sorted(x for x in mats if x.square() == a)
+        assert sqrt_set(a, p) == sorted(x for x in mats if square(x, p) == a)
 
 
 def test_sqrt_set_rejects_p2():
     with pytest.raises(ValueError):
-        sqrt_set(Mat2.identity(2))
+        sqrt_set(IDENTITY, 2)
 
 
 # -- Y_phi -------------------------------------------------------------------------
 
 
 def expected_y_size(cls):
-    p = cls.rep.p
+    p = cls.p
     if cls.kind == "scalar":
         return 3
     if cls.kind == "diag":
@@ -167,17 +186,10 @@ def test_y_phi_hits_each_centralizer_orbit_once(p):
     mats = list(all_matrices(p))
     for cls in conjugacy_classes(p):
         rep = cls.rep
-        centralizer = [m for m in invertible if m @ rep == rep @ m]
-        inverses = {g: g.inv() for g in centralizer}
-        target = rep.square()
-        spec = ActionSpec(
-            points=[m for m in mats if m.square() == target],
-            act=lambda g, m: g @ m @ inverses[g],
-            compose=lambda g, h: g @ h,
-            identity=Mat2.identity(p),
-            elements=centralizer,
-        )
-        part = orbits(spec)
+        centralizer = [m for m in invertible if mat_mul(m, rep, p) == mat_mul(rep, m, p)]
+        target = square(rep, p)
+        roots = [m for m in mats if square(m, p) == target]
+        part = orbits(conjugation_spec(roots, p, elements=centralizer))
         hits = sorted(part.index[m] for m in psis(cls))
         assert hits == list(range(len(part.orbits)))
 
@@ -185,9 +197,9 @@ def test_y_phi_hits_each_centralizer_orbit_once(p):
 def test_y_phi_members_square_to_phi_squared():
     for p in ODD:
         for cls in conjugacy_classes(p):
-            target = cls.rep.square()
+            target = square(cls.rep, p)
             for psi in psis(cls):
-                assert psi.square() == target
+                assert square(psi, p) == target
 
 
 # -- Burnside count for the trace-zero irreducible case ----------------------------
@@ -218,12 +230,12 @@ def test_burnside_orbit_structure(p):
         assert sizes == expected_sizes
 
 
-def _mat_pow(m, e):
-    result = Mat2.identity(m.p)
+def _mat_pow(m, e, p):
+    result = IDENTITY
     while e:
         if e & 1:
-            result = result @ m
-        m = m @ m
+            result = mat_mul(result, m, p)
+        m = square(m, p)
         e >>= 1
     return result
 
@@ -235,33 +247,23 @@ def test_closed_form_y_phi_matches_a_cyclic_generator_partition(p):
     # force from k^2 + lm = a rather than from sqrt_set
     n = p * p - 1
     factors = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
-    identity = Mat2.identity(p)
     for cls in tracezero_irreducible_classes(p):
         a = cls.a
         gen = next(
             g
-            for g in (Mat2(u, v, a * v, u, p) for u in range(p) for v in range(1, p))
-            if all(_mat_pow(g, n // q) != identity for q in factors)
+            for g in ((u, v, a * v % p, u) for u in range(p) for v in range(1, p))
+            if all(_mat_pow(g, n // q, p) != IDENTITY for q in factors)
         )
-        inverse = {gen: gen.inv()}
         roots = [
-            (k, l, m)
+            (k, l, m, -k % p)
             for k in range(p)
             for l in range(p)
             for m in range(p)
             if (k * k + l * m - a) % p == 0
         ]
-        spec = ActionSpec(
-            points=[Mat2(k, l, m, -k, p) for k, l, m in roots],
-            act=lambda g, x: g @ x @ inverse[g],
-            compose=lambda g, h: g @ h,
-            identity=identity,
-            generators=[gen],
-            order=n,
-        )
-        part = orbits(spec)
+        part = orbits(conjugation_spec(roots, p, generators=[gen], order=n))
         reps = psis(cls)
-        assert reps[:2] == [cls.rep, -cls.rep]
+        assert reps[:2] == [cls.rep, mat_neg(cls.rep, p)]
         assert sorted(reps) == list(part.representatives)
 
 
@@ -297,29 +299,51 @@ def test_conic_rejects_square_parameter():
 # -- coset representatives -----------------------------------------------------------
 
 
+def one_minus(phi, psi, p):
+    """1 - phi - psi, built entry by entry."""
+    a, b, c, d = (-x - y for x, y in zip(phi, psi))
+    return ((1 + a) % p, b % p, c % p, (1 + d) % p)
+
+
 def test_coset_reps_rank_zero_case():
     # phi = psi = 2^-1 I makes 1 - phi - psi vanish; 2^-1 = 2 mod 3
-    half = Mat2.scalar(2, 3)
-    assert coset_reps_for(half, half) == [Vec2(0, 0, 3), Vec2(1, 0, 3)]
+    half = (2, 0, 0, 2)
+    assert one_minus(half, half, 3) == (0, 0, 0, 0)
+    assert coset_reps_for(half, half, 3) == [(0, 0), (1, 0)]
 
 
 def test_coset_reps_full_rank():
-    phi = Mat2.scalar(1, 5)
-    assert coset_reps_for(phi, phi) == [Vec2(0, 0, 5)]
+    phi = IDENTITY
+    assert mat_det(one_minus(phi, phi, 5), 5) != 0
+    assert coset_reps_for(phi, phi, 5) == [(0, 0)]
 
 
 def test_coset_reps_rank_one():
-    phi = Mat2.diag(1, 3, 5)  # 1 - 2a = -1, 1 - 2b = 0 mod 5: rank 1
-    reps = coset_reps_for(phi, phi)
-    assert len(reps) == 2 and reps[0] == Vec2(0, 0, 5)
-    m = Mat2.identity(5) - phi - phi
-    image = {m.matvec(v) for v in (Vec2(x, y, 5) for x in range(5) for y in range(5))}
-    assert reps[1] not in image
+    # every rank-one 1 - phi - psi with phi^2 = psi^2: the second
+    # representative is the least vector outside the brute-force image
+    for p in ODD:
+        vectors = [(x, y) for x in range(p) for y in range(p)]
+        invertible = gl2(p)
+        by_square = {}
+        for m in invertible:
+            by_square.setdefault(square(m, p), []).append(m)
+        rank_one = 0
+        for phi in invertible:
+            for psi in by_square[square(phi, p)]:
+                m = one_minus(phi, psi, p)
+                if mat_det(m, p) != 0 or m == (0, 0, 0, 0):
+                    continue
+                rank_one += 1
+                image = {mat_vec(m, v, p) for v in vectors}
+                assert len(image) == p
+                least_off = next(v for v in vectors if v not in image)
+                assert coset_reps_for(phi, psi, p) == [(0, 0), least_off]
+        assert rank_one > 0
 
 
 def test_coset_reps_requires_matching_squares():
     with pytest.raises(ValueError):
-        coset_reps_for(Mat2.identity(3), Mat2(1, 1, 0, 1, 3))
+        coset_reps_for(IDENTITY, (1, 1, 0, 1), 3)
 
 
 # -- the classification ---------------------------------------------------------------
@@ -367,11 +391,11 @@ def test_per_case_counts(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_rows_are_structurally_valid(p):
     for (phi, psi), constants in constants_by_pair(enumerate_gl2(p).records()).items():
-        assert phi.is_invertible() and psi.is_invertible()
-        assert phi.square() == psi.square()
-        assert constants[0] == Vec2(0, 0, p)
+        assert mat_det(phi, p) != 0 and mat_det(psi, p) != 0
+        assert square(phi, p) == square(psi, p)
+        assert constants[0] == (0, 0)
         if p != 2:
-            assert constants == coset_reps_for(phi, psi)
+            assert constants == coset_reps_for(phi, psi, p)
 
 
 def test_p2_goes_through_the_oracle_path():
@@ -421,17 +445,16 @@ def test_simple_rows_have_no_diagonalizable_scalar_or_jordan_phi():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_stream_simplicity_and_labels_match_their_definitions(p):
-    identity = Mat2.identity(p)
     cases = set()
     for rec in enumerate_gl2(p).records():
         phi, psi = rec.form.phi, rec.form.psi
         cases.add(rec.case)
         assert rec.simple == is_simple(rec.form)
         if rec.case.startswith("irred0"):
-            singular = (identity - phi - psi).det() == 0
+            singular = mat_det(one_minus(phi, psi, p), p) == 0
             assert (rec.case == CASE_IRRED0_CONIC) == singular
         if rec.case == CASE_DIAG0_FAMILY:
-            assert rec.simple == (psi.a not in (phi.a, p - phi.a))
+            assert rec.simple == (psi[0] not in (phi[0], p - phi[0]))
     assert {CASE_IRRED0_CONIC, CASE_DIAG0_FAMILY} <= cases
 
 

@@ -4,18 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paramedial.enum_gl2 import coset_reps_for
 from paramedial.modring import (
-    Mat2,
-    MixedModulusError,
     Modulus,
     SingularMatrixError,
-    Vec2,
     all_matrices,
     gl2,
     is_square_mod,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    mat_neg,
+    mat_vec,
     sqrt_mod_prime,
     unit_group,
-    vector_outside_line,
 )
 
 ODD_PRIMES = [3, 5, 7, 11, 13]
@@ -34,13 +36,6 @@ def test_modulus_validation():
     for p, k in [(2, 31), (2**31 + 11, 1), (3, 10**8), (10**18 + 3, 1), (10**18 + 4, 1)]:
         with pytest.raises(ValueError, match="exceeds the supported range"):
             Modulus(p, k)
-
-
-def test_mixed_modulus_rejected():
-    with pytest.raises(MixedModulusError):
-        Mat2.identity(3) @ Mat2.identity(5)
-    with pytest.raises(MixedModulusError):
-        Mat2.identity(3).matvec(Vec2(1, 0, 5))
 
 
 def test_unit_group_small_cases():
@@ -76,38 +71,47 @@ def test_unit_group_size_formula():
 
 def test_matrix_product_against_naive_squaring_over_z3():
     def naive_square(m):
-        r = m.rows()
+        r = (m[:2], m[2:])
         out = [[0, 0], [0, 0]]
         for i in range(2):
             for j in range(2):
                 out[i][j] = sum(r[i][t] * r[t][j] for t in range(2)) % 3
-        (a, b), (c, d) = out
-        return Mat2(a, b, c, d, 3)
+        return (*out[0], *out[1])
 
+    mats = list(all_matrices(3))
+    assert len(mats) == 81 and mats == sorted(mats)
+    for m in mats:
+        assert mat_mul(m, m, 3) == naive_square(m)
+    assert mat_mul((0, 1, 2, 0), (0, 1, 2, 0), 3) == (2, 0, 0, 2)
+
+
+def test_negation_and_matrix_vector_product():
+    assert mat_neg((0, 1, 2, 4), 5) == (0, 4, 3, 1)
+    assert mat_vec((2, 1, 3, 4), (1, 2), 5) == (4, 1)
     for m in all_matrices(3):
-        assert m @ m == naive_square(m)
-    assert Mat2(0, 1, 2, 0, 3).square() == Mat2(2, 0, 0, 2, 3)
+        for j, unit in enumerate(((1, 0), (0, 1))):
+            assert mat_vec(m, unit, 3) == (m[j], m[2 + j])  # column j
 
 
 def test_det_trace_rank():
-    m = Mat2(2, 1, 3, 4, 5)
-    assert m.det() == 0
-    assert m.rank() == 1
-    assert m.tr() == 1
-    assert Mat2.identity(5).rank() == 2
-    assert Mat2(0, 0, 0, 0, 5).rank() == 0
+    # modring has no trace or rank function; the rank of 1 - phi - psi is
+    # covered by the coset_reps_for tests
+    assert mat_det((2, 1, 3, 4), 5) == 0
+    assert mat_det((1, 0, 0, 1), 5) == 1
+    assert mat_det((0, 1, 1, 0), 5) == 4
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_inverse_exhaustive(p):
-    identity = Mat2.identity(p)
-    for m in gl2(p):
-        assert m.inv() @ m == identity
+    invertible = gl2(p)
+    assert len(invertible) == (p * p - 1) * (p * p - p)
+    for m in invertible:
+        assert mat_mul(mat_inv(m, p), m, p) == (1, 0, 0, 1)
 
 
 def test_singular_inverse_raises():
     with pytest.raises(SingularMatrixError):
-        Mat2(1, 2, 2, 4, 5).inv()
+        mat_inv((1, 2, 2, 4), 5)
 
 
 def test_sqrt_examples_mod_7():
@@ -142,9 +146,31 @@ def test_sqrt_rejects_non_prime_field():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_vector_outside_line_is_the_least_off_the_line(p):
-    vectors = sorted(Vec2(x, y, p) for x in range(p) for y in range(p))
-    for d in vectors[1:]:
-        off = [v for v in vectors if (v.x * d.y - v.y * d.x) % p != 0]
-        assert vector_outside_line(d) == off[0]
-    with pytest.raises(ValueError):
-        vector_outside_line(Vec2(0, 0, p))
+    # the least vector off a line now lives in coset_reps_for: every line
+    # of Z_p^2 is the image of some rank-one 1 - phi - psi with
+    # phi^2 = psi^2, and each such pair gets the least vector off it
+    vectors = sorted((x, y) for x in range(p) for y in range(p))
+    by_square = {}
+    for m in gl2(p):
+        by_square.setdefault(mat_mul(m, m, p), []).append(m)
+    reps_by_line = {}
+    for group in by_square.values():
+        for phi in group:
+            for psi in group:
+                m = tuple(
+                    (e - f - g) % p for e, f, g in zip((1, 0, 0, 1), phi, psi)
+                )
+                if mat_det(m, p) != 0 or m == (0, 0, 0, 0):
+                    continue
+                line = frozenset(mat_vec(m, v, p) for v in vectors)
+                reps_by_line.setdefault(line, set()).add(
+                    tuple(coset_reps_for(phi, psi, p))
+                )
+    lines = {
+        frozenset((k * d[0] % p, k * d[1] % p) for k in range(p))
+        for d in vectors[1:]
+    }
+    assert set(reps_by_line) == lines and len(lines) == p + 1
+    for line, reps in reps_by_line.items():
+        least_off = next(v for v in vectors if v not in line)
+        assert reps == {((0, 0), least_off)}

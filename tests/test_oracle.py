@@ -11,7 +11,7 @@ from paramedial.affine import (
     materialize,
 )
 from paramedial.enum_cyclic import closed_form_count, enumerate_cyclic
-from paramedial.modring import Mat2, Modulus, gl2
+from paramedial.modring import Modulus, gl2, mat_inv, mat_mul
 from paramedial.oracle import (
     ActionSpec,
     ResourceLimitError,
@@ -61,12 +61,12 @@ def scaling_spec():
 
 def conjugation_spec(p):
     elements = gl2(p)
-    inv = {g: g.inv() for g in elements}
+    inv = {g: mat_inv(g, p) for g in elements}
     return ActionSpec(
         points=elements,
-        act=lambda g, x: g @ x @ inv[g],
-        compose=lambda g, h: g @ h,
-        identity=Mat2.identity(p),
+        act=lambda g, x: mat_mul(mat_mul(g, x, p), inv[g], p),
+        compose=lambda g, h: mat_mul(g, h, p),
+        identity=(1, 0, 0, 1),
         elements=elements,
     )
 

@@ -5,9 +5,9 @@ Every finite paramedial quasigroup is affine over an abelian group G:
 its operation can be written x*y = phi(x) + psi(y) + c for automorphisms
 phi, psi of G with phi^2 = psi^2 and a constant c.  This module builds
 the quasigroup from such data, checks an explicit table by recovering
-that affine form from it (O(n^3); the n^4 identity check itself lives in
-``oracle`` as the reference), and decides simplicity via invariant
-subgroups.
+that affine form from it (in pure Python, O(n^2 log n); the n^4 identity
+check itself lives in ``oracle`` as the reference), and decides
+simplicity via invariant subgroups.
 
 Two underlying groups are supported: the cyclic group Z_{p^k} and the
 rank-two elementary abelian group Z_p x Z_p.  Elements are encoded as
@@ -170,20 +170,44 @@ def materialize(form: AffineForm) -> QuasigroupTable:
 def is_latin(table: QuasigroupTable) -> bool:
     """Every row and every column is a permutation of 0..n-1."""
     full = set(range(table.n))
-    if any(set(row) != full for row in table.rows):
-        return False
-    return all(set(row[j] for row in table.rows) == full for j in range(table.n))
+    return all(set(line) == full for line in (*table.rows, *zip(*table.rows)))
+
+
+def _generators(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Generators of the finite quasigroup `rows`, picked greedily: each lies
+    outside the closure of those before.  Closures grow in one pass over
+    pairs, O(n^2) in all, associative or not.  A closure is a subquasigroup,
+    and a proper one H has at most half the order (x*H misses H for x
+    outside it), so there are at most floor(log2 n) + 1 generators."""
+    cols = tuple(zip(*rows))
+    closure: set[int] = set()
+    gens = []
+    for g in range(len(rows)):
+        if g not in closure:
+            gens.append(g)
+            new = {g}
+            while new:  # multiply each new element, on both sides, with all found so far
+                closure |= new
+                found: set[int] = set()
+                for x in new:
+                    found.update(map(rows[x].__getitem__, closure), map(cols[x].__getitem__, closure))
+                new = found - closure
+    return gens
 
 
 def is_paramedial(table: QuasigroupTable) -> bool:
-    """Whether the table is a paramedial quasigroup, in O(n^3).
+    """Whether the table is a paramedial quasigroup, in O(n^2 log n).
 
     Recovers the affine form instead of testing (x*y)*(u*v) = (v*y)*(u*x)
     on all n^4 quadruples.  Fix e = 0, let R(x) = x*e and L(y) = e*y, and
     read off the principal isotope x + y = R^-1(x) * L^-1(y), whose zero
-    is z = e*e.  The table passes when it is latin, + is commutative and
-    associative, phi(x) = R(x) - R(z) and psi(y) = L(y) - L(z) are
-    additive, and phi^2 = psi^2.
+    is z = e*e.  Let phi(x) = R(x) - R(z) and psi(y) = L(y) - L(z).  The
+    table passes when it is latin, + is commutative, phi^2 = psi^2, and
+    (x + g) + y = x + (g + y) and f(x + g) = f(x) + f(g) for f = phi, psi,
+    all x, y and each generator g != z of + (``_generators``).  Generators
+    suffice: the a with (x + a) + y = x + (a + y) for all x, y form a
+    closed set (Light's associativity test), so + is associative; then
+    the b with f(a + b) = f(a) + f(b) for all a form a closed set too.
 
     Exactness.  If every check passes, (G, +) is an abelian group (a latin
     commutative associative loop), phi and psi are automorphisms of it,
@@ -196,37 +220,32 @@ def is_paramedial(table: QuasigroupTable) -> bool:
     translate of (+), isomorphic to it by t(x) = x (-) z; under t the
     recovered phi and psi are f and g, so every check passes.
 
-    A table that is not latin is not a quasigroup and gives False, even
-    where the identity holds (a constant table);
-    ``oracle.satisfies_paramedial_identity`` tests the raw identity on any
-    magma.  numpy is imported here, its only use in this module, so
-    importing the package stays light.
+    A table that is not latin gives False, even where the identity holds
+    (a constant table); ``oracle.satisfies_paramedial_identity`` tests the
+    raw identity on any magma.
     """
-    import numpy as np
-
     n = table.n
     if n == 0:
         return True
-    t = np.array(table.rows, dtype=np.intp)
-    idx = np.arange(n)
-    if not ((np.sort(t, axis=1) == idx).all() and (np.sort(t, axis=0) == idx[:, None]).all()):
+    if not is_latin(table):
         return False
-    r, l = t[:, 0], t[0, :]
-    r_inv, l_inv = np.empty_like(r), np.empty_like(l)
-    r_inv[r], l_inv[l] = idx, idx
-    s = t[r_inv][:, l_inv]  # s[a, b] = a + b
-    if not np.array_equal(s, s.T):
+    t = table.rows
+    r, l = tuple(row[0] for row in t), t[0]  # R(x) = x*e, L(y) = e*y
+    l_inv = sorted(range(n), key=l.__getitem__)
+    s = [tuple(map(t[x].__getitem__, l_inv)) for x in sorted(range(n), key=r.__getitem__)]  # s[a][b] = a + b
+    if s != list(zip(*s)):
         return False
-    if not np.array_equal(s[s], s[:, s]):  # (a + b) + c against a + (b + c)
-        return False
-    z = t[0, 0]
-    neg = np.argmax(s == z, axis=1)  # a + neg[a] = z
-    phi = s[r, neg[r[z]]]
-    psi = s[l, neg[l[z]]]
-    for f in (phi, psi):
-        if not np.array_equal(f[s], s[f][:, f]):  # f(a + b) against f(a) + f(b)
+    z = t[0][0]
+    phi = tuple(map(s[s[r[z]].index(z)].__getitem__, r))  # R(x) + (-R(z))
+    psi = tuple(map(s[s[l[z]].index(z)].__getitem__, l))
+    for g in set(_generators(s)) - {z}:  # the zero passes both checks
+        sg = s[g]
+        if any(s[xg] != tuple(map(s[x].__getitem__, sg)) for x, xg in enumerate(sg)):
             return False
-    return np.array_equal(phi[phi], psi[psi])
+        for f in (phi, psi):
+            if tuple(map(f.__getitem__, sg)) != tuple(map(s[f[g]].__getitem__, f)):
+                return False
+    return tuple(map(phi.__getitem__, phi)) == tuple(map(psi.__getitem__, psi))
 
 
 def table_to_text(table: QuasigroupTable) -> str:
@@ -237,13 +256,14 @@ def table_to_text(table: QuasigroupTable) -> str:
 
 
 def table_from_text(text: str) -> QuasigroupTable:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "order":
+    """Parse table_to_text's format, blank lines aside; malformed text raises ValueError."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not lines or len(lines[0]) != 2 or lines[0][0] != "order":
         raise ValueError("expected leading 'order n' line")
-    n = int(head[1])
-    rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[1 : n + 1])
-    return QuasigroupTable(n, rows)
+    n = int(lines[0][1])
+    if len(lines) - 1 > n:
+        raise ValueError(f"expected {n} rows after the 'order {n}' line, got {len(lines) - 1}")
+    return QuasigroupTable(n, tuple(tuple(map(int, ln)) for ln in lines[1:]))
 
 
 # -- subgroup structure and simplicity ----------------------------------------

@@ -85,15 +85,18 @@ def _records_for(group: GroupDescriptor) -> list[ClassRecord]:
 
 def record_to_dict(rec: ClassRecord) -> dict:
     """JSON form of one class: matrices as lists of rows, vectors flat."""
-    phi, psi, c = _entries(rec.form)
+    return _record_dict(rec.form.group, *_entries(rec.form), rec.simple, rec.case)
+
+
+def _record_dict(group: GroupDescriptor, phi: tuple, psi: tuple, c: tuple, simple, case) -> dict:
     dim = len(c)
     return {
-        "group": _group_json(rec.form.group),
+        "group": _group_json(group),
         "phi": [list(phi[i : i + dim]) for i in range(0, dim * dim, dim)],
         "psi": [list(psi[i : i + dim]) for i in range(0, dim * dim, dim)],
         "c": list(c),
-        "simple": rec.simple,
-        "case": rec.case,
+        "simple": simple,
+        "case": case,
     }
 
 
@@ -117,41 +120,18 @@ def _entries(form: AffineForm) -> tuple[tuple[int, ...], tuple[int, ...], tuple[
 def _flat_fields(form: AffineForm) -> tuple[str, str, str]:
     """phi, psi and c as csv and table headers show them: matrix rows
     split by ';', entries by ','."""
-    if isinstance(form.group, CyclicGroup):
-        return str(form.phi), str(form.psi), str(form.c)
-    return "%d,%d;%d,%d" % form.phi, "%d,%d;%d,%d" % form.psi, "%d,%d" % form.c
-
-
-def _json_layout(value, depth: int) -> str:
-    """`value` laid out as json.dumps(indent=2, sort_keys=True) lays it
-    out at nesting `depth`.  Leaves are strings already in their final
-    form (JSON text or %-placeholders); dicts and lists are nested and
-    never empty."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        items = [f"{_quote(k)}: {_json_layout(value[k], depth + 1)}" for k in sorted(value)]
-        opening, closing = "{", "}"
-    else:
-        items = [_json_layout(v, depth + 1) for v in value]
-        opening, closing = "[", "]"
-    pad = "\n" + "  " * (depth + 1)
-    return opening + pad + ("," + pad).join(items) + "\n" + "  " * depth + closing
-
-
-def _quote(text: str) -> str:
-    return json.encoder.encode_basestring_ascii(text)  # what json.dumps writes
+    matrix, vector = ("%d", "%d") if isinstance(form.group, CyclicGroup) else ("%d,%d;%d,%d", "%d,%d")
+    return matrix % form.phi, matrix % form.psi, vector % form.c
 
 
 def _json_template(group: GroupDescriptor) -> str:
     """One record of `group` as a list item of the json output, with %
-    placeholders for c, case, phi, psi and simple in that (key) order."""
-    dim = 1 if isinstance(group, CyclicGroup) else 2
-    vector = ["%d"] * dim
-    matrix = [vector] * dim
-    block = {k: _quote(v) if isinstance(v, str) else str(v) for k, v in _group_json(group).items()}
-    record = {"c": vector, "case": "%s", "group": block, "phi": matrix, "psi": matrix, "simple": "%s"}
-    return "  " + _json_layout(record, 1)
+    placeholders for c, case, phi, psi and simple in that (key) order.
+    The strings "\\0d" and "\\0s" hold their places through json.dumps;
+    digits would not, since the group's own fields are digits (p = 101)."""
+    d = ("\0d",) * (1 if isinstance(group, CyclicGroup) else 4)
+    text = json.dumps([_record_dict(group, d, d, d[:2], "\0s", "\0s")], indent=2, sort_keys=True)
+    return text[2:-2].replace(r'"\u0000d"', "%d").replace(r'"\u0000s"', "%s")
 
 
 def render_records(records: list[ClassRecord], fmt: str) -> bytes:
@@ -165,12 +145,12 @@ def render_records(records: list[ClassRecord], fmt: str) -> bytes:
         separator = "[\n"
         group = template = None
         for rec in records:
-            form = rec.form
-            if form.group is not group:
-                group = form.group
+            if rec.form.group is not group:
+                group = rec.form.group
                 template = _json_template(group)
-            phi, psi, c = _entries(form)
-            values = (*c, _quote(rec.case), *phi, *psi, "true" if rec.simple else "false")
+            phi, psi, c = _entries(rec.form)
+            case = json.encoder.encode_basestring_ascii(rec.case)  # as json.dumps writes a str
+            values = (*c, case, *phi, *psi, "true" if rec.simple else "false")
             parts.append((separator + template % values).encode())
             separator = ",\n"
         parts.append(b"\n]\n" if parts else b"[]\n")

@@ -469,7 +469,7 @@ def satisfies_paramedial_identity(table: QuasigroupTable) -> bool:
     Works on any magma, latin or not, and shares nothing with the
     affine-recovery test ``affine.is_paramedial``, which it is the
     reference for.  Vectorized with one n^3 slab per x so memory stays
-    cubic; numpy is imported here so importing the package stays light.
+    cubic; numpy, needed only by the tests, is imported here alone.
     """
     import numpy as np
 

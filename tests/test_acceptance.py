@@ -197,7 +197,7 @@ def test_criterion_8_structural_property_suite():
             ok &= satisfies_paramedial_identity(table)  # the raw n^4 identity
             ok &= is_paramedial(table)
             checked += 1
-    # n = 49 through the O(n^3) affine-recovery test only
+    # n = 49 through the O(n^2 log n) affine-recovery test only
     large = list(enumerate_cyclic(Modulus(7, 2)).forms) + [r.form for r in enumerate_gl2(7).records()]
     for form in large:
         table = materialize(form)

@@ -11,6 +11,7 @@ from paramedial.affine import (
     ElemAbelian2Group,
     ParamedialConditionError,
     QuasigroupTable,
+    _generators,
     invariant_proper_subgroups,
     is_latin,
     is_paramedial,
@@ -88,21 +89,101 @@ def test_symmetric_group_table_is_not_paramedial():
     assert not paramedial_by_loop(table)
 
 
+# identity 0, symmetric and latin, but (2+2)+4 = 3 != 2 = 2+(2+4)
+COMMUTATIVE_LOOP_6 = (
+    (0, 1, 2, 3, 4, 5),
+    (1, 0, 3, 2, 5, 4),
+    (2, 3, 4, 5, 0, 1),
+    (3, 2, 5, 4, 1, 0),
+    (4, 5, 0, 1, 3, 2),
+    (5, 4, 1, 0, 2, 3),
+)
+
+
 def test_commutative_loop_that_is_not_a_group_is_not_paramedial():
-    # identity 0, symmetric and latin, but (2+2)+4 = 3 != 2 = 2+(2+4)
-    rows = (
-        (0, 1, 2, 3, 4, 5),
-        (1, 0, 3, 2, 5, 4),
-        (2, 3, 4, 5, 0, 1),
-        (3, 2, 5, 4, 1, 0),
-        (4, 5, 0, 1, 3, 2),
-        (5, 4, 1, 0, 2, 3),
-    )
+    rows = COMMUTATIVE_LOOP_6
     table = QuasigroupTable(6, rows)
     assert is_latin(table) and rows[rows[2][2]][4] != rows[2][rows[2][4]]
     assert not is_paramedial(table)
     assert not satisfies_paramedial_identity(table)
     assert not paramedial_by_loop(table)
+
+
+def closure(rows, elems):
+    found = set(elems)
+    while True:
+        more = found | {rows[x][y] for x in found for y in found}
+        if more == found:
+            return found
+        found = more
+
+
+def generator_tables():
+    tables = [materialize(r.form) for p in (3, 5, 7) for r in enumerate_gl2(p).records()]
+    for p, k in [(3, 2), (7, 2), (2, 5)]:
+        tables += [materialize(f) for f in enumerate_cyclic(Modulus(p, k)).forms]
+    return tables + [QuasigroupTable(6, COMMUTATIVE_LOOP_6)]
+
+
+def test_generators_are_greedy_and_generate_within_the_log_bound():
+    for table in generator_tables():
+        gens = _generators(table.rows)
+        assert closure(table.rows, gens) == set(range(table.n))
+        assert len(gens) <= table.n.bit_length()  # floor(log2 n) + 1
+        assert all(g not in closure(table.rows, gens[:i]) for i, g in enumerate(gens))
+
+
+# Z_2 x Z_4 with (i, a) encoded as i + 2a, so that the greedy generators of
+# + are 0, 1 = (1, 0) and 2 = (0, 1).  Both tables below fail at the last
+# generator only; a check that skips it accepts them.
+
+
+def test_associativity_is_checked_at_every_generator():
+    # (i, a) + (j, b) = (i + j + [a = b = 1], a + b): a commutative loop with
+    # identity 0 whose nonassociative middles are exactly 2..7
+    rows = (
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        (1, 0, 3, 2, 5, 4, 7, 6),
+        (2, 3, 5, 4, 6, 7, 0, 1),
+        (3, 2, 4, 5, 7, 6, 1, 0),
+        (4, 5, 6, 7, 0, 1, 2, 3),
+        (5, 4, 7, 6, 1, 0, 3, 2),
+        (6, 7, 0, 1, 2, 3, 4, 5),
+        (7, 6, 1, 0, 3, 2, 5, 4),
+    )
+    table = QuasigroupTable(8, rows)
+    assert is_latin(table) and rows == tuple(zip(*rows)) and _generators(rows) == [0, 1, 2]
+    n = range(8)
+    bad = {m for x in n for m in n for y in n if rows[rows[x][m]][y] != rows[x][rows[m][y]]}
+    assert bad == set(range(2, 8))
+    assert not is_paramedial(table)
+    assert not satisfies_paramedial_identity(table)
+
+
+def test_additivity_is_checked_at_every_generator():
+    # x*y = f(x) + y over the group Z_2 x Z_4, for the involution f swapping
+    # (0, 2) and (1, 2): so phi = f and psi is the identity, phi^2 = psi^2,
+    # and f(x + (1, 0)) = f(x) + (1, 0), but f((0, 1) + (0, 1)) = (1, 2)
+    rows = (
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        (1, 0, 3, 2, 5, 4, 7, 6),
+        (2, 3, 4, 5, 6, 7, 0, 1),
+        (3, 2, 5, 4, 7, 6, 1, 0),
+        (5, 4, 7, 6, 1, 0, 3, 2),
+        (4, 5, 6, 7, 0, 1, 2, 3),
+        (6, 7, 0, 1, 2, 3, 4, 5),
+        (7, 6, 1, 0, 3, 2, 5, 4),
+    )
+    table = QuasigroupTable(8, rows)
+    f = [row[0] for row in rows]
+    n = range(8)
+    add = tuple(rows[f[x]] for x in n)  # x + y = f(x) * y, since f is an involution
+    assert [f[f[x]] for x in n] == list(n) and add == tuple(zip(*add)) and add[0] == tuple(n)
+    assert is_latin(table) and _generators(add) == [0, 1, 2]
+    bad = {b for a in n for b in n if f[add[a][b]] != add[f[a]][f[b]]}
+    assert bad == set(range(2, 8))
+    assert not is_paramedial(table)
+    assert not satisfies_paramedial_identity(table)
 
 
 def test_is_paramedial_matches_loop_reference_on_mixed_tables():
@@ -133,6 +214,15 @@ def test_out_of_range_entries_are_rejected(bad):
         QuasigroupTable(2, ((0, 1), (1, bad)))
     with pytest.raises(ValueError, match="entries"):
         table_from_text(f"order 2\n0 1\n1 {bad}\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n\n", "0 1\n1 0\n", "order\n", "order 2\n0 1\n1 0\n1 0\n", "order 2\n0 1\n", "order 2\n0 1\n1\n"],
+)
+def test_malformed_table_text_is_rejected(text):
+    with pytest.raises(ValueError):
+        table_from_text(text)
 
 
 def test_is_latin_counterexamples():

@@ -5,7 +5,7 @@ This sweeps ALL latin squares of each order (not just reduced ones,
 since relabelling must act simultaneously on rows, columns and symbols),
 filters the paramedial ones by the raw identity, and matches each
 against the class representatives by raw table isomorphism.  Along the
-way the O(n^3) affine-recovery test ``is_paramedial`` is compared with
+way the O(n^2 log n) affine-recovery test ``is_paramedial`` is compared with
 the n^4 identity oracle on every square of order <= 4, and must accept
 every paramedial square of order 5.
 """

@@ -16,7 +16,7 @@ from paramedial.affine import CyclicGroup, ElemAbelian2Group
 from paramedial.enum_cyclic import closed_form_count, enumerate_cyclic, gl2_closed_count, pq_total
 from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.modring import Modulus, is_prime
-from paramedial.oracle import classify_triples
+from paramedial.oracle import classify_two_stage
 
 
 def main() -> int:
@@ -40,7 +40,7 @@ def main() -> int:
             enum = enumerate_cyclic(m).count
             oracle = "-"
             if m.n <= args.oracle_bound:
-                oracle = classify_triples(CyclicGroup(m), max_order=args.oracle_bound).count
+                oracle = classify_two_stage(CyclicGroup(m), max_order=args.oracle_bound).count
             ok = enum == closed and (oracle == "-" or oracle == closed)
             failures += 0 if ok else 1
             flag = "" if ok else "   <-- MISMATCH"
@@ -50,7 +50,7 @@ def main() -> int:
         enum = enumerate_gl2(p).total
         oracle = "-"
         if p * p <= args.oracle_bound:
-            oracle = classify_triples(ElemAbelian2Group(p)).count
+            oracle = classify_two_stage(ElemAbelian2Group(p), max_order=args.oracle_bound).count
         ok = enum == closed and (oracle == "-" or oracle == closed)
         failures += 0 if ok else 1
         flag = "" if ok else "   <-- MISMATCH"

@@ -178,8 +178,10 @@ def _generators(rows: tuple[tuple[int, ...], ...]) -> list[int]:
     outside the closure of those before.  Closures grow in one pass over
     pairs, O(n^2) in all, associative or not.  A closure is a subquasigroup,
     and a proper one H has at most half the order (x*H misses H for x
-    outside it), so there are at most floor(log2 n) + 1 generators."""
+    outside it), so there are at most floor(log2 n) + 1 generators.  A
+    commutative table is multiplied on one side only."""
     cols = tuple(zip(*rows))
+    sides = (rows,) if cols == tuple(rows) else (rows, cols)
     closure: set[int] = set()
     gens = []
     for g in range(len(rows)):
@@ -190,7 +192,8 @@ def _generators(rows: tuple[tuple[int, ...], ...]) -> list[int]:
                 closure |= new
                 found: set[int] = set()
                 for x in new:
-                    found.update(map(rows[x].__getitem__, closure), map(cols[x].__getitem__, closure))
+                    for side in sides:
+                        found.update(map(side[x].__getitem__, closure))
                 new = found - closure
     return gens
 

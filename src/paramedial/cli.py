@@ -46,7 +46,7 @@ from .enum_cyclic import (
 )
 from .enum_gl2 import coset_reps_for, enumerate_gl2
 from .modring import Mat2, Modulus, Vec2, mat_det, mat_mul
-from .oracle import ResourceLimitError, classify_triples, encode_triple
+from .oracle import ResourceLimitError, classify_two_stage, encode_triple
 
 CACHE_ENV = "PARAMEDIAL_CACHE_DIR"
 
@@ -320,7 +320,7 @@ def _verify_against_oracle(
             f"oracle verification is bounded to groups of order <= {ORACLE_MAX_ORDER}, "
             f"{group.describe()} has order {group.order}"
         )
-    oracle_cls = classify_triples(group, max_order=ORACLE_MAX_ORDER)
+    oracle_cls = classify_two_stage(group, max_order=ORACLE_MAX_ORDER)
     report.check(
         f"oracle orbit count equals {expected}",
         oracle_cls.count == expected,

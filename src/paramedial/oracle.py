@@ -2,8 +2,7 @@
 
 Nothing in here knows about the structured case analysis used by the
 enumerators; it classifies by raw orbit computation and raw table
-search so the two routes stay independent.  Exhaustive methods suffice
-at the supported scale, so there is no permutation-group cleverness.
+search so the two routes stay independent.
 
 For the same reason the 2x2 arithmetic of the triple action runs on its
 own kernel (``_mmul``/``_minv``/``_mvec``) rather than on ``modring``'s
@@ -11,13 +10,22 @@ own kernel (``_mmul``/``_minv``/``_mvec``) rather than on ``modring``'s
 (a, b, c, d) tuples: this module is the reference the enumerators are
 checked against, and a kernel shared with them could hide one bug on
 both sides.
+
+The isomorphism classes of affine triples (phi, psi, c) are found two
+ways.  ``classify_triples`` takes the orbits on the whole triple set at
+once; it is the reference.  ``classify_two_stage``, which ``verify``
+runs, splits the action as a semidirect product: first the orbits of
+Aut(G) on the pairs (phi, psi), with a transporter from each pair to
+the least pair of its orbit, then the orbits of the constants c under
+the stabilizer of each least pair and the translations.  Both are brute
+force, by closure under generators and by filtering Aut(G).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .affine import AffineForm, CyclicGroup, ElemAbelian2Group, GroupDescriptor, QuasigroupTable
 from .modring import unit_group
@@ -343,6 +351,145 @@ def classify_triples(
     part = orbits(spec, max_points=max_points)
     reps = tuple(decode_triple(group, t) for t in part.representatives)
     return TripleClassification(group=group, partition=part, count=len(reps), representatives=reps)
+
+
+# -- the same classes in two stages -------------------------------------------
+#
+# The isomorphism action is a semidirect product: alpha acts on the pairs
+# (phi, psi) by conjugation alone, and the maps that fix a pair are its
+# stabilizer in Aut(G) together with the translations by Im(1 - phi - psi),
+# which move c only.  So an orbit of triples is one orbit of pairs with one
+# orbit of constants at the pair's least point, and its least triple is
+# that least pair with the least constant of that orbit.
+
+
+class _Automorphisms(NamedTuple):
+    """Aut(G) and G as classify_two_stage uses them."""
+
+    elements: list  # Aut(G), in increasing order
+    generators: list  # (g, g^-1) pairs generating Aut(G); none when it is abelian
+    identity: Any
+    mul: Callable[[Any, Any], Any]
+    apply: Callable[[Any, Any], Any]  # an endomorphism of G applied to an element
+    add: Callable[[Any, Any], Any]
+    points: Sequence[Any]  # G, in increasing order
+    one_minus: Callable[[Any, Any], Any]  # (phi, psi) -> the endomorphism 1 - phi - psi
+
+
+def _automorphisms(group: GroupDescriptor) -> _Automorphisms:
+    if isinstance(group, CyclicGroup):
+        n = group.modulus.n
+        return _Automorphisms(
+            elements=unit_group(group.modulus),
+            generators=[],
+            identity=1,
+            mul=lambda a, b: a * b % n,
+            apply=lambda a, x: a * x % n,
+            add=lambda x, y: (x + y) % n,
+            points=range(n),
+            one_minus=lambda phi, psi: (1 - phi - psi) % n,
+        )
+    p = group.p
+    ident = (1, 0, 0, 1)
+    gens = [(1, 1, 0, 1), (1, 0, 1, 1)]  # those of _elem2_spec
+    if p > 2:
+        gens.append((_primitive_root(p), 0, 0, 1))
+    return _Automorphisms(
+        elements=[m for m in itertools.product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p],
+        generators=[(g, _minv(g, p)) for g in gens],
+        identity=ident,
+        mul=lambda a, b: _mmul(a, b, p),
+        apply=lambda a, v: _mvec(a, v, p),
+        add=lambda u, v: ((u[0] + v[0]) % p, (u[1] + v[1]) % p),
+        points=list(itertools.product(range(p), repeat=2)),
+        one_minus=lambda phi, psi: tuple((e - f - s) % p for e, f, s in zip(ident, phi, psi)),
+    )
+
+
+@dataclass
+class StagedClassification:
+    """The classes of ``classify_triples``, found in two stages.
+
+    ``pairs`` maps each pair (phi, psi) to the least pair of its orbit and
+    a transporter beta in Aut(G) with beta (phi, psi) beta^-1 equal to that
+    least pair; ``constants`` maps each least pair to the class index of
+    every constant c there.
+    """
+
+    count: int
+    representatives: tuple[AffineForm, ...]
+    pairs: dict = field(repr=False)
+    constants: dict = field(repr=False)
+    apply: Callable[[Any, Any], Any] = field(repr=False)
+
+    def orbit_of(self, form: AffineForm) -> int:
+        """The class of (phi, psi, c): that of (phi0, psi0, beta(c))."""
+        phi, psi, c = encode_triple(form)
+        pair, beta = self.pairs[phi, psi]
+        return self.constants[pair][self.apply(beta, c)]
+
+
+def classify_two_stage(group: GroupDescriptor, max_order: int = 25) -> StagedClassification:
+    """The classes of ``classify_triples``, with the same representatives
+    in the same order, without acting on every triple.
+
+    Stage 1 takes the orbits of Aut(G) conjugation on the pairs (phi, psi)
+    with phi^2 = psi^2 by closing under generators from each orbit's least
+    pair, and records on the way, as in a Schreier tree, a transporter from
+    every pair to that least pair.  Stage 2 finds the stabilizer of each
+    least pair by filtering Aut(G) for the elements that commute with phi
+    and with psi.  With the translations T = Im(1 - phi - psi) it moves c
+    to exactly the constants alpha(c) + t, so the orbit of c is stab(c) + T.
+    """
+    if group.order > max_order:
+        raise ResourceLimitError(f"|G| = {group.order} exceeds the bound {max_order}")
+    aut = _automorphisms(group)
+    mul = aut.mul
+    by_square: dict = {}
+    for a in aut.elements:
+        by_square.setdefault(mul(a, a), []).append(a)
+
+    # Seeds come in increasing order, so each orbit is entered at its least pair.
+    pairs: dict = {}
+    least: list = []
+    for seed in ((phi, psi) for phi in aut.elements for psi in by_square[mul(phi, phi)]):
+        if seed in pairs:
+            continue
+        least.append(seed)
+        pairs[seed] = (seed, aut.identity)
+        frontier = [seed]
+        while frontier:
+            phi, psi = x = frontier.pop()
+            beta = pairs[x][1]
+            for g, g_inv in aut.generators:
+                y = (mul(mul(g, phi), g_inv), mul(mul(g, psi), g_inv))
+                if y not in pairs:
+                    pairs[y] = (seed, mul(beta, g_inv))
+                    frontier.append(y)
+
+    centralizers: dict = {}
+    constants: dict = {}
+    reps: list = []
+    for phi, psi in least:
+        if phi not in centralizers:
+            centralizers[phi] = [a for a in aut.elements if mul(a, phi) == mul(phi, a)]
+        stab = [a for a in centralizers[phi] if mul(a, psi) == mul(psi, a)]
+        m = aut.one_minus(phi, psi)
+        translations = {aut.apply(m, x) for x in aut.points}
+        index = constants[phi, psi] = {}
+        for c in aut.points:  # in increasing order: c is the least of its orbit
+            if c not in index:
+                for u in {aut.apply(a, c) for a in stab}:
+                    if u not in index:  # a coset u + T not yet met
+                        index.update(dict.fromkeys((aut.add(u, t) for t in translations), len(reps)))
+                reps.append(decode_triple(group, (phi, psi, c)))
+    return StagedClassification(
+        count=len(reps),
+        representatives=tuple(reps),
+        pairs=pairs,
+        constants=constants,
+        apply=aut.apply,
+    )
 
 
 # -- raw Cayley-table isomorphism ---------------------------------------------

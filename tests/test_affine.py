@@ -122,10 +122,21 @@ def generator_tables():
     tables = [materialize(r.form) for p in (3, 5, 7) for r in enumerate_gl2(p).records()]
     for p, k in [(3, 2), (7, 2), (2, 5)]:
         tables += [materialize(f) for f in enumerate_cyclic(Modulus(p, k)).forms]
-    return tables + [QuasigroupTable(6, COMMUTATIVE_LOOP_6)]
+    return tables + [QuasigroupTable(6, COMMUTATIVE_LOOP_6)] + symmetric_tables()
+
+
+def symmetric_tables():
+    # commutative tables, whose closures grow on one side only: the groups
+    # (+) that is_paramedial passes in, and commutative quasigroups without
+    # an identity
+    tables = [raw_table(lambda x, y: (x + y) % n, n) for n in (25, 32, 49)]
+    tables += [raw_table(ElemAbelian2Group(p).add, p * p) for p in (3, 5)]
+    tables += [raw_table(lambda x, y: (3 * x + 3 * y + 1) % 7, 7), raw_table(lambda x, y: (-x - y) % 27, 27)]
+    return tables
 
 
 def test_generators_are_greedy_and_generate_within_the_log_bound():
+    assert all(t.rows == tuple(zip(*t.rows)) for t in symmetric_tables())
     for table in generator_tables():
         gens = _generators(table.rows)
         assert closure(table.rows, gens) == set(range(table.n))

@@ -1,7 +1,9 @@
-"""Byte-for-byte pins of `enumerate` output in every format.
+"""Byte-for-byte pins of `enumerate` output in every format, and of the
+stdout of `verify --level oracle`.
 
 Each value is the first 16 hex digits of the sha256 of the file written by
-`paramedial enumerate --group ... --format F --out PATH`.  A change that
+`paramedial enumerate --group ... --format F --out PATH`, or of the text
+`paramedial verify --group ... --level oracle` prints.  A change that
 alters any of them alters the public output and must say so.
 """
 
@@ -44,3 +46,26 @@ def test_enumerate_output_digest(tmp_path, monkeypatch, group, fmt, flags, diges
     out = tmp_path / f"out.{fmt}"
     assert main(["enumerate", "--group", *group, "--format", fmt, *flags, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+# Pinned when the oracle behind `verify` was `oracle.classify_triples`; the
+# two-stage classifier that replaced it must print the same report.
+GOLDEN_VERIFY_ORACLE = {
+    ("elem2", "2"): "167139649af211fd",
+    ("elem2", "3"): "feed702194d174b8",
+    ("elem2", "5"): "b1ec43a361171ef7",
+    ("cyclic", "3", "1"): "3558d50b65b8a897",
+    ("cyclic", "3", "2"): "09a7672729b401cd",
+    ("cyclic", "3", "3"): "0eb601d380a15c6d",
+    ("cyclic", "2", "4"): "df2b95fb607abd0b",
+    ("cyclic", "5", "2"): "87e0aa212175fd13",
+}
+
+
+@pytest.mark.parametrize(
+    "group,digest", [pytest.param(g, d, id="-".join(g)) for g, d in GOLDEN_VERIFY_ORACLE.items()]
+)
+def test_verify_oracle_output_digest(capsys, group, digest):
+    assert main(["verify", "--group", *group, "--level", "oracle"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

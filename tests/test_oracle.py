@@ -11,6 +11,7 @@ from paramedial.affine import (
     materialize,
 )
 from paramedial.enum_cyclic import closed_form_count, enumerate_cyclic
+from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.modring import Modulus, gl2, mat_inv, mat_mul
 from paramedial.oracle import (
     ActionSpec,
@@ -18,6 +19,7 @@ from paramedial.oracle import (
     burnside_count,
     classify_tables,
     classify_triples,
+    classify_two_stage,
     decode_triple,
     encode_triple,
     is_congruence,
@@ -144,6 +146,41 @@ def test_classify_bound():
     with pytest.raises(ResourceLimitError):
         classify_triples(CyclicGroup(Modulus(3, 3)))  # 27 > default bound 25
     classify_triples(CyclicGroup(Modulus(3, 3)), max_order=27)
+
+
+# -- the two-stage classifier against the reference ---------------------------------
+
+
+CYCLIC_AT_MOST_27 = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+CYCLIC_AT_MOST_27 += [(p, 1) for p in (7, 11, 13, 17, 19, 23)]
+ORDER_AT_MOST_27 = [CyclicGroup(Modulus(p, k)) for p, k in CYCLIC_AT_MOST_27] + [
+    ElemAbelian2Group(p) for p in (2, 3, 5)
+]
+
+
+@pytest.mark.parametrize("group", ORDER_AT_MOST_27, ids=lambda g: g.describe())
+def test_two_stage_matches_classify_triples(group):
+    ref = classify_triples(group, max_order=27)
+    staged = classify_two_stage(group, max_order=27)
+    assert staged.count == ref.count
+    assert staged.representatives == ref.representatives
+    # every triple, not only the representatives, lands in its reference orbit
+    for triple, i in ref.partition.index.items():
+        assert staged.orbit_of(decode_triple(group, triple)) == i
+
+
+def test_two_stage_classifies_elem2_7_against_the_enumerator():
+    staged = classify_two_stage(ElemAbelian2Group(7), max_order=49)
+    assert staged.count == 194 == 4 * 7**2 - 2
+    hit = sorted(staged.orbit_of(r.form) for r in enumerate_gl2(7).records())
+    assert hit == list(range(194))
+
+
+def test_two_stage_bound():
+    with pytest.raises(ResourceLimitError):
+        classify_two_stage(CyclicGroup(Modulus(3, 3)))  # 27 > default bound 25
+    with pytest.raises(ResourceLimitError):
+        classify_two_stage(ElemAbelian2Group(7), max_order=27)
 
 
 # -- raw table isomorphism ---------------------------------------------------------

@@ -19,14 +19,27 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_zero(argv):
+    result = run_script(argv)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def run_script(argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         env=env,
         capture_output=True,
         text=True,
     )
+
+
+def test_reproduce_counts_runs_both_oracle_columns_up_to_the_bound():
+    # elem2 7 has order 49: above the orbit oracle's default bound, within --oracle-bound
+    result = run_script(["reproduce_counts.py", "--max-p", "7", "--max-k", "1", "--oracle-bound", "49"])
     assert result.returncode == 0, result.stdout + result.stderr
+    rows = {line[:14].strip(): line[14:].split() for line in result.stdout.splitlines()[1:9]}
+    assert rows["Z_7^1"] == ["13", "13", "13"]
+    assert rows["Z_7 x Z_7"] == ["194", "194", "194"]
 
 
 CANNED_RUN = """\

@@ -57,6 +57,7 @@ EXIT_RESOURCE = 3
 
 ORACLE_MAX_ORDER = 27  # verify --level oracle: cyclic up to order 27, elem2 p <= 5
 TABLES_MAX_ENTRIES = 2**25  # enumerate --format tables: records x n^2 entries at most
+MAX_RECORDS = 2**20  # enumerate and verify: classes of the group at most
 
 
 def _parse_group(tokens: list[str], parser: argparse.ArgumentParser) -> GroupDescriptor:
@@ -75,6 +76,19 @@ def _group_json(group: GroupDescriptor) -> dict:
     if isinstance(group, CyclicGroup):
         return {"kind": "cyclic", "p": group.modulus.p, "k": group.modulus.k}
     return {"kind": "elem2", "p": group.p}
+
+
+def _closed_count(group: GroupDescriptor) -> int:
+    if isinstance(group, CyclicGroup):
+        return closed_form_count(group.modulus)
+    return gl2_closed_count(group.p)
+
+
+def _require_record_bound(command: str, group: GroupDescriptor) -> None:
+    """Refuse, before any work, a group with more classes than MAX_RECORDS."""
+    count = _closed_count(group)
+    if count > MAX_RECORDS:
+        raise ResourceLimitError(f"{command} is bounded to {MAX_RECORDS} classes, {group.describe()} has {count}")
 
 
 def _records_for(group: GroupDescriptor) -> list[ClassRecord]:
@@ -101,12 +115,20 @@ def _record_dict(group: GroupDescriptor, phi: tuple, psi: tuple, c: tuple, simpl
 
 
 def form_from_dict(d: dict) -> AffineForm:
+    """The form of a record_to_dict record; ValueError for any other shape."""
     g = d["group"]
-    if g["kind"] == "cyclic":
-        group = CyclicGroup(Modulus(g["p"], g["k"]))
-        return AffineForm(group, d["phi"][0][0], d["psi"][0][0], d["c"][0])
-    phi = tuple(v for row in d["phi"] for v in row)
-    psi = tuple(v for row in d["psi"] for v in row)
+    dim = {"cyclic": 1, "elem2": 2}.get(g["kind"])
+    if dim is None:
+        raise ValueError(f"unknown group kind {g['kind']!r}")
+
+    def sized(x) -> bool:
+        return isinstance(x, list) and len(x) == dim
+
+    if not all(sized(m) and all(map(sized, m)) for m in (d["phi"], d["psi"])) or not sized(d["c"]):
+        raise ValueError(f"phi and psi must be {dim} x {dim} lists of rows and c a list of {dim} entries")
+    phi, psi = (tuple(v for row in d[key] for v in row) for key in ("phi", "psi"))
+    if dim == 1:
+        return AffineForm(CyclicGroup(Modulus(g["p"], g["k"])), phi[0], psi[0], d["c"][0])
     return AffineForm(ElemAbelian2Group(g["p"]), phi, psi, tuple(d["c"]))
 
 
@@ -251,10 +273,7 @@ def cmd_count(args, parser) -> int:
         params = {"order": args.order}
     else:
         group = _parse_group(args.group, parser)
-        if isinstance(group, CyclicGroup):
-            count = closed_form_count(group.modulus)
-        else:
-            count = gl2_closed_count(group.p)
+        count = _closed_count(group)
         params = {"group": _group_json(group)}
     if args.json:
         print(json.dumps({"command": "count", **params, "count": count}, sort_keys=True))
@@ -265,6 +284,7 @@ def cmd_count(args, parser) -> int:
 
 def cmd_enumerate(args, parser) -> int:
     group = _parse_group(args.group, parser)
+    _require_record_bound("enumerate", group)
     params = {
         "group": _group_json(group),
         "simple_only": args.simple_only,
@@ -388,6 +408,7 @@ def _verify_elem2(group: ElemAbelian2Group, level: str, report: _Report) -> None
 
 def cmd_verify(args, parser) -> int:
     group = _parse_group(args.group, parser)
+    _require_record_bound("verify", group)
     report = _Report()
     if isinstance(group, CyclicGroup):
         _verify_cyclic(group, args.level, report)

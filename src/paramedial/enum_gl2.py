@@ -17,14 +17,11 @@ ClassRecords in output order.  y_phi lists each psi with its case
 label and whether its classes are simple, both set by the branch that
 builds it.  For the trace-zero irreducible phi = ((0,1),(a,0)) the p - 2
 non-central orbits of Y_phi are the levels of t = tr(phi psi), conics
-with p + 1 points each (see y_phi); burnside_orbit_count repeats that
-partition through the generic orbit oracle as an independent
-cross-check.  The level t = 1 - 2a, where 1 - phi - psi is singular and
-psi admits two constants, is the conic that conic_count counts.
+with p + 1 points each (see y_phi).
 
-p = 2 degenerates (no 2^-1, no pairs 0 < a < b) and is routed through
-the generic orbit oracle instead; it yields 7 classes, each labelled
-``p2-oracle`` with its simplicity from affine.is_simple.
+p = 2 degenerates (no 2^-1, no pairs 0 < a < b), so its 7 classes come
+from a direct search of the 6 elements of GL(2,2) instead; each is
+labelled ``p2-oracle`` with its simplicity from affine.is_simple.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ from .affine import AffineForm, ClassRecord, ElemAbelian2Group, is_simple
 from .modring import (
     Mat2,
     Vec2,
+    gl2,
     is_prime,
     is_square_mod,
     mat_det,
@@ -66,11 +64,7 @@ CASE_P2_ORACLE = "p2-oracle"
 
 def _require_odd_prime(p: int) -> None:
     if not is_prime(p) or p == 2:
-        raise ValueError(f"p={p} must be an odd prime (p = 2 runs through the oracle path)")
-
-
-def nonsquares(p: int) -> list[int]:
-    return [a for a in range(1, p) if not is_square_mod(a, p)]
+        raise ValueError(f"p={p} must be an odd prime (p = 2 is classified by direct search)")
 
 
 # -- conjugacy classes of GL(2,p) -----------------------------------------------
@@ -158,35 +152,6 @@ def sqrt_set(a_mat: Mat2, p: int) -> list[Mat2]:
     return sorted(roots)
 
 
-# -- counting points on the relevant conic --------------------------------------
-
-
-def conic_solutions(p: int, a: int) -> list[tuple[int, int]]:
-    """All (k, l) in Z_p^2 with k^2 - a l^2 + (1 - 2a) l - a = 0, for a
-    a non-square mod p.  Exhaustive by construction."""
-    _require_odd_prime(p)
-    if is_square_mod(a, p):
-        raise ValueError(f"a={a} is a square mod {p}")
-    return [
-        (k, l)
-        for k in range(p)
-        for l in range(p)
-        if (k * k - a * l * l + (1 - 2 * a) * l - a) % p == 0
-    ]
-
-
-def conic_count(p: int, a: int) -> int:
-    """Point count of the conic above; always p + 1, and every solution
-    has l != 0 and differs from (0, +-1)."""
-    sols = conic_solutions(p, a)
-    if len(sols) != p + 1:
-        raise AssertionError(f"conic over Z_{p} with a={a} has {len(sols)} points, expected {p + 1}")
-    for (k, l) in sols:
-        if l == 0 or (k == 0 and l in (1, p - 1)):
-            raise AssertionError(f"degenerate conic solution {(k, l)}")
-    return len(sols)
-
-
 # -- orbit representatives Y_phi -------------------------------------------------
 
 
@@ -219,8 +184,7 @@ def y_phi(cls: ConjClass) -> list[tuple[Mat2, str, bool]]:
     t^2 - 4a(a - k^2) is a square r^2, then the smaller root
     l = (t +- r) / 2a.  Every level is simple; the level t = 1 - 2a is the
     irred0.psi-conic case, since det(1 - phi - psi) = 1 - 2a - t, and the
-    others are irred0.psi-root.  burnside_orbit_count is the all-elements
-    cross-check of this partition.
+    others are irred0.psi-root.
     """
     p, a, phi = cls.p, cls.a, cls.rep
     if cls.kind == "scalar":
@@ -272,40 +236,6 @@ def y_phi(cls: ConjClass) -> list[tuple[Mat2, str, bool]]:
     return central + sorted(levels)
 
 
-def burnside_orbit_count(cls: ConjClass) -> tuple[int, tuple[int, ...]]:
-    """Orbit count and size multiset for the trace-zero irreducible case,
-    computed by the generic oracle over all p^2 - 1 elements uI + v phi of
-    the centralizer, both by fixed-point averaging and by direct partition.
-
-    Both routes must agree, and the least points of the non-singleton
-    orbits must be the psi of y_phi(cls)[2:]; the result is exactly p orbits with
-    sizes {1, 1, (p+1) x (p-2)}.
-    """
-    from .oracle import ActionSpec, burnside_count, orbits
-
-    p = cls.p
-    if cls.kind != "irreducible" or cls.b != 0:
-        raise ValueError("Burnside counting applies to the ((0,1),(a,0)) representative")
-    elements = [(u, v, cls.a * v % p, u) for u in range(p) for v in range(p) if u or v]
-    inverses = {g: mat_inv(g, p) for g in elements}
-    spec = ActionSpec(
-        points=sqrt_set(mat_mul(cls.rep, cls.rep, p), p),
-        act=lambda g, m: mat_mul(mat_mul(g, m, p), inverses[g], p),
-        compose=lambda g, h: mat_mul(g, h, p),
-        identity=(1, 0, 0, 1),
-        elements=elements,
-    )
-    by_average = burnside_count(spec)
-    part = orbits(spec)
-    if by_average != len(part.orbits):
-        raise AssertionError(
-            f"Burnside average {by_average} disagrees with direct partition {len(part.orbits)}"
-        )
-    if [psi for psi, _, _ in y_phi(cls)[2:]] != [orb[0] for orb in part.orbits if len(orb) > 1]:
-        raise AssertionError("y_phi disagrees with the least points of the non-singleton orbits")
-    return by_average, tuple(sorted(len(orb) for orb in part.orbits))
-
-
 # -- coset representatives G_{phi,psi} -------------------------------------------
 
 
@@ -346,15 +276,36 @@ class Gl2Classification:
         return list(self.classes)
 
 
+def _records_p2(group: ElemAbelian2Group) -> Iterator[ClassRecord]:
+    """The classes over Z_2 x Z_2 by direct search of GL(2,2): the least
+    phi of each conjugacy class, the least root psi of phi^2 in each orbit
+    of C(phi), and c from coset_reps_for, all in increasing order."""
+    gl = gl2(2)
+
+    def least_of_orbits(points: list[Mat2], acting: list[Mat2]) -> list[Mat2]:
+        reps: list[Mat2] = []
+        seen: set[Mat2] = set()
+        for x in points:
+            if x not in seen:
+                reps.append(x)
+                seen.update(mat_mul(mat_mul(g, x, 2), mat_inv(g, 2), 2) for g in acting)
+        return reps
+
+    for phi in least_of_orbits(gl, gl):
+        roots = [m for m in gl if mat_mul(m, m, 2) == mat_mul(phi, phi, 2)]
+        centralizer = [g for g in gl if mat_mul(g, phi, 2) == mat_mul(phi, g, 2)]
+        for psi in least_of_orbits(roots, centralizer):
+            for c in coset_reps_for(phi, psi, 2):
+                form = AffineForm(group, phi, psi, c)
+                yield ClassRecord(form, CASE_P2_ORACLE, is_simple(form))
+
+
 def _records(p: int) -> Iterator[ClassRecord]:
     """Every class over Z_p x Z_p in output order: by the conjugacy class
     of phi, then in y_phi's order, then by c."""
     group = ElemAbelian2Group(p)
     if p == 2:
-        from .oracle import classify_triples
-
-        for form in classify_triples(group).representatives:
-            yield ClassRecord(form, CASE_P2_ORACLE, is_simple(form))
+        yield from _records_p2(group)
         return
     for cls in conjugacy_classes(p):
         for psi, case, simple in y_phi(cls):

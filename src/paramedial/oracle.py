@@ -4,21 +4,23 @@ Nothing in here knows about the structured case analysis used by the
 enumerators; it classifies by raw orbit computation and raw table
 search so the two routes stay independent.
 
-For the same reason the 2x2 arithmetic of the triple action runs on its
-own kernel (``_mmul``/``_minv``/``_mvec``) rather than on ``modring``'s
-``mat_mul``/``mat_inv``/``mat_vec``, although both work on the same
-(a, b, c, d) tuples: this module is the reference the enumerators are
-checked against, and a kernel shared with them could hide one bug on
-both sides.
+Aut(G) and G are described once, by ``_automorphisms``: the elements of
+Aut(G) in increasing order, a generating set, and the arithmetic of the
+action.  Over Z_p x Z_p that arithmetic is the oracle's own 2x2 kernel
+rather than ``modring``'s ``mat_mul``/``mat_inv``/``mat_vec``, although
+both work on the same (a, b, c, d) tuples: this module is the reference
+the enumerators are checked against, and a kernel shared with them could
+hide one bug on both sides.
 
 The isomorphism classes of affine triples (phi, psi, c) are found two
-ways.  ``classify_triples`` takes the orbits on the whole triple set at
-once; it is the reference.  ``classify_two_stage``, which ``verify``
-runs, splits the action as a semidirect product: first the orbits of
-Aut(G) on the pairs (phi, psi), with a transporter from each pair to
-the least pair of its orbit, then the orbits of the constants c under
-the stabilizer of each least pair and the translations.  Both are brute
-force, by closure under generators and by filtering Aut(G).
+ways, both from that one description.  ``classify_triples`` takes the
+orbits on the whole triple set at once; it is the reference.
+``classify_two_stage``, which ``verify`` runs, splits the action as a
+semidirect product: first the orbits of Aut(G) on the pairs (phi, psi),
+with a transporter from each pair to the least pair of its orbit, then
+the orbits of the constants c under the stabilizer of each least pair
+and the translations.  Both are brute force, by closure under generators
+and by filtering Aut(G).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .affine import AffineForm, CyclicGroup, ElemAbelian2Group, GroupDescriptor, QuasigroupTable
+from .affine import AffineForm, CyclicGroup, GroupDescriptor, QuasigroupTable
 from .modring import unit_group
 
 DEFAULT_MAX_POINTS = 10**7
@@ -173,37 +175,100 @@ def validate_action(spec: ActionSpec, rng, samples: int = 30) -> None:
 # over the exhaustive triple set.
 
 
-def _primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        seen = set()
-        v = 1
-        for _ in range(p - 1):
-            v = v * g % p
-            seen.add(v)
-        if len(seen) == p - 1:
-            return g
-    raise ValueError(f"no primitive root mod {p}")
+class _Automorphisms(NamedTuple):
+    """Aut(G) and G, as both classifiers use them."""
+
+    elements: list  # Aut(G), in increasing order
+    generators: list  # automorphisms that generate Aut(G)
+    identity: Any
+    mul: Callable[[Any, Any], Any]
+    inv: Callable[[Any], Any]
+    apply: Callable[[Any, Any], Any]  # an endomorphism of G applied to an element
+    add: Callable[[Any, Any], Any]
+    points: Sequence[Any]  # G, in increasing order, from 0
+    basis: list  # elements that generate G
+    one_minus: Callable[[Any, Any], Any]  # (phi, psi) -> the endomorphism 1 - phi - psi
 
 
-def _mmul(a, b, p):
-    return (
-        (a[0] * b[0] + a[1] * b[2]) % p,
-        (a[0] * b[1] + a[1] * b[3]) % p,
-        (a[2] * b[0] + a[3] * b[2]) % p,
-        (a[2] * b[1] + a[3] * b[3]) % p,
+def _unit_generators(units: Sequence[int], n: int) -> list[int]:
+    """The units of Z_n, taken in increasing order, that each lie outside
+    the subgroup generated by those kept before them."""
+    kept: list[int] = []
+    subgroup = {1}
+    for u in units:
+        if u not in subgroup:
+            kept.append(u)
+            grown, power = set(subgroup), u
+            while power not in subgroup:  # abelian: <H, u> is the union of the cosets H u^i
+                grown.update(h * power % n for h in subgroup)
+                power = power * u % n
+            subgroup = grown
+    return kept
+
+
+def _automorphisms(group: GroupDescriptor) -> _Automorphisms:
+    if isinstance(group, CyclicGroup):
+        n = group.modulus.n
+        units = unit_group(group.modulus)
+        return _Automorphisms(
+            elements=units,
+            generators=_unit_generators(units, n),
+            identity=1,
+            mul=lambda a, b: a * b % n,
+            inv=lambda a: pow(a, -1, n),
+            apply=lambda a, x: a * x % n,
+            add=lambda x, y: (x + y) % n,
+            points=range(n),
+            basis=[1],
+            one_minus=lambda phi, psi: (1 - phi - psi) % n,
+        )
+    p = group.p
+
+    def mul(a, b):
+        return (
+            (a[0] * b[0] + a[1] * b[2]) % p,
+            (a[0] * b[1] + a[1] * b[3]) % p,
+            (a[2] * b[0] + a[3] * b[2]) % p,
+            (a[2] * b[1] + a[3] * b[3]) % p,
+        )
+
+    def inv(a):
+        di = pow(a[0] * a[3] - a[1] * a[2], -1, p)
+        return (di * a[3] % p, -di * a[1] % p, -di * a[2] % p, di * a[0] % p)
+
+    def apply(a, v):
+        return ((a[0] * v[0] + a[1] * v[1]) % p, (a[2] * v[0] + a[3] * v[1]) % p)
+
+    def one_minus(phi, psi):
+        return (
+            (1 - phi[0] - psi[0]) % p,
+            (-phi[1] - psi[1]) % p,
+            (-phi[2] - psi[2]) % p,
+            (1 - phi[3] - psi[3]) % p,
+        )
+
+    # The two elementary transvections generate SL(2,p); diag(u, 1) adds the determinants.
+    diagonal = [(u, 0, 0, 1) for u in _unit_generators(range(1, p), p)]
+    return _Automorphisms(
+        elements=[m for m in itertools.product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p],
+        generators=[(1, 1, 0, 1), (1, 0, 1, 1)] + diagonal,
+        identity=(1, 0, 0, 1),
+        mul=mul,
+        inv=inv,
+        apply=apply,
+        add=lambda u, v: ((u[0] + v[0]) % p, (u[1] + v[1]) % p),
+        points=list(itertools.product(range(p), repeat=2)),
+        basis=[(1, 0), (0, 1)],
+        one_minus=one_minus,
     )
 
 
-def _minv(a, p):
-    det = (a[0] * a[3] - a[1] * a[2]) % p
-    di = pow(det, -1, p)
-    return (di * a[3] % p, -di * a[1] % p, -di * a[2] % p, di * a[0] % p)
-
-
-def _mvec(a, v, p) -> tuple[int, int]:
-    return ((a[0] * v[0] + a[1] * v[1]) % p, (a[2] * v[0] + a[3] * v[1]) % p)
+def _pairs(aut: _Automorphisms) -> list:
+    """Every pair (phi, psi) of automorphisms with phi^2 = psi^2, in increasing order."""
+    by_square: dict = {}
+    for a in aut.elements:
+        by_square.setdefault(aut.mul(a, a), []).append(a)
+    return [(phi, psi) for phi in aut.elements for psi in by_square[aut.mul(phi, phi)]]
 
 
 @dataclass
@@ -212,9 +277,6 @@ class TripleClassification:
     partition: OrbitPartition
     count: int
     representatives: tuple[AffineForm, ...]
-
-    def orbit_of(self, form: AffineForm) -> int:
-        return self.partition.index[encode_triple(form)]
 
 
 def encode_triple(form: AffineForm) -> tuple:
@@ -226,112 +288,41 @@ def decode_triple(group: GroupDescriptor, triple: tuple) -> AffineForm:
     return AffineForm(group, *triple)
 
 
-def _cyclic_spec(group: CyclicGroup, with_elements: bool) -> ActionSpec:
-    n = group.modulus.n
-    units = unit_group(group.modulus)
-    by_square = {}
-    for u in units:
-        by_square.setdefault(u * u % n, []).append(u)
-    points = [
-        (phi, psi, c)
-        for phi in units
-        for psi in by_square[phi * phi % n]
-        for c in range(n)
-    ]
+def triple_action_spec(group: GroupDescriptor, with_elements: bool = False) -> ActionSpec:
+    """The isomorphism action on all valid triples (phi, psi, c) over G.
 
-    def act(g, t):
-        u, d = g
-        phi, psi, c = t
-        return (phi, psi, (u * c + (1 - phi - psi) * d) % n)
-
-    def compose(g, h):  # (g o h) as maps x -> ux + d
-        return (g[0] * h[0] % n, (g[0] * h[1] + g[1]) % n)
-
-    elements = [(u, d) for u in units for d in range(n)] if with_elements else None
-    generators = [(u, 0) for u in units] + [(1, 1)]
-    return ActionSpec(
-        points=points,
-        act=act,
-        compose=compose,
-        identity=(1, 0),
-        elements=elements,
-        generators=generators,
-        order=len(units) * n,
-    )
-
-
-def _elem2_spec(group: ElemAbelian2Group, with_elements: bool) -> ActionSpec:
-    p = group.p
-    gl = [
-        (a, b, c, d)
-        for a in range(p)
-        for b in range(p)
-        for c in range(p)
-        for d in range(p)
-        if (a * d - b * c) % p != 0
-    ]
-    by_square = {}
-    for m in gl:
-        by_square.setdefault(_mmul(m, m, p), []).append(m)
-    points = [
-        (phi, psi, (cx, cy))
-        for phi in gl
-        for psi in by_square[_mmul(phi, phi, p)]
-        for cx in range(p)
-        for cy in range(p)
-    ]
+    A group element is (alpha, alpha^-1, d), the map x -> alpha(x) + d.
+    """
+    aut = _automorphisms(group)
+    mul, apply, add, one_minus = aut.mul, aut.apply, aut.add, aut.one_minus
+    zero = aut.points[0]
 
     def act(g, t):
         alpha, alpha_inv, d = g
         phi, psi, c = t
-        phi2 = _mmul(_mmul(alpha, phi, p), alpha_inv, p)
-        psi2 = _mmul(_mmul(alpha, psi, p), alpha_inv, p)
-        c2 = _mvec(alpha, c, p)
-        if d != (0, 0):
-            m = (
-                1 - phi2[0] - psi2[0],
-                -phi2[1] - psi2[1],
-                -phi2[2] - psi2[2],
-                1 - phi2[3] - psi2[3],
-            )
-            w = _mvec(m, d, p)
-            c2 = ((c2[0] + w[0]) % p, (c2[1] + w[1]) % p)
+        phi2 = mul(mul(alpha, phi), alpha_inv)
+        psi2 = mul(mul(alpha, psi), alpha_inv)
+        c2 = apply(alpha, c)
+        if d != zero:
+            c2 = add(c2, apply(one_minus(phi2, psi2), d))
         return (phi2, psi2, c2)
 
     def compose(g, h):
-        alpha = _mmul(g[0], h[0], p)
-        alpha_inv = _mmul(h[1], g[1], p)
-        d = _mvec(g[0], h[2], p)
-        d = ((d[0] + g[2][0]) % p, (d[1] + g[2][1]) % p)
-        return (alpha, alpha_inv, d)
+        return (mul(g[0], h[0]), mul(h[1], g[1]), add(apply(g[0], h[2]), g[2]))
 
-    ident = (1, 0, 0, 1)
-    gens_mat = [(1, 1, 0, 1), (1, 0, 1, 1)]
-    if p > 2:
-        gens_mat.append((_primitive_root(p), 0, 0, 1))
-    generators = [(m, _minv(m, p), (0, 0)) for m in gens_mat]
-    generators += [(ident, ident, (1, 0)), (ident, ident, (0, 1))]
+    ident = aut.identity
     elements = None
     if with_elements:
-        elements = [
-            (m, _minv(m, p), (dx, dy)) for m in gl for dx in range(p) for dy in range(p)
-        ]
+        elements = [(a, aut.inv(a), d) for a in aut.elements for d in aut.points]
     return ActionSpec(
-        points=points,
+        points=[(phi, psi, c) for phi, psi in _pairs(aut) for c in aut.points],
         act=act,
         compose=compose,
-        identity=(ident, ident, (0, 0)),
+        identity=(ident, ident, zero),
         elements=elements,
-        generators=generators,
-        order=len(gl) * p * p,
+        generators=[(g, aut.inv(g), zero) for g in aut.generators] + [(ident, ident, e) for e in aut.basis],
+        order=len(aut.elements) * len(aut.points),
     )
-
-
-def triple_action_spec(group: GroupDescriptor, with_elements: bool = False) -> ActionSpec:
-    """The isomorphism action on all valid triples (phi, psi, c) over G."""
-    if isinstance(group, CyclicGroup):
-        return _cyclic_spec(group, with_elements)
-    return _elem2_spec(group, with_elements)
 
 
 def classify_triples(
@@ -361,49 +352,6 @@ def classify_triples(
 # which move c only.  So an orbit of triples is one orbit of pairs with one
 # orbit of constants at the pair's least point, and its least triple is
 # that least pair with the least constant of that orbit.
-
-
-class _Automorphisms(NamedTuple):
-    """Aut(G) and G as classify_two_stage uses them."""
-
-    elements: list  # Aut(G), in increasing order
-    generators: list  # (g, g^-1) pairs generating Aut(G); none when it is abelian
-    identity: Any
-    mul: Callable[[Any, Any], Any]
-    apply: Callable[[Any, Any], Any]  # an endomorphism of G applied to an element
-    add: Callable[[Any, Any], Any]
-    points: Sequence[Any]  # G, in increasing order
-    one_minus: Callable[[Any, Any], Any]  # (phi, psi) -> the endomorphism 1 - phi - psi
-
-
-def _automorphisms(group: GroupDescriptor) -> _Automorphisms:
-    if isinstance(group, CyclicGroup):
-        n = group.modulus.n
-        return _Automorphisms(
-            elements=unit_group(group.modulus),
-            generators=[],
-            identity=1,
-            mul=lambda a, b: a * b % n,
-            apply=lambda a, x: a * x % n,
-            add=lambda x, y: (x + y) % n,
-            points=range(n),
-            one_minus=lambda phi, psi: (1 - phi - psi) % n,
-        )
-    p = group.p
-    ident = (1, 0, 0, 1)
-    gens = [(1, 1, 0, 1), (1, 0, 1, 1)]  # those of _elem2_spec
-    if p > 2:
-        gens.append((_primitive_root(p), 0, 0, 1))
-    return _Automorphisms(
-        elements=[m for m in itertools.product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p],
-        generators=[(g, _minv(g, p)) for g in gens],
-        identity=ident,
-        mul=lambda a, b: _mmul(a, b, p),
-        apply=lambda a, v: _mvec(a, v, p),
-        add=lambda u, v: ((u[0] + v[0]) % p, (u[1] + v[1]) % p),
-        points=list(itertools.product(range(p), repeat=2)),
-        one_minus=lambda phi, psi: tuple((e - f - s) % p for e, f, s in zip(ident, phi, psi)),
-    )
 
 
 @dataclass
@@ -445,14 +393,12 @@ def classify_two_stage(group: GroupDescriptor, max_order: int = 25) -> StagedCla
         raise ResourceLimitError(f"|G| = {group.order} exceeds the bound {max_order}")
     aut = _automorphisms(group)
     mul = aut.mul
-    by_square: dict = {}
-    for a in aut.elements:
-        by_square.setdefault(mul(a, a), []).append(a)
+    generators = [(g, aut.inv(g)) for g in aut.generators]
 
     # Seeds come in increasing order, so each orbit is entered at its least pair.
     pairs: dict = {}
     least: list = []
-    for seed in ((phi, psi) for phi in aut.elements for psi in by_square[mul(phi, phi)]):
+    for seed in _pairs(aut):
         if seed in pairs:
             continue
         least.append(seed)
@@ -461,7 +407,7 @@ def classify_two_stage(group: GroupDescriptor, max_order: int = 25) -> StagedCla
         while frontier:
             phi, psi = x = frontier.pop()
             beta = pairs[x][1]
-            for g, g_inv in aut.generators:
+            for g, g_inv in generators:
                 y = (mul(mul(g, phi), g_inv), mul(mul(g, psi), g_inv))
                 if y not in pairs:
                     pairs[y] = (seed, mul(beta, g_inv))

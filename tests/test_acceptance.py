@@ -9,6 +9,7 @@ import itertools
 import time
 
 import pytest
+from gl2_crosschecks import burnside_orbit_count, conic_count, conic_solutions, nonsquares
 
 from paramedial.affine import (
     CyclicGroup,
@@ -19,15 +20,7 @@ from paramedial.affine import (
     materialize,
 )
 from paramedial.enum_cyclic import closed_form_count, enumerate_cyclic, pq_total
-from paramedial.enum_gl2 import (
-    burnside_orbit_count,
-    conic_count,
-    conic_solutions,
-    conjugacy_classes,
-    enumerate_gl2,
-    nonsquares,
-    sqrt_set,
-)
+from paramedial.enum_gl2 import conjugacy_classes, enumerate_gl2, sqrt_set
 from paramedial.modring import Modulus, all_matrices, mat_mul
 from paramedial.oracle import (
     classify_tables,

@@ -138,6 +138,30 @@ def test_huge_group_arguments_exit_fast(spec):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--group", "elem2", "10007"],
+        ["verify", "--group", "cyclic", "101", "4"],
+        ["enumerate", "--group", "cyclic", "2", "30"],
+    ],
+)
+def test_groups_over_the_record_bound_exit_fast(argv):
+    # 4p^2 - 2 = 400 560 194, 207 100 804 and 2^31 classes, refused before any is built
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = src
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "paramedial", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 3 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "bounded" in lines[0]
+
+
 def test_enumerate_json_record_count(tmp_path, capsys):
     out_file = tmp_path / "classes.json"
     code, _, _ = run(capsys, "enumerate", "--group", "elem2", "3", "--out", str(out_file))
@@ -285,6 +309,20 @@ def test_json_round_trip():
         rebuilt = form_from_dict(json.loads(json.dumps(record_to_dict(rec))))
         assert rebuilt == rec.form
         assert is_simple(rebuilt) == rec.simple
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"group": {"kind": "cyclic", "p": 3, "k": 2}, "phi": [[2, 5]], "psi": [[7], [1]], "c": [4, 99]},
+        {"group": {"kind": "elem2", "p": 3}, "phi": [[1, 0, 0], [1]], "psi": [[1, 0], [0, 1]], "c": [0, 0]},
+        {"group": {"kind": "elem3", "p": 3}, "phi": [[1, 0], [0, 1]], "psi": [[1, 0], [0, 1]], "c": [0, 0]},
+    ],
+    ids=["cyclic-wide-rows", "elem2-ragged-rows", "unknown-kind"],
+)
+def test_form_from_dict_rejects_malformed_records(record):
+    with pytest.raises(ValueError):
+        form_from_dict(record)
 
 
 def test_verify_fast_cyclic(capsys):

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import comb
 
 import pytest
+from gl2_crosschecks import burnside_orbit_count, conic_count, conic_solutions, nonsquares
 
+import paramedial
 from paramedial.affine import ElemAbelian2Group, is_simple
 from paramedial.enum_cyclic import simple_closed_count
 from paramedial.enum_gl2 import (
@@ -11,13 +16,9 @@ from paramedial.enum_gl2 import (
     CASE_IRRED0_ROOT,
     CASE_IRRED_MINUS,
     CASE_IRRED_PLUS,
-    burnside_orbit_count,
-    conic_count,
-    conic_solutions,
     conjugacy_classes,
     coset_reps_for,
     enumerate_gl2,
-    nonsquares,
     sqrt_set,
     y_phi,
 )
@@ -398,11 +399,23 @@ def test_rows_are_structurally_valid(p):
             assert constants == coset_reps_for(phi, psi, p)
 
 
-def test_p2_goes_through_the_oracle_path():
+def test_p2_search_matches_classify_triples():
     cls = enumerate_gl2(2)
     assert cls.total == 7
+    assert tuple(r.form for r in cls.records()) == classify_triples(ElemAbelian2Group(2)).representatives
     assert all(r.case == "p2-oracle" for r in cls.records())
     assert sum(1 for r in cls.records() if r.simple) == 3
+
+
+def test_enumerator_does_not_import_the_oracle():
+    code = (
+        "import sys; from paramedial.enum_gl2 import enumerate_gl2; "
+        "enumerate_gl2(2); enumerate_gl2(3); print('paramedial.oracle' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 # -- simplicity ---------------------------------------------------------------------

@@ -29,6 +29,7 @@ from paramedial.oracle import (
     simple_via_subgroup_congruences,
     table_is_simple,
     table_isomorphic,
+    _automorphisms,
     triple_action_spec,
     validate_action,
 )
@@ -167,6 +168,24 @@ def test_two_stage_matches_classify_triples(group):
     # every triple, not only the representatives, lands in its reference orbit
     for triple, i in ref.partition.index.items():
         assert staged.orbit_of(decode_triple(group, triple)) == i
+
+
+@pytest.mark.parametrize("group", ORDER_AT_MOST_27 + [ElemAbelian2Group(7)], ids=lambda g: g.describe())
+def test_automorphism_generators_generate_aut(group):
+    aut = _automorphisms(group)
+    spec = ActionSpec(
+        points=aut.elements,
+        act=aut.mul,
+        compose=aut.mul,
+        identity=aut.identity,
+        generators=aut.generators,
+        order=len(aut.elements),
+    )
+    assert len(orbits(spec).orbits) == 1
+    for g in aut.generators:
+        assert aut.mul(g, aut.inv(g)) == aut.identity
+    if isinstance(group, CyclicGroup):  # one or two greedy units for every n <= 27 but 2
+        assert len(aut.generators) in ((0,) if group.order == 2 else (1, 2))
 
 
 def test_two_stage_classifies_elem2_7_against_the_enumerator():

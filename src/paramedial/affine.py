@@ -21,22 +21,23 @@ construction; everything downstream relies on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .modring import MAX_MODULUS, Mat2, Modulus, Vec2, is_prime, mat_det, mat_mul, mat_vec
+from .modring import MAX_MODULUS, Mat2, Modulus, Value, Vec2, is_prime, mat_det, mat_mul, mat_vec, require_int
 
 
 class ParamedialConditionError(ValueError):
     """Affine data whose automorphisms do not satisfy phi^2 = psi^2."""
 
 
-@dataclass(frozen=True)
-class CyclicGroup:
+class CyclicGroup(Value):
     """The cyclic group Z_{p^k} with elements encoded as 0..p^k-1."""
 
-    modulus: Modulus
+    __slots__ = ("modulus",)
+
+    def __init__(self, modulus: Modulus):
+        self._set("modulus", modulus)
 
     @property
     def order(self) -> int:
@@ -55,17 +56,18 @@ class CyclicGroup:
         return f"cyclic({self.modulus.p},{self.modulus.k})"
 
 
-@dataclass(frozen=True)
-class ElemAbelian2Group:
+class ElemAbelian2Group(Value):
     """The group Z_p x Z_p with (x, y) encoded as x*p + y."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p >= MAX_MODULUS:  # before the trial division of is_prime
-            raise ValueError(f"p={self.p} exceeds the supported range (< 2^31)")
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
+    def __init__(self, p: int):
+        require_int("p", p)
+        if p >= MAX_MODULUS:  # before the trial division of is_prime
+            raise ValueError(f"p={p} exceeds the supported range (< 2^31)")
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        self._set("p", p)
 
     @property
     def order(self) -> int:
@@ -88,72 +90,71 @@ class ElemAbelian2Group:
 GroupDescriptor = Union[CyclicGroup, ElemAbelian2Group]
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(Value):
     """One isomorphism-class representative (G, phi, psi, c).
 
     Over Z_{p^k}, phi and psi are units u (the automorphisms x -> u x)
     and c is an element, all plain ints; over Z_p x Z_p they are 4-tuples
     (a, b, c, d) of ints, the matrices ((a,b),(c,d)), and a 2-tuple of
     ints.  Construction reduces every entry mod p^k or p (a value of the
-    wrong type or arity raises TypeError), checks that phi and psi are
-    invertible (ValueError) and that phi^2 = psi^2; violating the latter
-    raises ParamedialConditionError so the paramedial invariant is
-    structural.
+    wrong type or arity, a bool included, raises TypeError), checks that
+    phi and psi are invertible (ValueError) and that phi^2 = psi^2;
+    violating the latter raises ParamedialConditionError so the
+    paramedial invariant is structural.
     """
 
-    group: GroupDescriptor
-    phi: Union[int, Mat2]
-    psi: Union[int, Mat2]
-    c: Union[int, Vec2]
+    __slots__ = ("group", "phi", "psi", "c")
 
-    def __post_init__(self):
-        if isinstance(self.group, CyclicGroup):
-            m = self.group.modulus
-            if not all(isinstance(v, int) for v in (self.phi, self.psi, self.c)):
+    def __init__(self, group: GroupDescriptor, phi: Union[int, Mat2], psi: Union[int, Mat2], c: Union[int, Vec2]):
+        if isinstance(group, CyclicGroup):
+            m = group.modulus
+            if not (type(phi) is int and type(psi) is int and type(c) is int):
                 raise TypeError("cyclic forms take int automorphisms and constant")
-            for f in ("phi", "psi", "c"):
-                object.__setattr__(self, f, getattr(self, f) % m.n)
-            if self.phi % m.p == 0 or self.psi % m.p == 0:
-                raise ValueError(f"phi and psi must be units mod {m.n}")
-            if (self.phi**2 - self.psi**2) % m.n != 0:
-                raise ParamedialConditionError(
-                    f"phi^2 != psi^2 for (phi, psi) = ({self.phi}, {self.psi}) mod {m.n}"
-                )
+            n = m.n
+            phi, psi, c = phi % n, psi % n, c % n
+            if phi % m.p == 0 or psi % m.p == 0:
+                raise ValueError(f"phi and psi must be units mod {n}")
+            if (phi**2 - psi**2) % n != 0:
+                raise ParamedialConditionError(f"phi^2 != psi^2 for (phi, psi) = ({phi}, {psi}) mod {n}")
         else:
-            p = self.group.p
-            for f, size in (("phi", 4), ("psi", 4), ("c", 2)):
-                v = getattr(self, f)
-                if not (isinstance(v, tuple) and len(v) == size and all(isinstance(x, int) for x in v)):
+            p = group.p
+            for f, v, size in (("phi", phi, 4), ("psi", psi, 4), ("c", c, 2)):
+                if not (isinstance(v, tuple) and len(v) == size and all(type(x) is int for x in v)):
                     raise TypeError(f"{f} must be a {size}-tuple of ints, got {v!r}")
-                object.__setattr__(self, f, tuple(x % p for x in v))
-            if mat_det(self.phi, p) == 0 or mat_det(self.psi, p) == 0:
+            phi, psi, c = tuple(x % p for x in phi), tuple(x % p for x in psi), tuple(x % p for x in c)
+            if mat_det(phi, p) == 0 or mat_det(psi, p) == 0:
                 raise ValueError("phi and psi must be invertible")
-            if mat_mul(self.phi, self.phi, p) != mat_mul(self.psi, self.psi, p):
-                raise ParamedialConditionError(f"phi^2 != psi^2 for phi={self.phi}, psi={self.psi}")
+            if mat_mul(phi, phi, p) != mat_mul(psi, psi, p):
+                raise ParamedialConditionError(f"phi^2 != psi^2 for phi={phi}, psi={psi}")
+        self._set("group", group)
+        self._set("phi", phi)
+        self._set("psi", psi)
+        self._set("c", c)
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(Value):
     """An affine form with its classification row label and whether it is simple."""
 
-    form: AffineForm
-    case: str
-    simple: bool
+    __slots__ = ("form", "case", "simple")
+
+    def __init__(self, form: AffineForm, case: str, simple: bool):
+        self._set("form", form)
+        self._set("case", case)
+        self._set("simple", simple)
 
 
-@dataclass(frozen=True)
-class QuasigroupTable:
+class QuasigroupTable(Value):
     """An explicit n x n Cayley table over the element encoding 0..n-1."""
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("table shape does not match the stated order")
-        if self.n and not (0 <= min(map(min, self.rows)) and max(map(max, self.rows)) < self.n):
-            raise ValueError(f"table entries must lie in 0..{self.n - 1}")
+        if n and not (0 <= min(map(min, rows)) and max(map(max, rows)) < n):
+            raise ValueError(f"table entries must lie in 0..{n - 1}")
+        self._set("n", n)
+        self._set("rows", rows)
 
 
 def materialize(form: AffineForm) -> QuasigroupTable:

@@ -15,15 +15,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage/order/IO error,
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import io
 import json
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
-from datetime import datetime, timezone
 
 from . import __version__
 from .affine import (
@@ -115,21 +110,28 @@ def _record_dict(group: GroupDescriptor, phi: tuple, psi: tuple, c: tuple, simpl
 
 
 def form_from_dict(d: dict) -> AffineForm:
-    """The form of a record_to_dict record; ValueError for any other shape."""
-    g = d["group"]
-    dim = {"cyclic": 1, "elem2": 2}.get(g["kind"])
-    if dim is None:
-        raise ValueError(f"unknown group kind {g['kind']!r}")
+    """The form of a record_to_dict record; ValueError for any other shape.
 
-    def sized(x) -> bool:
-        return isinstance(x, list) and len(x) == dim
+    A missing key, a value of the wrong type (a bool or a float where an
+    int belongs) and a record or group that is not a dict all raise
+    KeyError or TypeError below, from the lookups or the constructors."""
+    try:
+        g = d["group"]
+        dim = {"cyclic": 1, "elem2": 2}.get(g["kind"])
+        if dim is None:
+            raise ValueError(f"unknown group kind {g['kind']!r}")
 
-    if not all(sized(m) and all(map(sized, m)) for m in (d["phi"], d["psi"])) or not sized(d["c"]):
-        raise ValueError(f"phi and psi must be {dim} x {dim} lists of rows and c a list of {dim} entries")
-    phi, psi = (tuple(v for row in d[key] for v in row) for key in ("phi", "psi"))
-    if dim == 1:
-        return AffineForm(CyclicGroup(Modulus(g["p"], g["k"])), phi[0], psi[0], d["c"][0])
-    return AffineForm(ElemAbelian2Group(g["p"]), phi, psi, tuple(d["c"]))
+        def sized(x) -> bool:
+            return isinstance(x, list) and len(x) == dim
+
+        if not all(sized(m) and all(map(sized, m)) for m in (d["phi"], d["psi"])) or not sized(d["c"]):
+            raise ValueError(f"phi and psi must be {dim} x {dim} lists of rows and c a list of {dim} entries")
+        phi, psi = (tuple(v for row in d[key] for v in row) for key in ("phi", "psi"))
+        if dim == 1:
+            return AffineForm(CyclicGroup(Modulus(g["p"], g["k"])), phi[0], psi[0], d["c"][0])
+        return AffineForm(ElemAbelian2Group(g["p"]), phi, psi, tuple(d["c"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed record: {exc!r}") from None
 
 
 def _entries(form: AffineForm) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -178,6 +180,8 @@ def render_records(records: list[ClassRecord], fmt: str) -> bytes:
         parts.append(b"\n]\n" if parts else b"[]\n")
         return b"".join(parts)
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["group", "phi", "psi", "c", "simple", "case"])
@@ -202,18 +206,25 @@ def render_records(records: list[ClassRecord], fmt: str) -> bytes:
 
 
 # -- caching and manifests ------------------------------------------------------
+#
+# hashlib, datetime and tempfile are imported by the functions that use
+# them: a request without a cache directory or a manifest never loads them.
 
 
-def _cache_key(command: str, params: dict) -> str:
-    canon = json.dumps({"command": command, "params": params, "version": __version__}, sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()
+def _sha256(data: bytes) -> str:
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
 
 
-def _cache_path(key: str) -> str | None:
+def _cache_path(command: str, params: dict) -> str | None:
+    """The cache file of a request, keyed by command, parameters and
+    library version; None when no cache directory is configured."""
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return None
-    return os.path.join(cache_dir, f"{key}.out")
+    canon = json.dumps({"command": command, "params": params, "version": __version__}, sort_keys=True)
+    return os.path.join(cache_dir, f"{_sha256(canon.encode())}.out")
 
 
 def _cache_load(path: str | None) -> bytes | None:
@@ -224,7 +235,7 @@ def _cache_load(path: str | None) -> bytes | None:
         return None
     with open(path, "rb") as fh:
         digest, _, data = fh.read().partition(b"\n")
-    if digest != hashlib.sha256(data).hexdigest().encode():
+    if digest != _sha256(data).encode():
         return None
     return data
 
@@ -232,21 +243,25 @@ def _cache_load(path: str | None) -> bytes | None:
 def _cache_store(path: str | None, data: bytes) -> None:
     if path is None:
         return
+    import tempfile
+
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
     with os.fdopen(fd, "wb") as fh:
-        fh.write(hashlib.sha256(data).hexdigest().encode() + b"\n")
+        fh.write(_sha256(data).encode() + b"\n")
         fh.write(data)
     os.replace(tmp, path)
 
 
 def _write_manifest(path: str, command: str, params: dict, data: bytes) -> None:
+    from datetime import datetime, timezone
+
     manifest = {
         "command": command,
         "parameters": params,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "output_digest": "sha256:" + hashlib.sha256(data).hexdigest(),
+        "output_digest": "sha256:" + _sha256(data),
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -290,7 +305,7 @@ def cmd_enumerate(args, parser) -> int:
         "simple_only": args.simple_only,
         "format": args.format,
     }
-    key_path = _cache_path(_cache_key("enumerate", params))
+    key_path = _cache_path("enumerate", params)
     action = f"use cache entry {key_path}"
     try:
         data = _cache_load(key_path)
@@ -318,9 +333,11 @@ def cmd_enumerate(args, parser) -> int:
     return EXIT_OK
 
 
-@dataclass
 class _Report:
-    failures: int = 0
+    """The failures counted so far, each check printed as it is made."""
+
+    def __init__(self):
+        self.failures = 0
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
         if ok:

@@ -24,7 +24,6 @@ flags against ``affine.is_simple``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .affine import AffineForm, ClassRecord, CyclicGroup
@@ -38,10 +37,10 @@ class UnsupportedOrder(ValueError):
     """An order whose abelian-group shapes fall outside the classification."""
 
 
-@dataclass(frozen=True)
 class CyclicClassification:
-    modulus: Modulus
-    records: tuple[ClassRecord, ...]
+    def __init__(self, modulus: Modulus, records: tuple[ClassRecord, ...]):
+        self.modulus = modulus
+        self.records = records
 
     @property
     def forms(self) -> tuple[AffineForm, ...]:

@@ -26,7 +26,6 @@ labelled ``p2-oracle`` with its simplicity from affine.is_simple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .affine import AffineForm, ClassRecord, ElemAbelian2Group, is_simple
@@ -70,7 +69,6 @@ def _require_odd_prime(p: int) -> None:
 # -- conjugacy classes of GL(2,p) -----------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConjClass:
     """One conjugacy class of GL(2,p), keyed by its representative shape.
 
@@ -79,11 +77,12 @@ class ConjClass:
     an irreducible x^2 - b x - a.
     """
 
-    p: int
-    kind: str
-    a: int
-    b: Optional[int]
-    rep: Mat2
+    def __init__(self, p: int, kind: str, a: int, b: Optional[int], rep: Mat2):
+        self.p = p
+        self.kind = kind
+        self.a = a
+        self.b = b
+        self.rep = rep
 
 
 def conjugacy_classes(p: int) -> list[ConjClass]:
@@ -263,10 +262,10 @@ def coset_reps_for(phi: Mat2, psi: Mat2, p: int) -> list[Vec2]:
 # -- the full classification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Gl2Classification:
-    p: int
-    classes: tuple[ClassRecord, ...]
+    def __init__(self, p: int, classes: tuple[ClassRecord, ...]):
+        self.p = p
+        self.classes = classes
 
     @property
     def total(self) -> int:

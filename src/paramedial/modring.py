@@ -1,9 +1,11 @@
 """Exact arithmetic in Z_{p^k}, its unit group, and 2x2 matrices over Z_p.
 
 Elements and automorphisms of Z_{p^k} are plain ints, least non-negative
-residues mod p^k; ``Modulus`` names the ring.  A matrix over Z_p is the
-flat row-major tuple (a, b, c, d) of least residues and a vector is
-(x, y), so tuple order is the canonical lexicographic order.  The
+residues mod p^k; ``Modulus`` names the ring.  ``Value`` is the base of
+the package's immutable value classes, ``Modulus`` among them.  A
+matrix over Z_p is the flat row-major tuple (a, b, c, d) of least
+residues and a vector is (x, y), so tuple order is the canonical
+lexicographic order.  The
 functions below take p, expect reduced entries and return reduced
 tuples; data from outside is validated and reduced once, by
 ``affine.AffineForm``.
@@ -16,7 +18,7 @@ would even need big ints; constructors reject anything larger.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 from typing import Iterator
 
@@ -44,30 +46,75 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class Modulus:
-    """A prime power p^k, the order of the cyclic group Z_{p^k}."""
+class Value:
+    """Base of the immutable value classes: ``==`` by class and by the
+    fields in ``__slots__``, ``hash`` by the fields, and no assignment
+    after ``__init__``, which sets each field with ``self._set(name, value)``.
 
-    p: int
-    k: int
+    Objects of different classes never compare equal, so, unlike a
+    NamedTuple, a value is never equal to a plain tuple of its fields.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+    _set = object.__setattr__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = operator.attrgetter(*cls.__slots__)  # called as self._key(obj): not a method
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __setstate__(self, state):  # pickle and copy restore (None, {slot: value})
+        for name, value in state[1].items():
+            self._set(name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+def require_int(name: str, value) -> None:
+    """TypeError unless value is an int; a bool is refused too."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+class Modulus(Value):
+    """A prime power p^k, the order of the cyclic group Z_{p^k}; n = p^k."""
+
+    __slots__ = ("p", "k", "n")
+
+    def __init__(self, p: int, k: int):
+        require_int("p", p)
+        require_int("k", k)
         # Range checks first: trial division of a huge p, or p**k for a
         # huge k, would run for an unbounded time before refusing it.
-        if self.p >= MAX_MODULUS:
-            raise ValueError(f"p={self.p} exceeds the supported range (< 2^31)")
-        if self.k < 1:
-            raise ValueError(f"exponent k={self.k} must be >= 1")
-        if self.k > MAX_EXPONENT:
-            raise ValueError(f"exponent k={self.k} exceeds the supported range (<= {MAX_EXPONENT})")
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        if self.p**self.k >= MAX_MODULUS:
-            raise ValueError(f"{self.p}^{self.k} exceeds the supported range (< 2^31)")
-
-    @property
-    def n(self) -> int:
-        return self.p**self.k
+        if p >= MAX_MODULUS:
+            raise ValueError(f"p={p} exceeds the supported range (< 2^31)")
+        if k < 1:
+            raise ValueError(f"exponent k={k} must be >= 1")
+        if k > MAX_EXPONENT:
+            raise ValueError(f"exponent k={k} exceeds the supported range (<= {MAX_EXPONENT})")
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        if p**k >= MAX_MODULUS:
+            raise ValueError(f"{p}^{k} exceeds the supported range (< 2^31)")
+        self._set("p", p)
+        self._set("k", k)
+        self._set("n", p**k)
 
 
 def unit_group(m: Modulus) -> list[int]:

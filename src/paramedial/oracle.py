@@ -26,7 +26,6 @@ and by filtering Aut(G).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .affine import AffineForm, CyclicGroup, GroupDescriptor, QuasigroupTable
@@ -39,7 +38,6 @@ class ResourceLimitError(RuntimeError):
     """A configured size or memory budget would be exceeded."""
 
 
-@dataclass
 class ActionSpec:
     """A finite group action, explicit enough to enumerate orbits.
 
@@ -49,13 +47,23 @@ class ActionSpec:
     given.
     """
 
-    points: Sequence[Any]
-    act: Callable[[Any, Any], Any]
-    compose: Callable[[Any, Any], Any]
-    identity: Any
-    elements: Optional[Sequence[Any]] = None
-    generators: Optional[Sequence[Any]] = None
-    order: Optional[int] = None
+    def __init__(
+        self,
+        points: Sequence[Any],
+        act: Callable[[Any, Any], Any],
+        compose: Callable[[Any, Any], Any],
+        identity: Any,
+        elements: Optional[Sequence[Any]] = None,
+        generators: Optional[Sequence[Any]] = None,
+        order: Optional[int] = None,
+    ):
+        self.points = points
+        self.act = act
+        self.compose = compose
+        self.identity = identity
+        self.elements = elements
+        self.generators = generators
+        self.order = order
 
     def group_order(self) -> int:
         if self.order is not None:
@@ -72,13 +80,20 @@ class ActionSpec:
         raise ValueError("ActionSpec needs either generators or elements")
 
 
-@dataclass
 class OrbitPartition:
-    orbits: tuple[tuple, ...]
-    representatives: tuple
-    stabilizer_orders: tuple[int, ...]
-    group_order: int
-    index: dict = field(repr=False)
+    def __init__(
+        self,
+        orbits: tuple[tuple, ...],
+        representatives: tuple,
+        stabilizer_orders: tuple[int, ...],
+        group_order: int,
+        index: dict,
+    ):
+        self.orbits = orbits
+        self.representatives = representatives
+        self.stabilizer_orders = stabilizer_orders
+        self.group_order = group_order
+        self.index = index
 
 
 def orbits(spec: ActionSpec, max_points: int = DEFAULT_MAX_POINTS) -> OrbitPartition:
@@ -271,12 +286,18 @@ def _pairs(aut: _Automorphisms) -> list:
     return [(phi, psi) for phi in aut.elements for psi in by_square[aut.mul(phi, phi)]]
 
 
-@dataclass
 class TripleClassification:
-    group: GroupDescriptor
-    partition: OrbitPartition
-    count: int
-    representatives: tuple[AffineForm, ...]
+    def __init__(
+        self,
+        group: GroupDescriptor,
+        partition: OrbitPartition,
+        count: int,
+        representatives: tuple[AffineForm, ...],
+    ):
+        self.group = group
+        self.partition = partition
+        self.count = count
+        self.representatives = representatives
 
 
 def encode_triple(form: AffineForm) -> tuple:
@@ -354,7 +375,6 @@ def classify_triples(
 # that least pair with the least constant of that orbit.
 
 
-@dataclass
 class StagedClassification:
     """The classes of ``classify_triples``, found in two stages.
 
@@ -364,11 +384,19 @@ class StagedClassification:
     every constant c there.
     """
 
-    count: int
-    representatives: tuple[AffineForm, ...]
-    pairs: dict = field(repr=False)
-    constants: dict = field(repr=False)
-    apply: Callable[[Any, Any], Any] = field(repr=False)
+    def __init__(
+        self,
+        count: int,
+        representatives: tuple[AffineForm, ...],
+        pairs: dict,
+        constants: dict,
+        apply: Callable[[Any, Any], Any],
+    ):
+        self.count = count
+        self.representatives = representatives
+        self.pairs = pairs
+        self.constants = constants
+        self.apply = apply
 
     def orbit_of(self, form: AffineForm) -> int:
         """The class of (phi, psi, c): that of (phi0, psi0, beta(c))."""

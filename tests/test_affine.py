@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from paramedial.affine import (
     ParamedialConditionError,
     QuasigroupTable,
     _generators,
+    _subgroup_sets,
     invariant_proper_subgroups,
     is_latin,
     is_paramedial,
@@ -286,6 +289,58 @@ def test_elem2_form_fields_are_reduced_int_tuples():
     rec = ClassRecord(form, "case", True)
     rebuilt = form_from_dict(record_to_dict(rec))
     assert rebuilt == form and encode_triple(rebuilt) == encode_triple(form)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (Modulus, (3.0, 1)),
+        (Modulus, (3, True)),
+        (Modulus, ("3", 1)),
+        (ElemAbelian2Group, (3.0,)),
+        (ElemAbelian2Group, (True,)),
+        (cyclic_form, (3, 1, True, 1, 0)),
+        (elem2_form, (3, (1, 0, 0, 1), (1, 0, 0, 1), (0, True))),
+    ],
+    ids=["modulus-float-p", "modulus-bool-k", "modulus-str-p", "elem2-float-p", "elem2-bool-p",
+         "cyclic-bool-phi", "elem2-bool-c"],
+)
+def test_constructors_refuse_non_int_values(make, args):
+    with pytest.raises(TypeError):
+        make(*args)
+
+
+VALUES = {  # class: (a maker, its fields)
+    "Modulus": (lambda: Modulus(3, 2), ("p", "k")),
+    "CyclicGroup": (lambda: CyclicGroup(Modulus(3, 2)), ("modulus",)),
+    "ElemAbelian2Group": (lambda: ElemAbelian2Group(3), ("p",)),
+    "AffineForm": (lambda: cyclic_form(3, 2, 1, 8, 2), ("group", "phi", "psi", "c")),
+    "ClassRecord": (lambda: ClassRecord(cyclic_form(3, 1, 1, 2, 0), "x", True), ("form", "case", "simple")),
+    "QuasigroupTable": (lambda: QuasigroupTable(2, ((0, 1), (1, 0))), ("n", "rows")),
+}
+
+
+@pytest.mark.parametrize("make, names", VALUES.values(), ids=VALUES.keys())
+def test_value_classes_are_immutable_and_compare_by_fields(make, names):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    fields = tuple(getattr(a, name) for name in names)
+    assert a != fields and fields != a  # no tuple equality, as a NamedTuple would have
+    assert all(a != other() for other, _ in VALUES.values() if other is not make)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+    assert a == b == pickle.loads(pickle.dumps(a)) == copy.deepcopy(a)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: ElemAbelian2Group(5), lambda: CyclicGroup(Modulus(3, 3))], ids=["elem2", "cyclic"]
+)
+def test_equal_groups_share_the_subgroup_cache(make):
+    _subgroup_sets.cache_clear()
+    first = _subgroup_sets(make())
+    assert _subgroup_sets(make()) is first
+    assert _subgroup_sets.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 CYCLIC_PAIRS_9 = [(phi, psi) for phi in range(1, 9) for psi in range(1, 9)

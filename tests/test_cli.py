@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -269,8 +270,6 @@ def test_manifest_carries_digest(tmp_path, capsys):
     )
     assert code == 0
     manifest = json.loads(manifest_file.read_text())
-    import hashlib
-
     digest = "sha256:" + hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert manifest["output_digest"] == digest
     assert manifest["command"] == "enumerate"
@@ -317,8 +316,19 @@ def test_json_round_trip():
         {"group": {"kind": "cyclic", "p": 3, "k": 2}, "phi": [[2, 5]], "psi": [[7], [1]], "c": [4, 99]},
         {"group": {"kind": "elem2", "p": 3}, "phi": [[1, 0, 0], [1]], "psi": [[1, 0], [0, 1]], "c": [0, 0]},
         {"group": {"kind": "elem3", "p": 3}, "phi": [[1, 0], [0, 1]], "psi": [[1, 0], [0, 1]], "c": [0, 0]},
+        {"group": {"kind": "cyclic", "p": 3, "k": 1}, "phi": [[1]], "psi": [[1]]},
+        {"group": {"kind": "cyclic", "p": 3}, "phi": [[1]], "psi": [[1]], "c": [0]},
+        [["group", "cyclic"]],
+        {"group": "elem2 3", "phi": [[1, 0], [0, 1]], "psi": [[1, 0], [0, 1]], "c": [0, 0]},
+        {"group": {"kind": "cyclic", "p": 3, "k": 1}, "phi": [[True]], "psi": [[1]], "c": [0]},
+        {"group": {"kind": "elem2", "p": 3}, "phi": [[1, 0], [0, 1]], "psi": [[1, 0], [0, 1]], "c": [0, False]},
+        {"group": {"kind": "elem2", "p": 3.0}, "phi": [[1, 0], [0, 1]], "psi": [[1, 0], [0, 1]], "c": [0, 0]},
+        {"group": {"kind": "cyclic", "p": 3, "k": 1}, "phi": [[1.0]], "psi": [[1]], "c": [0]},
     ],
-    ids=["cyclic-wide-rows", "elem2-ragged-rows", "unknown-kind"],
+    ids=[
+        "cyclic-wide-rows", "elem2-ragged-rows", "unknown-kind", "missing-c", "missing-k", "record-not-dict",
+        "group-not-dict", "bool-phi", "bool-c", "float-p", "float-phi",
+    ],
 )
 def test_form_from_dict_rejects_malformed_records(record):
     with pytest.raises(ValueError):
@@ -376,6 +386,44 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "all checks passed" in result.stdout
     assert sorted(p.name for p in tmp_path.iterdir()) == ["elem2-3.csv", "elem2-3.json", "elem2-3.tables"]
+
+
+STARTUP_RUN = """
+import os
+import sys
+import paramedial.cli
+
+for argv in (["count", "--order", "9"], ["verify", "--group", "elem2", "3"]):
+    assert paramedial.cli.main(argv) == 0, argv
+lazy = ("dataclasses", "inspect", "hashlib", "datetime", "csv", "tempfile")
+print("loaded:", [m for m in lazy if m in sys.modules])
+
+cache, out = sys.argv[1:]
+os.environ["PARAMEDIAL_CACHE_DIR"] = cache
+argv = ["enumerate", "--group", "elem2", "3", "--out", out]
+assert paramedial.cli.main(argv) == 0
+paramedial.cli._records_for = None  # a second run that missed the cache would fail
+assert paramedial.cli.main(argv) == 0
+print("cached:", os.listdir(cache))
+"""
+
+
+def test_short_requests_leave_unused_stdlib_unloaded(tmp_path):
+    # count and verify use no cache, manifest or csv, so they load none of
+    # the modules those paths import, and nothing loads dataclasses.  -S
+    # keeps out whatever the .pth files of site-packages happen to import.
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = src
+    argv = [sys.executable, "-S", "-c", STARTUP_RUN, str(tmp_path / "cache"), str(tmp_path / "out.json")]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[-2] == "loaded: []"
+    # the enumerate entry is still named by the sha256 of its canonical request
+    params = {"group": {"kind": "elem2", "p": 3}, "simple_only": False, "format": "json"}
+    canon = json.dumps({"command": "enumerate", "params": params, "version": paramedial.__version__}, sort_keys=True)
+    assert lines[-1] == f"cached: ['{hashlib.sha256(canon.encode()).hexdigest()}.out']"
 
 
 def _reference_render(records, fmt: str) -> bytes:

@@ -22,7 +22,6 @@ construction; everything downstream relies on that.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Union
 
 from .modring import MAX_MODULUS, Mat2, Modulus, Value, Vec2, is_prime, mat_det, mat_mul, mat_vec, require_int
 
@@ -87,7 +86,7 @@ class ElemAbelian2Group(Value):
         return f"elem2({self.p})"
 
 
-GroupDescriptor = Union[CyclicGroup, ElemAbelian2Group]
+GroupDescriptor = CyclicGroup | ElemAbelian2Group
 
 
 class AffineForm(Value):
@@ -105,7 +104,7 @@ class AffineForm(Value):
 
     __slots__ = ("group", "phi", "psi", "c")
 
-    def __init__(self, group: GroupDescriptor, phi: Union[int, Mat2], psi: Union[int, Mat2], c: Union[int, Vec2]):
+    def __init__(self, group: GroupDescriptor, phi: int | Mat2, psi: int | Mat2, c: int | Vec2):
         if isinstance(group, CyclicGroup):
             m = group.modulus
             if not (type(phi) is int and type(psi) is int and type(c) is int):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 
@@ -153,6 +152,8 @@ def _json_template(group: GroupDescriptor) -> str:
     placeholders for c, case, phi, psi and simple in that (key) order.
     The strings "\\0d" and "\\0s" hold their places through json.dumps;
     digits would not, since the group's own fields are digits (p = 101)."""
+    import json
+
     d = ("\0d",) * (1 if isinstance(group, CyclicGroup) else 4)
     text = json.dumps([_record_dict(group, d, d, d[:2], "\0s", "\0s")], indent=2, sort_keys=True)
     return text[2:-2].replace(r'"\u0000d"', "%d").replace(r'"\u0000s"', "%s")
@@ -163,6 +164,8 @@ def render_records(records: list[ClassRecord], fmt: str) -> bytes:
     json.dumps([record_to_dict(r) ...], indent=2, sort_keys=True) + "\n",
     but each record is written through its group's template."""
     if fmt == "json":
+        from json.encoder import encode_basestring_ascii
+
         # Each record is encoded as it is written, so the output exists
         # once as parts and once joined, never also as one str.
         parts = []
@@ -173,7 +176,7 @@ def render_records(records: list[ClassRecord], fmt: str) -> bytes:
                 group = rec.form.group
                 template = _json_template(group)
             phi, psi, c = _entries(rec.form)
-            case = json.encoder.encode_basestring_ascii(rec.case)  # as json.dumps writes a str
+            case = encode_basestring_ascii(rec.case)  # as json.dumps writes a str
             values = (*c, case, *phi, *psi, "true" if rec.simple else "false")
             parts.append((separator + template % values).encode())
             separator = ",\n"
@@ -209,6 +212,8 @@ def render_records(records: list[ClassRecord], fmt: str) -> bytes:
 #
 # hashlib, datetime and tempfile are imported by the functions that use
 # them: a request without a cache directory or a manifest never loads them.
+# So is json, which only a json render, a cache key, a manifest and
+# count --json need.
 
 
 def _sha256(data: bytes) -> str:
@@ -223,6 +228,8 @@ def _cache_path(command: str, params: dict) -> str | None:
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return None
+    import json
+
     canon = json.dumps({"command": command, "params": params, "version": __version__}, sort_keys=True)
     return os.path.join(cache_dir, f"{_sha256(canon.encode())}.out")
 
@@ -254,6 +261,7 @@ def _cache_store(path: str | None, data: bytes) -> None:
 
 
 def _write_manifest(path: str, command: str, params: dict, data: bytes) -> None:
+    import json
     from datetime import datetime, timezone
 
     manifest = {
@@ -291,6 +299,8 @@ def cmd_count(args, parser) -> int:
         count = _closed_count(group)
         params = {"group": _group_json(group)}
     if args.json:
+        import json
+
         print(json.dumps({"command": "count", **params, "count": count}, sort_keys=True))
     else:
         print(count)

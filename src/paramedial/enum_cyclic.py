@@ -24,7 +24,7 @@ flags against ``affine.is_simple``.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .affine import AffineForm, ClassRecord, CyclicGroup
 from .modring import MAX_MODULUS, Modulus, unit_group

@@ -26,7 +26,7 @@ labelled ``p2-oracle`` with its simplicity from affine.is_simple.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from .affine import AffineForm, ClassRecord, ElemAbelian2Group, is_simple
 from .modring import (
@@ -77,7 +77,7 @@ class ConjClass:
     an irreducible x^2 - b x - a.
     """
 
-    def __init__(self, p: int, kind: str, a: int, b: Optional[int], rep: Mat2):
+    def __init__(self, p: int, kind: str, a: int, b: int | None, rep: Mat2):
         self.p = p
         self.kind = kind
         self.a = a

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 MAX_MODULUS = 2**31
 MAX_EXPONENT = 30  # p^k < 2^31 with p >= 2 needs k <= 30

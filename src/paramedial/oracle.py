@@ -21,12 +21,20 @@ with a transporter from each pair to the least pair of its orbit, then
 the orbits of the constants c under the stabilizer of each least pair
 and the translations.  Both are brute force, by closure under generators
 and by filtering Aut(G).
+
+Explicit Cayley tables are compared by ``table_isomorphic``, a raw
+backtracking search for a bijection.  ``classify_tables`` first buckets
+the tables by an isomorphism invariant (the order and the sorted
+row/column cycle types and diagonal profile), computed once per table,
+then runs that search only between a table and the earlier class
+representatives in its bucket; every match is still decided by the search.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .affine import AffineForm, CyclicGroup, GroupDescriptor, QuasigroupTable
 from .modring import unit_group
@@ -49,13 +57,13 @@ class ActionSpec:
 
     def __init__(
         self,
-        points: Sequence[Any],
-        act: Callable[[Any, Any], Any],
-        compose: Callable[[Any, Any], Any],
-        identity: Any,
-        elements: Optional[Sequence[Any]] = None,
-        generators: Optional[Sequence[Any]] = None,
-        order: Optional[int] = None,
+        points: Sequence,
+        act: Callable[[object, object], object],
+        compose: Callable[[object, object], object],
+        identity: object,
+        elements: Sequence | None = None,
+        generators: Sequence | None = None,
+        order: int | None = None,
     ):
         self.points = points
         self.act = act
@@ -72,7 +80,7 @@ class ActionSpec:
             return len(self.elements)
         raise ValueError("ActionSpec needs either order or elements")
 
-    def generating_set(self) -> Sequence[Any]:
+    def generating_set(self) -> Sequence:
         if self.generators is not None:
             return self.generators
         if self.elements is not None:
@@ -190,19 +198,18 @@ def validate_action(spec: ActionSpec, rng, samples: int = 30) -> None:
 # over the exhaustive triple set.
 
 
-class _Automorphisms(NamedTuple):
-    """Aut(G) and G, as both classifiers use them."""
-
-    elements: list  # Aut(G), in increasing order
-    generators: list  # automorphisms that generate Aut(G)
-    identity: Any
-    mul: Callable[[Any, Any], Any]
-    inv: Callable[[Any], Any]
-    apply: Callable[[Any, Any], Any]  # an endomorphism of G applied to an element
-    add: Callable[[Any, Any], Any]
-    points: Sequence[Any]  # G, in increasing order, from 0
-    basis: list  # elements that generate G
-    one_minus: Callable[[Any, Any], Any]  # (phi, psi) -> the endomorphism 1 - phi - psi
+# Aut(G) and G, as both classifiers use them:
+#   elements    Aut(G), in increasing order
+#   generators  automorphisms that generate Aut(G)
+#   identity    the identity of Aut(G); mul and inv its product and inverse
+#   apply       an endomorphism of G applied to an element
+#   add         the addition of G
+#   points      G, in increasing order, from 0
+#   basis       elements that generate G
+#   one_minus   (phi, psi) -> the endomorphism 1 - phi - psi
+_Automorphisms = namedtuple(
+    "_Automorphisms", "elements generators identity mul inv apply add points basis one_minus"
+)
 
 
 def _unit_generators(units: Sequence[int], n: int) -> list[int]:
@@ -390,7 +397,7 @@ class StagedClassification:
         representatives: tuple[AffineForm, ...],
         pairs: dict,
         constants: dict,
-        apply: Callable[[Any, Any], Any],
+        apply: Callable[[object, object], object],
     ):
         self.count = count
         self.representatives = representatives
@@ -693,15 +700,29 @@ def simple_via_subgroup_congruences(form: AffineForm) -> bool:
 
 
 def classify_tables(tables: Sequence[QuasigroupTable], max_order: int = 9) -> list[int]:
-    """Partition explicit tables into isomorphism classes; returns class ids."""
-    reps: list[QuasigroupTable] = []
-    ids = []
+    """Partition explicit tables into isomorphism classes; returns class ids.
+
+    Classes are numbered in order of first sighting, and a table joins the
+    first earlier representative it is isomorphic to.  Each table's order
+    and sorted ``_signature`` are computed once as its bucket key; they are
+    invariant under isomorphism (``table_isomorphic`` rejects a pair whose
+    keys differ), so only the representatives in a table's own bucket can
+    match it, and the raw search is run against those alone.
+    """
     for t in tables:
-        for i, r in enumerate(reps):
+        if t.n > max_order:
+            raise ResourceLimitError(f"a table of order {t.n} exceeds the bound {max_order}")
+    buckets: dict = {}  # key -> [(class id, representative)], in order of sighting
+    ids = []
+    classes = 0
+    for t in tables:
+        bucket = buckets.setdefault((t.n, tuple(sorted(_signature(t.rows)))), [])
+        for i, r in bucket:
             if table_isomorphic(t, r, max_order=max_order):
                 ids.append(i)
                 break
         else:
-            ids.append(len(reps))
-            reps.append(t)
+            ids.append(classes)
+            bucket.append((classes, t))
+            classes += 1
     return ids

@@ -395,7 +395,7 @@ import paramedial.cli
 
 for argv in (["count", "--order", "9"], ["verify", "--group", "elem2", "3"]):
     assert paramedial.cli.main(argv) == 0, argv
-lazy = ("dataclasses", "inspect", "hashlib", "datetime", "csv", "tempfile")
+lazy = ("dataclasses", "inspect", "hashlib", "datetime", "csv", "tempfile", "json", "typing")
 print("loaded:", [m for m in lazy if m in sys.modules])
 
 cache, out = sys.argv[1:]
@@ -409,8 +409,9 @@ print("cached:", os.listdir(cache))
 
 
 def test_short_requests_leave_unused_stdlib_unloaded(tmp_path):
-    # count and verify use no cache, manifest or csv, so they load none of
-    # the modules those paths import, and nothing loads dataclasses.  -S
+    # count and verify use no cache, manifest, csv or json output, so they
+    # load none of the modules those paths import, and nothing loads
+    # dataclasses or typing.  -S
     # keeps out whatever the .pth files of site-packages happen to import.
     src = os.path.dirname(os.path.dirname(paramedial.__file__))
     env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}

@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import random
 
@@ -12,6 +14,7 @@ from paramedial.affine import (
 )
 from paramedial.enum_cyclic import closed_form_count, enumerate_cyclic
 from paramedial.enum_gl2 import enumerate_gl2
+from paramedial import oracle
 from paramedial.modring import Modulus, gl2, mat_inv, mat_mul
 from paramedial.oracle import (
     ActionSpec,
@@ -30,6 +33,7 @@ from paramedial.oracle import (
     table_is_simple,
     table_isomorphic,
     _automorphisms,
+    _signature,
     triple_action_spec,
     validate_action,
 )
@@ -253,6 +257,108 @@ def test_classify_tables_partitions_all_order_three_triples():
     tables = [materialize(decode_triple(group, t)) for t in spec.points]
     ids = classify_tables(tables)
     assert len(set(ids)) == 5
+    assert ids == _classify_pairwise(tables)
+
+
+# -- classify_tables: invariant buckets, then the raw search -----------------------
+
+
+def _classify_pairwise(tables):
+    """The reference: each table searched against every class found so far."""
+    reps, ids = [], []
+    for t in tables:
+        for i, r in enumerate(reps):
+            if table_isomorphic(t, r):
+                ids.append(i)
+                break
+        else:
+            ids.append(len(reps))
+            reps.append(t)
+    return ids
+
+
+def _relabelled(table, rng):
+    perm = list(range(table.n))
+    rng.shuffle(perm)
+    inv = sorted(range(table.n), key=perm.__getitem__)
+    return raw_table(lambda x, y: perm[table.rows[inv[x]][inv[y]]], table.n)
+
+
+@functools.cache
+def _order_nine_reps():
+    """The 50 class representatives of order 9, pairwise non-isomorphic."""
+    forms = [r.form for r in enumerate_gl2(3).records()] + list(enumerate_cyclic(Modulus(3, 2)).forms)
+    return tuple(materialize(f) for f in forms)
+
+
+def _order_nine_tables(seed):
+    """The representatives, then one relabelled copy of each in a seeded
+    order, and the source class of every copy."""
+    rng = random.Random(seed)
+    reps = list(_order_nine_reps())
+    sources = list(range(len(reps)))
+    rng.shuffle(sources)
+    return reps + [_relabelled(reps[i], rng) for i in sources], sources
+
+
+def _count_searches(monkeypatch):
+    calls = []
+
+    def counted(t1, t2, max_order=9):
+        calls.append((t1.n, t2.n))
+        return table_isomorphic(t1, t2, max_order=max_order)
+
+    monkeypatch.setattr(oracle, "table_isomorphic", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_classify_tables_matches_the_pairwise_reference_at_order_nine(seed):
+    tables, sources = _order_nine_tables(seed)
+    ids = classify_tables(tables)
+    assert ids == list(range(50)) + sources
+    assert ids == _classify_pairwise(tables)
+
+
+def test_classify_tables_matches_the_pairwise_reference_on_mixed_orders():
+    rng = random.Random(7)
+    forms = [
+        *enumerate_cyclic(Modulus(3, 1)).forms,
+        *enumerate_cyclic(Modulus(2, 2)).forms,
+        *(r.form for r in enumerate_gl2(2).records()),
+        *enumerate_cyclic(Modulus(5, 1)).forms,
+    ]
+    tables = [materialize(f) for f in forms] + list(_order_nine_reps()[::5])
+    tables += [_relabelled(t, rng) for t in tables]
+    rng.shuffle(tables)
+    ids = classify_tables(tables)
+    assert ids == _classify_pairwise(tables)
+    assert max(ids) + 1 == len(tables) // 2
+
+
+def test_invariant_buckets_hold_non_isomorphic_tables():
+    # The bucket key is not a complete invariant: several order-9 buckets
+    # hold two or more classes, which only the raw search tells apart.
+    keys = collections.Counter(tuple(sorted(_signature(t.rows))) for t in _order_nine_reps())
+    assert max(keys.values()) >= 2
+
+
+def test_classify_tables_searches_only_inside_buckets(monkeypatch):
+    tables, sources = _order_nine_tables(1)
+    calls = _count_searches(monkeypatch)
+    assert classify_tables(tables) == list(range(50)) + sources
+    assert 50 <= len(calls) <= 100  # every copy is searched at least once; pairwise took 2 500
+
+
+def test_classify_tables_checks_every_order_before_any_search(monkeypatch):
+    small = materialize(enumerate_cyclic(Modulus(3, 1)).forms[0])
+    big = raw_table(lambda x, y: (x + y) % 10, 10)
+    calls = _count_searches(monkeypatch)
+    for tables in ([big], [small, big], [big, big], [small, small, big]):
+        with pytest.raises(ResourceLimitError, match="order 10 exceeds the bound 9"):
+            classify_tables(tables)
+    assert calls == []
+    assert classify_tables([big, small, big], max_order=10) == [0, 1, 0]
 
 
 # -- congruences -------------------------------------------------------------------

@@ -30,10 +30,25 @@ class ParamedialConditionError(ValueError):
     """Affine data whose automorphisms do not satisfy phi^2 = psi^2."""
 
 
-class CyclicGroup(Value):
+class GroupDescriptor:
+    """The base of the two group classes, each the one place that knows its
+    kind: ``params()`` names it as json output and cache keys do,
+    ``closed_count`` and ``records`` reach its enumerator, ``dim`` counts
+    an element's coordinates and ``entries`` flattens a form's data."""
+
+    __slots__ = ()
+
+    def describe(self) -> str:
+        """The group as ``kind(p[,k])``, e.g. cyclic(3,2) or elem2(5)."""
+        params = self.params()
+        return f"{params.pop('kind')}({','.join(map(str, params.values()))})"
+
+
+class CyclicGroup(GroupDescriptor, Value):
     """The cyclic group Z_{p^k} with elements encoded as 0..p^k-1."""
 
     __slots__ = ("modulus",)
+    dim = 1
 
     def __init__(self, modulus: Modulus):
         self._set("modulus", modulus)
@@ -51,14 +66,33 @@ class CyclicGroup(Value):
     def encode(self, element: int) -> int:
         return element
 
-    def describe(self) -> str:
-        return f"cyclic({self.modulus.p},{self.modulus.k})"
+    def params(self) -> dict:
+        return {"kind": "cyclic", "p": self.modulus.p, "k": self.modulus.k}
+
+    def closed_count(self, simple_only: bool = False) -> int:
+        """The number of classes, or of simple ones: all when k = 1, none when k > 1."""
+        from . import enum_cyclic  # through the module, whose globals a tracer may wrap
+
+        if simple_only and self.modulus.k > 1:
+            return 0
+        return enum_cyclic.closed_form_count(self.modulus)
+
+    def records(self) -> list[ClassRecord]:
+        from . import enum_cyclic
+
+        return list(enum_cyclic.enumerate_cyclic(self.modulus).records)
+
+    @staticmethod
+    def entries(form: AffineForm) -> tuple[tuple[int], tuple[int], tuple[int]]:
+        """phi, psi and c of a form over the group as flat row-major tuples."""
+        return (form.phi,), (form.psi,), (form.c,)
 
 
-class ElemAbelian2Group(Value):
+class ElemAbelian2Group(GroupDescriptor, Value):
     """The group Z_p x Z_p with (x, y) encoded as x*p + y."""
 
     __slots__ = ("p",)
+    dim = 2
 
     def __init__(self, p: int):
         require_int("p", p)
@@ -82,11 +116,24 @@ class ElemAbelian2Group(Value):
     def encode(self, element: Vec2) -> int:
         return element[0] * self.p + element[1]
 
-    def describe(self) -> str:
-        return f"elem2({self.p})"
+    def params(self) -> dict:
+        return {"kind": "elem2", "p": self.p}
 
+    def closed_count(self, simple_only: bool = False) -> int:
+        """The number of classes, or of simple ones."""
+        from . import enum_cyclic
 
-GroupDescriptor = CyclicGroup | ElemAbelian2Group
+        return (enum_cyclic.simple_closed_count if simple_only else enum_cyclic.gl2_closed_count)(self.p)
+
+    def records(self) -> list[ClassRecord]:
+        from . import enum_gl2
+
+        return enum_gl2.enumerate_gl2(self.p).records()
+
+    @staticmethod
+    def entries(form: AffineForm) -> tuple[Mat2, Mat2, Vec2]:
+        """phi, psi and c of a form over the group as flat row-major tuples."""
+        return form.phi, form.psi, form.c
 
 
 class AffineForm(Value):

@@ -8,6 +8,9 @@ replays the exact bytes once the digest matches (otherwise it recomputes).
 Run manifests (which carry a timestamp) are only written on request via
 --manifest, never into the primary output.
 
+What depends on the kind of group comes from the group classes in
+``affine``; the one choice by kind made here is which checks ``verify`` prints.
+
 Exit codes: 0 success, 1 verification failure, 2 usage/order/IO error,
 3 resource or bound exceeded.
 """
@@ -30,17 +33,10 @@ from .affine import (
     materialize,
     table_to_text,
 )
-from .enum_cyclic import (
-    UnsupportedOrder,
-    closed_form_count,
-    enumerate_cyclic,
-    gl2_closed_count,
-    pq_total,
-    simple_closed_count,
-)
-from .enum_gl2 import coset_reps_for, enumerate_gl2
+from .enum_cyclic import UnsupportedOrder, pq_total
+from .enum_gl2 import coset_reps_for
 from .modring import Mat2, Modulus, Vec2, mat_det, mat_mul
-from .oracle import ResourceLimitError, classify_two_stage, encode_triple
+from .oracle import ResourceLimitError, classify_two_stage
 
 CACHE_ENV = "PARAMEDIAL_CACHE_DIR"
 
@@ -66,40 +62,23 @@ def _parse_group(tokens: list[str], parser: argparse.ArgumentParser) -> GroupDes
     parser.exit(EXIT_USAGE, f"error: {expected}, got {tokens!r}\n")
 
 
-def _group_json(group: GroupDescriptor) -> dict:
-    if isinstance(group, CyclicGroup):
-        return {"kind": "cyclic", "p": group.modulus.p, "k": group.modulus.k}
-    return {"kind": "elem2", "p": group.p}
-
-
-def _closed_count(group: GroupDescriptor) -> int:
-    if isinstance(group, CyclicGroup):
-        return closed_form_count(group.modulus)
-    return gl2_closed_count(group.p)
-
-
 def _require_record_bound(command: str, group: GroupDescriptor) -> None:
     """Refuse, before any work, a group with more classes than MAX_RECORDS."""
-    count = _closed_count(group)
+    count = group.closed_count()
     if count > MAX_RECORDS:
         raise ResourceLimitError(f"{command} is bounded to {MAX_RECORDS} classes, {group.describe()} has {count}")
 
 
-def _records_for(group: GroupDescriptor) -> list[ClassRecord]:
-    if isinstance(group, CyclicGroup):
-        return list(enumerate_cyclic(group.modulus).records)
-    return enumerate_gl2(group.p).records()
-
-
 def record_to_dict(rec: ClassRecord) -> dict:
     """JSON form of one class: matrices as lists of rows, vectors flat."""
-    return _record_dict(rec.form.group, *_entries(rec.form), rec.simple, rec.case)
+    group = rec.form.group
+    return _record_dict(group, *group.entries(rec.form), rec.simple, rec.case)
 
 
 def _record_dict(group: GroupDescriptor, phi: tuple, psi: tuple, c: tuple, simple, case) -> dict:
-    dim = len(c)
+    dim = group.dim
     return {
-        "group": _group_json(group),
+        "group": group.params(),
         "phi": [list(phi[i : i + dim]) for i in range(0, dim * dim, dim)],
         "psi": [list(psi[i : i + dim]) for i in range(0, dim * dim, dim)],
         "c": list(c),
@@ -133,18 +112,20 @@ def form_from_dict(d: dict) -> AffineForm:
         raise ValueError(f"malformed record: {exc!r}") from None
 
 
-def _entries(form: AffineForm) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """phi, psi and c of a form as flat row-major tuples of ints."""
-    if isinstance(form.group, CyclicGroup):
-        return (form.phi,), (form.psi,), (form.c,)
-    return form.phi, form.psi, form.c
-
-
-def _flat_fields(form: AffineForm) -> tuple[str, str, str]:
-    """phi, psi and c as csv and table headers show them: matrix rows
-    split by ';', entries by ','."""
-    matrix, vector = ("%d", "%d") if isinstance(form.group, CyclicGroup) else ("%d,%d;%d,%d", "%d,%d")
-    return matrix % form.phi, matrix % form.psi, vector % form.c
+def _flat_rows(records: list[ClassRecord]):
+    """Each record as csv rows and table headers show it: group, phi, psi,
+    c, simple and case, matrix rows split by ';' and entries by ','.  The
+    %-formats are chosen once per run of records over one group."""
+    group = None
+    for rec in records:
+        form = rec.form
+        if form.group is not group:
+            group = form.group
+            name = group.describe()
+            vector = ",".join(["%d"] * group.dim)
+            matrix = ";".join([vector] * group.dim)
+        simple = "true" if rec.simple else "false"
+        yield name, matrix % form.phi, matrix % form.psi, vector % form.c, simple, rec.case
 
 
 def _json_template(group: GroupDescriptor) -> str:
@@ -154,8 +135,9 @@ def _json_template(group: GroupDescriptor) -> str:
     digits would not, since the group's own fields are digits (p = 101)."""
     import json
 
-    d = ("\0d",) * (1 if isinstance(group, CyclicGroup) else 4)
-    text = json.dumps([_record_dict(group, d, d, d[:2], "\0s", "\0s")], indent=2, sort_keys=True)
+    d = ("\0d",) * group.dim
+    matrix = d * group.dim
+    text = json.dumps([_record_dict(group, matrix, matrix, d, "\0s", "\0s")], indent=2, sort_keys=True)
     return text[2:-2].replace(r'"\u0000d"', "%d").replace(r'"\u0000s"', "%s")
 
 
@@ -170,12 +152,12 @@ def render_records(records: list[ClassRecord], fmt: str) -> bytes:
         # once as parts and once joined, never also as one str.
         parts = []
         separator = "[\n"
-        group = template = None
+        group = template = entries = None
         for rec in records:
             if rec.form.group is not group:
                 group = rec.form.group
-                template = _json_template(group)
-            phi, psi, c = _entries(rec.form)
+                template, entries = _json_template(group), group.entries
+            phi, psi, c = entries(rec.form)
             case = encode_basestring_ascii(rec.case)  # as json.dumps writes a str
             values = (*c, case, *phi, *psi, "true" if rec.simple else "false")
             parts.append((separator + template % values).encode())
@@ -188,21 +170,12 @@ def render_records(records: list[ClassRecord], fmt: str) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["group", "phi", "psi", "c", "simple", "case"])
-        writer.writerows(
-            (rec.form.group.describe(), *_flat_fields(rec.form), "true" if rec.simple else "false", rec.case)
-            for rec in records
-        )
+        writer.writerows(_flat_rows(records))
         return buf.getvalue().encode()
     if fmt == "tables":
         chunks = []
-        for rec in records:
-            phi, psi, c = _flat_fields(rec.form)
-            header = (
-                f"# group={rec.form.group.describe()}"
-                f" case={rec.case}"
-                f" simple={'true' if rec.simple else 'false'}"
-                f" phi={phi} psi={psi} c={c}"
-            )
+        for rec, (group, phi, psi, c, simple, case) in zip(records, _flat_rows(records)):
+            header = f"# group={group} case={case} simple={simple} phi={phi} psi={psi} c={c}"
             chunks.append(header + "\n" + table_to_text(materialize(rec.form)))
         return "\n".join(chunks).encode()
     raise ValueError(f"unknown format {fmt!r}")
@@ -296,8 +269,8 @@ def cmd_count(args, parser) -> int:
         params = {"order": args.order}
     else:
         group = _parse_group(args.group, parser)
-        count = _closed_count(group)
-        params = {"group": _group_json(group)}
+        count = group.closed_count()
+        params = {"group": group.params()}
     if args.json:
         import json
 
@@ -310,8 +283,16 @@ def cmd_count(args, parser) -> int:
 def cmd_enumerate(args, parser) -> int:
     group = _parse_group(args.group, parser)
     _require_record_bound("enumerate", group)
+    if args.format == "tables":
+        count = group.closed_count(args.simple_only)
+        entries = count * group.order**2
+        if entries > TABLES_MAX_ENTRIES:
+            raise ResourceLimitError(
+                f"--format tables is bounded to {TABLES_MAX_ENTRIES} table entries, "
+                f"{group.describe()} needs {count} tables of {group.order}^2 = {entries}"
+            )
     params = {
-        "group": _group_json(group),
+        "group": group.params(),
         "simple_only": args.simple_only,
         "format": args.format,
     }
@@ -320,16 +301,9 @@ def cmd_enumerate(args, parser) -> int:
     try:
         data = _cache_load(key_path)
         if data is None:
-            records = _records_for(group)
+            records = group.records()
             if args.simple_only:
                 records = [r for r in records if r.simple]
-            if args.format == "tables":
-                entries = len(records) * group.order**2
-                if entries > TABLES_MAX_ENTRIES:
-                    raise ResourceLimitError(
-                        f"--format tables is bounded to {TABLES_MAX_ENTRIES} table entries, "
-                        f"{group.describe()} needs {len(records)} tables of {group.order}^2 = {entries}"
-                    )
             data = render_records(records, args.format)
             _cache_store(key_path, data)
         action = f"write {args.out or '<stdout>'}"
@@ -357,16 +331,9 @@ class _Report:
             print(f"FAIL: {name}" + (f" ({detail})" if detail else ""))
 
 
-def _verify_against_oracle(
-    group: GroupDescriptor, forms: tuple[AffineForm, ...], expected: int, report: _Report
-) -> None:
+def _verify_against_oracle(group: GroupDescriptor, forms: list[AffineForm], expected: int, report: _Report) -> None:
     """Check that the orbit oracle finds `expected` classes and that the
     forms hit each of them exactly once."""
-    if group.order > ORACLE_MAX_ORDER:
-        raise ResourceLimitError(
-            f"oracle verification is bounded to groups of order <= {ORACLE_MAX_ORDER}, "
-            f"{group.describe()} has order {group.order}"
-        )
     oracle_cls = classify_two_stage(group, max_order=ORACLE_MAX_ORDER)
     report.check(
         f"oracle orbit count equals {expected}",
@@ -380,35 +347,19 @@ def _verify_against_oracle(
     )
 
 
-def _verify_cyclic(group: CyclicGroup, level: str, report: _Report) -> None:
+def _verify_cyclic(group: CyclicGroup, records: list[ClassRecord], report: _Report) -> None:
     m = group.modulus
-    cls = enumerate_cyclic(m)
-    forms = cls.forms
-    expected = closed_form_count(m)
-    report.check(
-        f"count over Z_{m.n} equals closed form {expected}",
-        cls.count == expected,
-        f"got {cls.count}",
-    )
+    forms = [rec.form for rec in records]
     ok_units = all(f.phi % m.p != 0 and f.psi % m.p != 0 for f in forms)
     report.check("phi and psi are units", ok_units)
     ok_pm = all((f.phi**2 - f.psi**2) % m.n == 0 for f in forms)
     report.check("phi^2 = psi^2 for every class", ok_pm)
-    keys = [encode_triple(f) for f in forms]
+    keys = [(f.phi, f.psi, f.c) for f in forms]
     report.check("classes are sorted and distinct", keys == sorted(set(keys)))
-    if level == "oracle":
-        _verify_against_oracle(group, forms, expected, report)
 
 
-def _verify_elem2(group: ElemAbelian2Group, level: str, report: _Report) -> None:
+def _verify_elem2(group: ElemAbelian2Group, records: list[ClassRecord], report: _Report) -> None:
     p = group.p
-    records = enumerate_gl2(p).records()
-    expected = gl2_closed_count(p)
-    report.check(
-        f"count over Z_{p}^2 equals closed form {expected}",
-        len(records) == expected,
-        f"got {len(records)}",
-    )
     constants: dict[tuple[Mat2, Mat2], list[Vec2]] = {}
     for rec in records:
         constants.setdefault((rec.form.phi, rec.form.psi), []).append(rec.form.c)
@@ -421,7 +372,7 @@ def _verify_elem2(group: ElemAbelian2Group, level: str, report: _Report) -> None
     )
     report.check("rows satisfy phi^2 = psi^2 with admissible constants", ok_struct)
     simple_total = sum(rec.simple for rec in records)
-    formula = simple_closed_count(p)
+    formula = group.closed_count(simple_only=True)
     report.check(
         f"simple class count equals {formula}",
         simple_total == formula,
@@ -429,18 +380,28 @@ def _verify_elem2(group: ElemAbelian2Group, level: str, report: _Report) -> None
     )
     ok_flags = all(is_simple(rec.form) == rec.simple for rec in records)
     report.check("simplicity flags match the invariant-subgroup criterion", ok_flags)
-    if level == "oracle":
-        _verify_against_oracle(group, tuple(rec.form for rec in records), expected, report)
 
 
 def cmd_verify(args, parser) -> int:
     group = _parse_group(args.group, parser)
     _require_record_bound("verify", group)
-    report = _Report()
+    if args.level == "oracle" and group.order > ORACLE_MAX_ORDER:
+        raise ResourceLimitError(
+            f"oracle verification is bounded to groups of order <= {ORACLE_MAX_ORDER}, "
+            f"{group.describe()} has order {group.order}"
+        )
+    # The one choice by kind: the pinned stdout names the group and lists the checks per kind.
     if isinstance(group, CyclicGroup):
-        _verify_cyclic(group, args.level, report)
+        name, checks = f"Z_{group.order}", _verify_cyclic
     else:
-        _verify_elem2(group, args.level, report)
+        name, checks = f"Z_{group.p}^2", _verify_elem2
+    records = group.records()
+    expected = group.closed_count()
+    report = _Report()
+    report.check(f"count over {name} equals closed form {expected}", len(records) == expected, f"got {len(records)}")
+    checks(group, records, report)
+    if args.level == "oracle":
+        _verify_against_oracle(group, [rec.form for rec in records], expected, report)
     if report.failures:
         print(f"{report.failures} check(s) failed")
         return EXIT_VERIFY_FAILED

@@ -13,8 +13,10 @@ the enumerators are checked against, and a kernel shared with them could
 hide one bug on both sides.
 
 The isomorphism classes of affine triples (phi, psi, c) are found two
-ways, both from that one description.  ``classify_triples`` takes the
-orbits on the whole triple set at once; it is the reference.
+ways, both from that one description.  A triple is an ``AffineForm``'s
+own fields, and ``AffineForm`` builds back, and checks, each representative.
+``classify_triples`` takes the orbits on the whole triple set at once; it
+is the reference.
 ``classify_two_stage``, which ``verify`` runs, splits the action as a
 semidirect product: first the orbits of Aut(G) on the pairs (phi, psi),
 with a transporter from each pair to the least pair of its orbit, then
@@ -307,15 +309,6 @@ class TripleClassification:
         self.representatives = representatives
 
 
-def encode_triple(form: AffineForm) -> tuple:
-    """The form as a raw triple: ints over Z_{p^k}, entry tuples over Z_p x Z_p."""
-    return (form.phi, form.psi, form.c)
-
-
-def decode_triple(group: GroupDescriptor, triple: tuple) -> AffineForm:
-    return AffineForm(group, *triple)
-
-
 def triple_action_spec(group: GroupDescriptor, with_elements: bool = False) -> ActionSpec:
     """The isomorphism action on all valid triples (phi, psi, c) over G.
 
@@ -368,7 +361,7 @@ def classify_triples(
         raise ResourceLimitError(f"|G| = {group.order} exceeds the bound {max_order}")
     spec = triple_action_spec(group)
     part = orbits(spec, max_points=max_points)
-    reps = tuple(decode_triple(group, t) for t in part.representatives)
+    reps = tuple(AffineForm(group, *t) for t in part.representatives)
     return TripleClassification(group=group, partition=part, count=len(reps), representatives=reps)
 
 
@@ -407,9 +400,8 @@ class StagedClassification:
 
     def orbit_of(self, form: AffineForm) -> int:
         """The class of (phi, psi, c): that of (phi0, psi0, beta(c))."""
-        phi, psi, c = encode_triple(form)
-        pair, beta = self.pairs[phi, psi]
-        return self.constants[pair][self.apply(beta, c)]
+        pair, beta = self.pairs[form.phi, form.psi]
+        return self.constants[pair][self.apply(beta, form.c)]
 
 
 def classify_two_stage(group: GroupDescriptor, max_order: int = 25) -> StagedClassification:
@@ -463,7 +455,7 @@ def classify_two_stage(group: GroupDescriptor, max_order: int = 25) -> StagedCla
                 for u in {aut.apply(a, c) for a in stab}:
                     if u not in index:  # a coset u + T not yet met
                         index.update(dict.fromkeys((aut.add(u, t) for t in translations), len(reps)))
-                reps.append(decode_triple(group, (phi, psi, c)))
+                reps.append(AffineForm(group, phi, psi, c))
     return StagedClassification(
         count=len(reps),
         representatives=tuple(reps),

@@ -12,6 +12,7 @@ import pytest
 from gl2_crosschecks import burnside_orbit_count, conic_count, conic_solutions, nonsquares
 
 from paramedial.affine import (
+    AffineForm,
     CyclicGroup,
     ElemAbelian2Group,
     is_latin,
@@ -25,8 +26,6 @@ from paramedial.modring import Modulus, all_matrices, mat_mul
 from paramedial.oracle import (
     classify_tables,
     classify_triples,
-    decode_triple,
-    encode_triple,
     satisfies_paramedial_identity,
     simple_via_subgroup_congruences,
     table_is_simple,
@@ -69,7 +68,7 @@ def test_criterion_2_oracle_equivalence_order_p_squared():
         oracle = classify_triples(ElemAbelian2Group(p))
         cls = enumerate_gl2(p)
         ok &= oracle.count == expected == cls.total
-        hit = sorted(oracle.partition.index[encode_triple(r.form)] for r in cls.records())
+        hit = sorted(oracle.partition.index[(r.form.phi, r.form.psi, r.form.c)] for r in cls.records())
         ok &= hit == list(range(oracle.count))
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0
@@ -83,7 +82,7 @@ def test_criterion_3_tiny_scale_table_ground_truth():
     # order 3: classify every valid triple by raw table-isomorphism search
     group3 = CyclicGroup(Modulus(3, 1))
     spec3 = triple_action_spec(group3)
-    raw_ids = classify_tables([materialize(decode_triple(group3, t)) for t in spec3.points])
+    raw_ids = classify_tables([materialize(AffineForm(group3, *t)) for t in spec3.points])
     ok &= len(set(raw_ids)) == 5
     ok &= classify_triples(group3).count == 5
     ok &= enumerate_cyclic(Modulus(3, 1)).count == 5
@@ -107,7 +106,7 @@ def test_criterion_3_tiny_scale_table_ground_truth():
     ):
         oracle = classify_triples(group)
         for form in forms:
-            rep = oracle.representatives[oracle.partition.index[encode_triple(form)]]
+            rep = oracle.representatives[oracle.partition.index[(form.phi, form.psi, form.c)]]
             ok &= table_isomorphic(materialize(form), materialize(rep))
     elapsed = time.perf_counter() - start
     report(3, "raw Cayley-table search agrees at orders 3 and 9 (5 and 50 classes)", ok, elapsed)

@@ -28,7 +28,7 @@ from paramedial.enum_cyclic import enumerate_cyclic
 from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.cli import form_from_dict, record_to_dict
 from paramedial.modring import Modulus, gl2, mat_mul
-from paramedial.oracle import encode_triple, satisfies_paramedial_identity
+from paramedial.oracle import satisfies_paramedial_identity
 
 
 def cyclic_form(p, k, phi, psi, c):
@@ -288,7 +288,7 @@ def test_elem2_form_fields_are_reduced_int_tuples():
             elem2_form(3, phi, (1, 0, 0, 1), c)
     rec = ClassRecord(form, "case", True)
     rebuilt = form_from_dict(record_to_dict(rec))
-    assert rebuilt == form and encode_triple(rebuilt) == encode_triple(form)
+    assert rebuilt == form and (rebuilt.phi, rebuilt.psi, rebuilt.c) == (form.phi, form.psi, form.c)
 
 
 @pytest.mark.parametrize(
@@ -431,3 +431,20 @@ def test_simplicity_prime_order_and_mixed_pair():
     assert is_simple(cyclic_form(5, 1, 3, 2, 4))
     # phi diagonal, psi the swap: axes are phi's eigenlines but psi exchanges them
     assert is_simple(elem2_form(3, (1, 0, 0, 2), (0, 1, 1, 0)))
+
+
+# -- what the group classes know about their kind -----------------------------
+
+
+GROUPS_WITH_RECORDS = [CyclicGroup(Modulus(2, k)) for k in range(1, 9)]
+GROUPS_WITH_RECORDS += [CyclicGroup(Modulus(3, k)) for k in range(1, 5)]
+GROUPS_WITH_RECORDS += [CyclicGroup(Modulus(5, k)) for k in range(1, 4)]
+GROUPS_WITH_RECORDS += [CyclicGroup(Modulus(101, k)) for k in (1, 2)]
+GROUPS_WITH_RECORDS += [ElemAbelian2Group(p) for p in (2, 3, 5, 7, 11)]
+
+
+@pytest.mark.parametrize("group", GROUPS_WITH_RECORDS, ids=lambda g: g.describe())
+def test_closed_counts_match_the_records(group):
+    records = group.records()
+    assert group.closed_count() == len(records)
+    assert group.closed_count(simple_only=True) == sum(1 for rec in records if rec.simple)

@@ -17,7 +17,6 @@ from paramedial.affine import is_simple
 from paramedial.cli import (
     CACHE_ENV,
     _cache_load,
-    _records_for,
     _parse_group,
     build_parser,
     form_from_dict,
@@ -219,6 +218,30 @@ def test_enumerate_tables_over_the_entry_bound_exits_fast(tmp_path):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--simple-only"]], ids=["all", "simple-only"])
+def test_enumerate_tables_bound_comes_before_any_record(extra):
+    # elem2 509: 1 036 322 classes (516 635 simple) fit MAX_RECORDS, but each
+    # table has 509^4 entries; the closed-form count refuses them unbuilt
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = src
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "paramedial", "enumerate", "--group", "elem2", "509", *extra, "--format", "tables"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 3 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "bounded" in lines[0]
+
+
+def test_enumerate_tables_of_no_simple_class(capsys):
+    # Z_{2^16} has no simple class, so no table entry is due
+    code, out, err = run(capsys, "enumerate", "--group", "cyclic", "2", "16", "--simple-only", "--format", "tables")
+    assert code == 0 and out == "" and err == ""
+
+
 def test_enumerate_csv_layout(tmp_path, capsys):
     out_file = tmp_path / "classes.csv"
     code, _, _ = run(
@@ -350,9 +373,10 @@ def test_verify_oracle_elem2(capsys):
 
 
 def test_verify_oracle_bound(capsys):
-    code, _, err = run(capsys, "verify", "--group", "elem2", "7", "--level", "oracle")
-    assert code == 3
-    assert "bounded" in err
+    # refused before any check runs: no ok: line precedes the refusal
+    code, out, err = run(capsys, "verify", "--group", "elem2", "7", "--level", "oracle")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "bounded" in err
 
 
 NUMPY_BLOCKED_RUN = """
@@ -402,7 +426,7 @@ cache, out = sys.argv[1:]
 os.environ["PARAMEDIAL_CACHE_DIR"] = cache
 argv = ["enumerate", "--group", "elem2", "3", "--out", out]
 assert paramedial.cli.main(argv) == 0
-paramedial.cli._records_for = None  # a second run that missed the cache would fail
+paramedial.enum_gl2.enumerate_gl2 = None  # a second run that missed the cache would fail
 assert paramedial.cli.main(argv) == 0
 print("cached:", os.listdir(cache))
 """
@@ -425,6 +449,31 @@ def test_short_requests_leave_unused_stdlib_unloaded(tmp_path):
     params = {"group": {"kind": "elem2", "p": 3}, "simple_only": False, "format": "json"}
     canon = json.dumps({"command": "enumerate", "params": params, "version": paramedial.__version__}, sort_keys=True)
     assert lines[-1] == f"cached: ['{hashlib.sha256(canon.encode()).hexdigest()}.out']"
+
+
+@pytest.mark.parametrize(
+    "spec, name, params",
+    [
+        (["cyclic", "3", "2"], "cyclic(3,2)", {"kind": "cyclic", "p": 3, "k": 2}),
+        (["cyclic", "101", "1"], "cyclic(101,1)", {"kind": "cyclic", "p": 101, "k": 1}),
+        (["elem2", "2"], "elem2(2)", {"kind": "elem2", "p": 2}),
+        (["elem2", "5"], "elem2(5)", {"kind": "elem2", "p": 5}),
+    ],
+)
+def test_group_names_come_from_params(spec, name, params):
+    group = _parse_group(spec, build_parser())
+    assert group.params() == params and group.describe() == name
+
+
+def test_cli_import_loads_every_layer_module():
+    # perfbench's tracer looks each layer module up in sys.modules after
+    # importing paramedial.cli, so the import must load all six
+    code = "import sys, paramedial.cli; print(*sys.modules)"
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    layers = ["affine", "cli", "enum_cyclic", "enum_gl2", "modring", "oracle"]
+    assert set(out.stdout.split()) >= {f"paramedial.{m}" for m in layers}
 
 
 def _reference_render(records, fmt: str) -> bytes:
@@ -451,7 +500,7 @@ def _reference_render(records, fmt: str) -> bytes:
 
 
 def _records(*spec):
-    return _records_for(_parse_group(list(spec), build_parser()))
+    return _parse_group(list(spec), build_parser()).records()
 
 
 RENDER_INPUTS = {

@@ -9,7 +9,7 @@ from paramedial.enum_cyclic import (
     pq_total,
 )
 from paramedial.modring import Modulus
-from paramedial.oracle import classify_triples, encode_triple
+from paramedial.oracle import classify_triples
 
 
 def triples(m):
@@ -119,7 +119,7 @@ def test_oracle_equivalence_up_to_27(p, k):
     cls = enumerate_cyclic(m)
     oracle = classify_triples(CyclicGroup(m), max_order=27)
     assert oracle.count == closed_form_count(m) == cls.count
-    hit = sorted(oracle.partition.index[encode_triple(f)] for f in cls.forms)
+    hit = sorted(oracle.partition.index[(f.phi, f.psi, f.c)] for f in cls.forms)
     assert hit == list(range(oracle.count))
 
 

@@ -33,7 +33,7 @@ from paramedial.modring import (
     mat_neg,
     mat_vec,
 )
-from paramedial.oracle import ActionSpec, classify_triples, encode_triple, orbits
+from paramedial.oracle import ActionSpec, classify_triples, orbits
 
 ODD = [3, 5, 7]
 IDENTITY = (1, 0, 0, 1)
@@ -480,5 +480,5 @@ def test_oracle_equivalence_small(p):
     oracle = classify_triples(group)
     cls = enumerate_gl2(p)
     assert oracle.count == cls.total
-    hit = sorted(oracle.partition.index[encode_triple(r.form)] for r in cls.records())
+    hit = sorted(oracle.partition.index[(r.form.phi, r.form.psi, r.form.c)] for r in cls.records())
     assert hit == list(range(oracle.count))

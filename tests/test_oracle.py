@@ -6,6 +6,7 @@ import random
 import pytest
 
 from paramedial.affine import (
+    AffineForm,
     CyclicGroup,
     ElemAbelian2Group,
     QuasigroupTable,
@@ -23,8 +24,6 @@ from paramedial.oracle import (
     classify_tables,
     classify_triples,
     classify_two_stage,
-    decode_triple,
-    encode_triple,
     is_congruence,
     orbits,
     partition_from_subgroup,
@@ -141,7 +140,7 @@ def test_classify_order_nine():
 
 def test_classify_representatives_are_canonical():
     cls = classify_triples(CyclicGroup(Modulus(3, 1)))
-    reps = [encode_triple(f) for f in cls.representatives]
+    reps = [(f.phi, f.psi, f.c) for f in cls.representatives]
     for rep, orbit in zip(reps, cls.partition.orbits):
         assert rep == min(orbit)
     assert reps == sorted(reps)
@@ -171,7 +170,7 @@ def test_two_stage_matches_classify_triples(group):
     assert staged.representatives == ref.representatives
     # every triple, not only the representatives, lands in its reference orbit
     for triple, i in ref.partition.index.items():
-        assert staged.orbit_of(decode_triple(group, triple)) == i
+        assert staged.orbit_of(AffineForm(group, *triple)) == i
 
 
 @pytest.mark.parametrize("group", ORDER_AT_MOST_27 + [ElemAbelian2Group(7)], ids=lambda g: g.describe())
@@ -231,8 +230,8 @@ def test_five_classes_of_order_three_pairwise_non_isomorphic():
 def test_equivalent_constants_give_isomorphic_tables():
     m = Modulus(5, 1)
     group = CyclicGroup(m)
-    t1 = materialize(decode_triple(group, (1, 1, 1)))
-    t2 = materialize(decode_triple(group, (1, 1, 2)))
+    t1 = materialize(AffineForm(group, 1, 1, 1))
+    t2 = materialize(AffineForm(group, 1, 1, 2))
     assert table_isomorphic(t1, t2)
 
 
@@ -254,7 +253,7 @@ def test_table_isomorphic_bound():
 def test_classify_tables_partitions_all_order_three_triples():
     group = CyclicGroup(Modulus(3, 1))
     spec = triple_action_spec(group)
-    tables = [materialize(decode_triple(group, t)) for t in spec.points]
+    tables = [materialize(AffineForm(group, *t)) for t in spec.points]
     ids = classify_tables(tables)
     assert len(set(ids)) == 5
     assert ids == _classify_pairwise(tables)

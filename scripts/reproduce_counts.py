@@ -13,8 +13,7 @@ import sys
 import time
 
 from paramedial.affine import CyclicGroup, ElemAbelian2Group
-from paramedial.enum_cyclic import closed_form_count, enumerate_cyclic, gl2_closed_count, pq_total
-from paramedial.enum_gl2 import enumerate_gl2
+from paramedial.enum_cyclic import pq_total
 from paramedial.modring import Modulus, is_prime
 from paramedial.oracle import classify_two_stage
 
@@ -28,33 +27,26 @@ def main() -> int:
     args = parser.parse_args()
 
     primes = [p for p in range(2, args.max_p + 1) if is_prime(p)]
-    failures = 0
-    print(f"{'group':>14} {'closed':>8} {'enum':>8} {'oracle':>8}")
+    groups = []
     for p in primes:
         for k in range(1, args.max_k + 1):
             try:
-                m = Modulus(p, k)
-            except ValueError:
-                continue
-            closed = closed_form_count(m)
-            enum = enumerate_cyclic(m).count
-            oracle = "-"
-            if m.n <= args.oracle_bound:
-                oracle = classify_two_stage(CyclicGroup(m), max_order=args.oracle_bound).count
-            ok = enum == closed and (oracle == "-" or oracle == closed)
-            failures += 0 if ok else 1
-            flag = "" if ok else "   <-- MISMATCH"
-            print(f"{'Z_' + str(p) + '^' + str(k):>14} {closed:>8} {enum:>8} {oracle:>8}{flag}")
-    for p in primes:
-        closed = gl2_closed_count(p)
-        enum = enumerate_gl2(p).total
+                groups.append((f"Z_{p}^{k}", CyclicGroup(Modulus(p, k))))
+            except ValueError:  # p^k beyond the supported range
+                pass
+    groups += [(f"Z_{p} x Z_{p}", ElemAbelian2Group(p)) for p in primes]
+    failures = 0
+    print(f"{'group':>14} {'closed':>8} {'enum':>8} {'oracle':>8}")
+    for label, group in groups:
+        closed = group.closed_count()
+        enum = len(group.records())
         oracle = "-"
-        if p * p <= args.oracle_bound:
-            oracle = classify_two_stage(ElemAbelian2Group(p), max_order=args.oracle_bound).count
+        if group.order <= args.oracle_bound:
+            oracle = classify_two_stage(group, max_order=args.oracle_bound).count
         ok = enum == closed and (oracle == "-" or oracle == closed)
         failures += 0 if ok else 1
         flag = "" if ok else "   <-- MISMATCH"
-        print(f"{'Z_' + str(p) + ' x Z_' + str(p):>14} {closed:>8} {enum:>8} {oracle:>8}{flag}")
+        print(f"{label:>14} {closed:>8} {enum:>8} {oracle:>8}{flag}")
 
     print()
     for p in primes:

@@ -5,9 +5,10 @@ Every finite paramedial quasigroup is affine over an abelian group G:
 its operation can be written x*y = phi(x) + psi(y) + c for automorphisms
 phi, psi of G with phi^2 = psi^2 and a constant c.  This module builds
 the quasigroup from such data, checks an explicit table by recovering
-that affine form from it (in pure Python, O(n^2 log n); the n^4 identity
-check itself lives in ``oracle`` as the reference), and decides
-simplicity via invariant subgroups.
+that affine form from it (O(n^2 log n); the n^4 identity check itself
+lives in ``oracle`` as the reference), and decides simplicity via
+invariant subgroups.  The table functions take O(n log n) Python steps
+per table, each step over n entries a C-level itemgetter, map or slice.
 
 Two underlying groups are supported: the cyclic group Z_{p^k} and the
 rank-two elementary abelian group Z_p x Z_p.  Elements are encoded as
@@ -22,6 +23,7 @@ construction; everything downstream relies on that.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, itemgetter, ne
 
 from .modring import MAX_MODULUS, Mat2, Modulus, Value, Vec2, is_prime, mat_det, mat_mul, mat_vec, require_int
 
@@ -62,6 +64,15 @@ class CyclicGroup(GroupDescriptor, Value):
 
     def apply(self, aut: int, x: int) -> int:
         return aut * x % self.modulus.n
+
+    @staticmethod
+    @lru_cache(maxsize=16)
+    def _doubled(n: int) -> tuple[int, ...]:
+        return tuple(range(n)) * 2
+
+    def translation(self, a: int) -> tuple[int, ...]:
+        """(a + y for y in 0..n-1), a slice of 0..n-1 written twice."""
+        return self._doubled(self.modulus.n)[a : a + self.modulus.n]
 
     def encode(self, element: int) -> int:
         return element
@@ -112,6 +123,18 @@ class ElemAbelian2Group(GroupDescriptor, Value):
 
     def apply(self, aut: Mat2, x: int) -> int:
         return self.encode(mat_vec(aut, divmod(x, self.p), self.p))
+
+    @staticmethod
+    @lru_cache(maxsize=16)
+    def _doubled(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The encoded coordinates y - y % p and y % p of 0..n-1, each written twice."""
+        return tuple(y - y % p for y in range(p * p)) * 2, tuple(range(p)) * (2 * p)
+
+    def translation(self, a: int) -> tuple[int, ...]:
+        """(a + y for y in 0..n-1), y's coordinates rotated by a's as slices and added."""
+        p, n, a2 = self.p, self.p * self.p, a % self.p
+        high, low = self._doubled(p)
+        return tuple(map(add, high[a - a2 : a - a2 + n], low[a2 : a2 + n]))
 
     def encode(self, element: Vec2) -> int:
         return element[0] * self.p + element[1]
@@ -204,20 +227,17 @@ class QuasigroupTable(Value):
 
 
 def materialize(form: AffineForm) -> QuasigroupTable:
-    """Cayley table of x*y = phi(x) + psi(y) + c in the natural encoding."""
+    """Cayley table of x*y = phi(x) + psi(y) + c: row x is phi(x)'s translation read at psi(y) + c."""
     g = form.group
     n = g.order
     c = g.encode(form.c)
-    phi_img = [g.apply(form.phi, x) for x in range(n)]
-    psi_img = [g.add(g.apply(form.psi, y), c) for y in range(n)]
-    rows = tuple(tuple(g.add(phi_img[x], psi_img[y]) for y in range(n)) for x in range(n))
-    return QuasigroupTable(n, rows)
+    get = itemgetter(*(g.add(g.apply(form.psi, y), c) for y in range(n)))  # n >= 2: a tuple
+    return QuasigroupTable(n, tuple(get(g.translation(g.apply(form.phi, x))) for x in range(n)))
 
 
 def is_latin(table: QuasigroupTable) -> bool:
-    """Every row and every column is a permutation of 0..n-1."""
-    full = set(range(table.n))
-    return all(set(line) == full for line in (*table.rows, *zip(*table.rows)))
+    """Every row and every column is a permutation of 0..n-1 (the entries lie in 0..n-1)."""
+    return all(len(set(line)) == table.n for line in (*table.rows, *zip(*table.rows)))
 
 
 def _generators(rows: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -252,14 +272,18 @@ def is_paramedial(table: QuasigroupTable) -> bool:
     on all n^4 quadruples.  Fix e = 0, let R(x) = x*e and L(y) = e*y, and
     read off the principal isotope x + y = R^-1(x) * L^-1(y), whose zero
     is z = e*e.  Let phi(x) = R(x) - R(z) and psi(y) = L(y) - L(z).  The
-    table passes when it is latin, + is commutative, phi^2 = psi^2, and
-    (x + g) + y = x + (g + y) and f(x + g) = f(x) + f(g) for f = phi, psi,
-    all x, y and each generator g != z of + (``_generators``).  Generators
-    suffice: the a with (x + a) + y = x + (a + y) for all x, y form a
-    closed set (Light's associativity test), so + is associative; then
-    the b with f(a + b) = f(a) + f(b) for all a form a closed set too.
+    table passes when its rows are permutations, + is commutative,
+    phi^2 = psi^2, and (x + g) + y = x + (g + y) and f(x + g) = f(x) + f(g)
+    for f = phi, psi, all x, y and each generator g != z of + (``_generators``).
+    Generators suffice: the a with (x + a) + y = x + (a + y) for all x, y
+    form a closed set (Light's associativity test), so + is associative;
+    then the b with f(a + b) = f(a) + f(b) for all a form a closed set too.
 
-    Exactness.  If every check passes, (G, +) is an abelian group (a latin
+    Exactness.  s, the table of +, is the table with its rows sorted by R
+    and its columns by L.  Once s equals its transpose, each column of s
+    is a row of s, a permutation, so each column of the table is one too:
+    the table is latin (R is a permutation) with no check of its columns.
+    If every check passes, (G, +) is an abelian group (a latin
     commutative associative loop), phi and psi are automorphisms of it,
     and x*y = R(x) + L(y) = phi(x) + psi(y) + c with c = R(z) + L(z).
     Expanding both sides of the identity leaves phi^2 x + psi^2 v =
@@ -275,34 +299,32 @@ def is_paramedial(table: QuasigroupTable) -> bool:
     raw identity on any magma.
     """
     n = table.n
-    if n == 0:
+    if n <= 1:  # the one table of order 1 is Z_1; itemgetter of one index returns no tuple
         return True
-    if not is_latin(table):
-        return False
     t = table.rows
-    r, l = tuple(row[0] for row in t), t[0]  # R(x) = x*e, L(y) = e*y
-    l_inv = sorted(range(n), key=l.__getitem__)
-    s = [tuple(map(t[x].__getitem__, l_inv)) for x in sorted(range(n), key=r.__getitem__)]  # s[a][b] = a + b
+    r, l, z = tuple(map(itemgetter(0), t)), t[0], t[0][0]  # R(x) = x*e, L(y) = e*y, z = e*e
+    if min(map(len, map(set, t))) < n:
+        return False
+    r_inv, l_inv = (sorted(range(n), key=f.__getitem__) for f in (r, l))
+    s = list(map(itemgetter(*l_inv), map(t.__getitem__, r_inv)))  # s[a][b] = a + b
     if s != list(zip(*s)):
         return False
-    z = t[0][0]
-    phi = tuple(map(s[s[r[z]].index(z)].__getitem__, r))  # R(x) + (-R(z))
-    psi = tuple(map(s[s[l[z]].index(z)].__getitem__, l))
+    phi = itemgetter(*r)(s[s[r[z]].index(z)])  # R(x) + (-R(z))
+    psi = itemgetter(*l)(s[s[l[z]].index(z)])
+    phi_of, psi_of = itemgetter(*phi), itemgetter(*psi)
     for g in set(_generators(s)) - {z}:  # the zero passes both checks
-        sg = s[g]
-        if any(s[xg] != tuple(map(s[x].__getitem__, sg)) for x, xg in enumerate(sg)):
+        get = itemgetter(*s[g])
+        if any(map(ne, map(s.__getitem__, s[g]), map(get, s))):  # (x + g) + y vs x + (g + y)
             return False
-        for f in (phi, psi):
-            if tuple(map(f.__getitem__, sg)) != tuple(map(s[f[g]].__getitem__, f)):
-                return False
-    return tuple(map(phi.__getitem__, phi)) == tuple(map(psi.__getitem__, psi))
+        if get(phi) != phi_of(s[phi[g]]) or get(psi) != psi_of(s[psi[g]]):  # f(x + g) vs f(x) + f(g)
+            return False
+    return phi_of(phi) == psi_of(psi)
 
 
 def table_to_text(table: QuasigroupTable) -> str:
     """Serialize as 'order n' followed by n rows of space-separated indices."""
-    lines = [f"order {table.n}"]
-    lines.extend(" ".join(str(v) for v in row) for row in table.rows)
-    return "\n".join(lines) + "\n"
+    row = " ".join(["%d"] * table.n) + "\n"
+    return f"order {table.n}\n" + "".join(map(row.__mod__, table.rows))
 
 
 def table_from_text(text: str) -> QuasigroupTable:

@@ -283,14 +283,12 @@ def cmd_count(args, parser) -> int:
 def cmd_enumerate(args, parser) -> int:
     group = _parse_group(args.group, parser)
     _require_record_bound("enumerate", group)
-    if args.format == "tables":
-        count = group.closed_count(args.simple_only)
-        entries = count * group.order**2
-        if entries > TABLES_MAX_ENTRIES:
-            raise ResourceLimitError(
-                f"--format tables is bounded to {TABLES_MAX_ENTRIES} table entries, "
-                f"{group.describe()} needs {count} tables of {group.order}^2 = {entries}"
-            )
+    count = group.closed_count(args.simple_only)
+    if args.format == "tables" and count * group.order**2 > TABLES_MAX_ENTRIES:
+        raise ResourceLimitError(
+            f"--format tables is bounded to {TABLES_MAX_ENTRIES} table entries, "
+            f"{group.describe()} needs {count} tables of {group.order}^2 = {count * group.order**2}"
+        )
     params = {
         "group": group.params(),
         "simple_only": args.simple_only,
@@ -301,7 +299,7 @@ def cmd_enumerate(args, parser) -> int:
     try:
         data = _cache_load(key_path)
         if data is None:
-            records = group.records()
+            records = group.records() if count else []  # no class to keep, none to build
             if args.simple_only:
                 records = [r for r in records if r.simple]
             data = render_records(records, args.format)

@@ -1,4 +1,5 @@
 import copy
+import math
 import itertools
 import pickle
 
@@ -448,3 +449,84 @@ def test_closed_counts_match_the_records(group):
     records = group.records()
     assert group.closed_count() == len(records)
     assert group.closed_count(simple_only=True) == sum(1 for rec in records if rec.simple)
+
+
+# -- the table layer against cell-by-cell references --------------------------
+
+
+def materialize_by_cells(form):
+    # one cell at a time from the group's own arithmetic, as the table layer was first written
+    g = form.group
+    n, c = g.order, g.encode(form.c)
+    return tuple(
+        tuple(g.add(g.add(g.apply(form.phi, x), g.apply(form.psi, y)), c) for y in range(n)) for x in range(n)
+    )
+
+
+def table_to_text_by_str(table):
+    return "\n".join([f"order {table.n}", *(" ".join(str(v) for v in row) for row in table.rows)]) + "\n"
+
+
+TABLE_GROUPS = [CyclicGroup(Modulus(2, k)) for k in range(1, 6)]
+TABLE_GROUPS += [CyclicGroup(Modulus(3, k)) for k in range(1, 4)]
+TABLE_GROUPS += [CyclicGroup(Modulus(5, 2)), CyclicGroup(Modulus(7, 2))]
+TABLE_GROUPS += [ElemAbelian2Group(p) for p in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("group", TABLE_GROUPS, ids=lambda g: g.describe())
+def test_materialize_matches_the_cell_by_cell_reference(group):
+    n = group.order
+    for a in range(n):
+        assert group.translation(a) == tuple(group.add(a, y) for y in range(n))
+    for rec in group.records():
+        table = materialize(rec.form)
+        assert table.rows == materialize_by_cells(rec.form)
+        text = table_to_text(table)
+        assert text == table_to_text_by_str(table)
+        assert table_from_text(text) == table
+
+
+def test_is_paramedial_refuses_tables_whose_columns_are_not_latin():
+    # rows latin and column 0 a permutation, column 1 not: s differs from its transpose
+    columns_not_latin = QuasigroupTable(3, ((0, 1, 2), (1, 0, 2), (2, 1, 0)))
+    # rows latin, column 0 repeats: R is no permutation
+    column_0_repeats = QuasigroupTable(3, ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
+    # a paramedial table with two entries of one row swapped: its rows stay latin
+    rows = [list(r) for r in materialize(elem2_form(3, (1, 0, 0, 1), (2, 0, 0, 2))).rows]
+    rows[4][0], rows[4][1] = rows[4][1], rows[4][0]
+    swapped = QuasigroupTable(9, tuple(map(tuple, rows)))
+    for table in (columns_not_latin, column_0_repeats, swapped):
+        assert all(sorted(row) == list(range(table.n)) for row in table.rows)
+        assert not is_latin(table)
+        assert not is_paramedial(table)
+
+
+def test_order_one_table_is_paramedial():
+    table = QuasigroupTable(1, ((0,),))
+    assert is_latin(table) and is_paramedial(table) and satisfies_paramedial_identity(table)
+
+
+@st.composite
+def tables_with_latin_rows(draw):
+    """Random rows; an isotope of x*y = ax + by mod n; or a relabelled
+    affine table, a*a = b*b mod n, which is paramedial."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["rows", "isotope", "affine"]))
+    if kind == "rows":
+        return QuasigroupTable(n, tuple(tuple(draw(st.permutations(range(n)))) for _ in range(n)))
+    units = [u for u in range(n) if math.gcd(u, n) == 1]
+    a = draw(st.sampled_from(units))
+    b = draw(st.sampled_from([u for u in units if (u * u - a * a) % n == 0] if kind == "affine" else units))
+    c = draw(st.integers(0, n - 1))
+    pi = draw(st.permutations(range(n)))
+    if kind == "isotope":
+        alpha, beta = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        return raw_table(lambda x, y: pi[(a * alpha[x] + b * beta[y]) % n], n)
+    inv = sorted(range(n), key=pi.__getitem__)
+    return raw_table(lambda x, y: pi[(a * inv[x] + b * inv[y] + c) % n], n)
+
+
+@given(tables_with_latin_rows())
+@settings(max_examples=200, deadline=None)
+def test_is_paramedial_decides_latin_and_the_identity(table):
+    assert is_paramedial(table) == (is_latin(table) and satisfies_paramedial_identity(table))

@@ -242,6 +242,24 @@ def test_enumerate_tables_of_no_simple_class(capsys):
     assert code == 0 and out == "" and err == ""
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "tables"])
+def test_simple_only_builds_no_record_when_no_class_is_simple(tmp_path, capsys, monkeypatch, fmt):
+    # Z_{2^5} has no simple class: the output is known before any record is built
+    group = _parse_group(["cyclic", "2", "5"], build_parser())
+    expected = render_records([rec for rec in group.records() if rec.simple], fmt)
+
+    def refuse(modulus):
+        raise AssertionError(f"enumerate_cyclic({modulus}) was called")
+
+    monkeypatch.setattr("paramedial.enum_cyclic.enumerate_cyclic", refuse)
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    out = tmp_path / "out"
+    argv = ["enumerate", "--group", "cyclic", "2", "5", "--simple-only", "--format", fmt, "--out", str(out)]
+    assert run(capsys, *argv)[0] == 0
+    assert out.read_bytes() == expected
+    assert len(list((tmp_path / "cache").iterdir())) == 1  # the result is still cached
+
+
 def test_enumerate_csv_layout(tmp_path, capsys):
     out_file = tmp_path / "classes.csv"
     code, _, _ = run(

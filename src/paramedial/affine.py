@@ -17,7 +17,11 @@ Z_p encodes as x*p + y.  Table equality and all file output depend on
 this encoding, so it is fixed.  ``AffineForm`` is where affine data is
 validated: over Z_{p^k} phi, psi and c are ints, over Z_p x Z_p a pair
 of 4-tuples (row-major matrices) and a 2-tuple, all reduced on
-construction; everything downstream relies on that.
+construction; everything downstream relies on that.  The one exception
+is the enumerators' rows, plain tuples (phi, psi, c, case, simple) in
+that same shape, which ``cli enumerate`` renders without building forms;
+``records_of`` builds checked forms from them, and the tests construct
+an ``AffineForm`` from every row of the enumerated groups.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ class ParamedialConditionError(ValueError):
 class GroupDescriptor:
     """The base of the two group classes, each the one place that knows its
     kind: ``params()`` names it as json output and cache keys do,
-    ``closed_count`` and ``records`` reach its enumerator, ``dim`` counts
-    an element's coordinates and ``entries`` flattens a form's data."""
+    ``closed_count``, ``rows`` and ``records`` reach its enumerator, ``dim``
+    counts an element's coordinates and ``entries`` flattens a form's data."""
 
     __slots__ = ()
 
@@ -44,6 +48,10 @@ class GroupDescriptor:
         """The group as ``kind(p[,k])``, e.g. cyclic(3,2) or elem2(5)."""
         params = self.params()
         return f"{params.pop('kind')}({','.join(map(str, params.values()))})"
+
+    def records(self) -> list[ClassRecord]:
+        """``rows()`` as records, each form built by the checked constructor."""
+        return records_of(self, self.rows())
 
 
 class CyclicGroup(GroupDescriptor, Value):
@@ -88,10 +96,10 @@ class CyclicGroup(GroupDescriptor, Value):
             return 0
         return enum_cyclic.closed_form_count(self.modulus)
 
-    def records(self) -> list[ClassRecord]:
+    def rows(self) -> tuple[tuple[int, int, int, str, bool], ...]:
         from . import enum_cyclic
 
-        return list(enum_cyclic.enumerate_cyclic(self.modulus).records)
+        return enum_cyclic.enumerate_cyclic(self.modulus).rows
 
     @staticmethod
     def entries(form: AffineForm) -> tuple[tuple[int], tuple[int], tuple[int]]:
@@ -148,10 +156,10 @@ class ElemAbelian2Group(GroupDescriptor, Value):
 
         return (enum_cyclic.simple_closed_count if simple_only else enum_cyclic.gl2_closed_count)(self.p)
 
-    def records(self) -> list[ClassRecord]:
+    def rows(self) -> tuple[tuple[Mat2, Mat2, Vec2, str, bool], ...]:
         from . import enum_gl2
 
-        return enum_gl2.enumerate_gl2(self.p).records()
+        return enum_gl2.enumerate_gl2(self.p).rows
 
     @staticmethod
     def entries(form: AffineForm) -> tuple[Mat2, Mat2, Vec2]:
@@ -212,6 +220,11 @@ class ClassRecord(Value):
         self._set("simple", simple)
 
 
+def records_of(group: GroupDescriptor, rows) -> list[ClassRecord]:
+    """The enumerator rows (phi, psi, c, case, simple) of `group` as records, each form checked."""
+    return [ClassRecord(AffineForm(group, phi, psi, c), case, simple) for phi, psi, c, case, simple in rows]
+
+
 class QuasigroupTable(Value):
     """An explicit n x n Cayley table over the element encoding 0..n-1."""
 
@@ -241,26 +254,25 @@ def is_latin(table: QuasigroupTable) -> bool:
 
 
 def _generators(rows: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Generators of the finite quasigroup `rows`, picked greedily: each lies
-    outside the closure of those before.  Closures grow in one pass over
-    pairs, O(n^2) in all, associative or not.  A closure is a subquasigroup,
-    and a proper one H has at most half the order (x*H misses H for x
-    outside it), so there are at most floor(log2 n) + 1 generators.  A
-    commutative table is multiplied on one side only."""
-    cols = tuple(zip(*rows))
-    sides = (rows,) if cols == tuple(rows) else (rows, cols)
+    """Generators of the finite commutative quasigroup `rows`, picked
+    greedily: each lies outside the closure of those before.  Closures grow
+    in one pass over pairs, O(n^2) in all, associative or not, multiplying
+    on one side only, which is why the table must be commutative (the one
+    caller, ``is_paramedial``, passes s once s equals its transpose).  A
+    closure is a subquasigroup, and a proper one H has at most half the
+    order (x*H misses H for x outside it), so there are at most
+    floor(log2 n) + 1 generators."""
     closure: set[int] = set()
     gens = []
     for g in range(len(rows)):
         if g not in closure:
             gens.append(g)
             new = {g}
-            while new:  # multiply each new element, on both sides, with all found so far
+            while new:  # multiply each new element with all found so far
                 closure |= new
                 found: set[int] = set()
                 for x in new:
-                    for side in sides:
-                        found.update(map(side[x].__getitem__, closure))
+                    found.update(map(rows[x].__getitem__, closure))
                 new = found - closure
     return gens
 

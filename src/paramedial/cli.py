@@ -21,6 +21,7 @@ import argparse
 import io
 import os
 import sys
+from operator import itemgetter
 
 from . import __version__
 from .affine import (
@@ -48,6 +49,7 @@ EXIT_RESOURCE = 3
 ORACLE_MAX_ORDER = 27  # verify --level oracle: cyclic up to order 27, elem2 p <= 5
 TABLES_MAX_ENTRIES = 2**25  # enumerate --format tables: records x n^2 entries at most
 MAX_RECORDS = 2**20  # enumerate and verify: classes of the group at most
+JSON_CHUNK_ROWS = 4096  # enumerate --format json: rows per % of the record template
 
 
 def _parse_group(tokens: list[str], parser: argparse.ArgumentParser) -> GroupDescriptor:
@@ -112,20 +114,14 @@ def form_from_dict(d: dict) -> AffineForm:
         raise ValueError(f"malformed record: {exc!r}") from None
 
 
-def _flat_rows(records: list[ClassRecord]):
-    """Each record as csv rows and table headers show it: group, phi, psi,
-    c, simple and case, matrix rows split by ';' and entries by ','.  The
-    %-formats are chosen once per run of records over one group."""
-    group = None
-    for rec in records:
-        form = rec.form
-        if form.group is not group:
-            group = form.group
-            name = group.describe()
-            vector = ",".join(["%d"] * group.dim)
-            matrix = ";".join([vector] * group.dim)
-        simple = "true" if rec.simple else "false"
-        yield name, matrix % form.phi, matrix % form.psi, vector % form.c, simple, rec.case
+def _flat_rows(group: GroupDescriptor, rows):
+    """Each row as csv rows and table headers show it: group, phi, psi,
+    c, simple and case, matrix rows split by ';' and entries by ','."""
+    name = group.describe()
+    vector = ",".join(["%d"] * group.dim)
+    matrix = ";".join([vector] * group.dim)
+    for phi, psi, c, case, simple in rows:
+        yield name, matrix % phi, matrix % psi, vector % c, "true" if simple else "false", case
 
 
 def _json_template(group: GroupDescriptor) -> str:
@@ -141,27 +137,30 @@ def _json_template(group: GroupDescriptor) -> str:
     return text[2:-2].replace(r'"\u0000d"', "%d").replace(r'"\u0000s"', "%s")
 
 
-def render_records(records: list[ClassRecord], fmt: str) -> bytes:
-    """The records in `fmt`.  json is byte-identical to
-    json.dumps([record_to_dict(r) ...], indent=2, sort_keys=True) + "\n",
-    but each record is written through its group's template."""
+def render_records(group: GroupDescriptor, rows, fmt: str) -> bytes:
+    """The enumerator rows (phi, psi, c, case, simple) of `group` in `fmt`.
+    json is byte-identical to json.dumps([record_to_dict(r) ...],
+    indent=2, sort_keys=True) + "\n", written as one % of the group's
+    template repeated for each chunk of JSON_CHUNK_ROWS rows, so the
+    format string stays bounded however many rows there are."""
     if fmt == "json":
         from json.encoder import encode_basestring_ascii
 
-        # Each record is encoded as it is written, so the output exists
-        # once as parts and once joined, never also as one str.
-        parts = []
-        separator = "[\n"
-        group = template = entries = None
-        for rec in records:
-            if rec.form.group is not group:
-                group = rec.form.group
-                template, entries = _json_template(group), group.entries
-            phi, psi, c = entries(rec.form)
-            case = encode_basestring_ascii(rec.case)  # as json.dumps writes a str
-            values = (*c, case, *phi, *psi, "true" if rec.simple else "false")
-            parts.append((separator + template % values).encode())
-            separator = ",\n"
+        # In bytes, whose % copies the text between placeholders faster than
+        # str %; each case is encoded once, as json.dumps writes a str.
+        cases = {case: encode_basestring_ascii(case).encode() for case in set(map(itemgetter(3), rows))}
+        flags = {True: b"true", False: b"false"}
+        template = _json_template(group).encode()
+        parts = []  # the output exists once as chunks and once joined, never as one str
+        separator = b"[\n"
+        for start in range(0, len(rows), JSON_CHUNK_ROWS):
+            chunk = rows[start : start + JSON_CHUNK_ROWS]
+            if group.dim == 1:  # ints over Z_{p^k}, tuples over Z_p x Z_p
+                values = [v for phi, psi, c, case, simple in chunk for v in (c, cases[case], phi, psi, flags[simple])]
+            else:
+                values = [v for phi, psi, c, case, simple in chunk for v in (*c, cases[case], *phi, *psi, flags[simple])]
+            parts.append(separator + b",\n".join([template] * len(chunk)) % tuple(values))
+            separator = b",\n"
         parts.append(b"\n]\n" if parts else b"[]\n")
         return b"".join(parts)
     if fmt == "csv":
@@ -170,13 +169,13 @@ def render_records(records: list[ClassRecord], fmt: str) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["group", "phi", "psi", "c", "simple", "case"])
-        writer.writerows(_flat_rows(records))
+        writer.writerows(_flat_rows(group, rows))
         return buf.getvalue().encode()
     if fmt == "tables":
         chunks = []
-        for rec, (group, phi, psi, c, simple, case) in zip(records, _flat_rows(records)):
-            header = f"# group={group} case={case} simple={simple} phi={phi} psi={psi} c={c}"
-            chunks.append(header + "\n" + table_to_text(materialize(rec.form)))
+        for row, (name, phi, psi, c, simple, case) in zip(rows, _flat_rows(group, rows)):
+            header = f"# group={name} case={case} simple={simple} phi={phi} psi={psi} c={c}"
+            chunks.append(header + "\n" + table_to_text(materialize(AffineForm(group, *row[:3]))))
         return "\n".join(chunks).encode()
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -227,10 +226,14 @@ def _cache_store(path: str | None, data: bytes) -> None:
 
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(_sha256(data).encode() + b"\n")
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_sha256(data).encode() + b"\n")
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)  # no half-written entry is left behind
+        raise
 
 
 def _write_manifest(path: str, command: str, params: dict, data: bytes) -> None:
@@ -299,10 +302,10 @@ def cmd_enumerate(args, parser) -> int:
     try:
         data = _cache_load(key_path)
         if data is None:
-            records = group.records() if count else []  # no class to keep, none to build
+            rows = group.rows() if count else ()  # no class to keep, none to build
             if args.simple_only:
-                records = [r for r in records if r.simple]
-            data = render_records(records, args.format)
+                rows = [row for row in rows if row[4]]
+            data = render_records(group, rows, args.format)
             _cache_store(key_path, data)
         action = f"write {args.out or '<stdout>'}"
         _emit(data, args.out)

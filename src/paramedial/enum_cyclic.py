@@ -12,21 +12,23 @@ over all units; with k >= 3 the square roots of phi^2 mod 2^k are exactly
 Im(1 - phi - psi) is everything and c = 0 throughout.  Every case is a
 closed form; nothing here runs the orbit oracle.
 
-The classes come out as one stream of ClassRecords in output order, each
-labelled by the branch that produced it (``cyclic.p2``,
-``cyclic.psi-minus`` or ``cyclic.psi-plus.i{i}``).  Simplicity is a
-closed form too: a class is simple exactly when k = 1.  Every proper
-non-trivial subgroup of Z_{p^k} is one of the chain p^i Z_{p^k}
-(0 < i < k), and each is characteristic, so it is invariant under every
-phi and psi; there is one exactly when k > 1.  ``cli verify`` checks the
-flags against ``affine.is_simple``.
+The classes come out as one stream of plain rows (phi, psi, c, case,
+simple) in output order, each labelled by the branch that produced it
+(``cyclic.p2``, ``cyclic.psi-minus`` or ``cyclic.psi-plus.i{i}``);
+``records`` and ``forms`` build the checked objects from the rows only
+when asked, and ``cli enumerate`` renders the rows as they are.
+Simplicity is a closed form too: a class is simple exactly when k = 1.
+Every proper non-trivial subgroup of Z_{p^k} is one of the chain
+p^i Z_{p^k} (0 < i < k), and each is characteristic, so it is invariant
+under every phi and psi; there is one exactly when k > 1.  ``cli verify``
+checks the flags against ``affine.is_simple``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .affine import AffineForm, ClassRecord, CyclicGroup
+from .affine import AffineForm, ClassRecord, CyclicGroup, records_of
 from .modring import MAX_MODULUS, Modulus, unit_group
 
 CASE_P2 = "cyclic.p2"
@@ -38,9 +40,13 @@ class UnsupportedOrder(ValueError):
 
 
 class CyclicClassification:
-    def __init__(self, modulus: Modulus, records: tuple[ClassRecord, ...]):
+    def __init__(self, modulus: Modulus, rows: tuple[tuple[int, int, int, str, bool], ...]):
         self.modulus = modulus
-        self.records = records
+        self.rows = rows
+
+    @property
+    def records(self) -> list[ClassRecord]:
+        return records_of(CyclicGroup(self.modulus), self.rows)
 
     @property
     def forms(self) -> tuple[AffineForm, ...]:
@@ -48,7 +54,7 @@ class CyclicClassification:
 
     @property
     def count(self) -> int:
-        return len(self.records)
+        return len(self.rows)
 
 
 def closed_form_count(m: Modulus) -> int:
@@ -77,9 +83,8 @@ def _image_exponent(phi: int, m: Modulus) -> int:
     return i
 
 
-def _records(m: Modulus) -> Iterator[ClassRecord]:
-    """Every class over Z_{p^k}, ordered by (phi, psi, c) ascending."""
-    group = CyclicGroup(m)
+def _rows(m: Modulus) -> Iterator[tuple[int, int, int, str, bool]]:
+    """Every class over Z_{p^k} as (phi, psi, c, case, simple), ordered by (phi, psi, c) ascending."""
     n = m.n
     simple = m.k == 1
     if m.p == 2:
@@ -93,24 +98,24 @@ def _records(m: Modulus) -> Iterator[ClassRecord]:
                 if len(matches) != 4:
                     raise AssertionError(f"unit {phi} mod {n} has {len(matches)} square-matches, expected 4")
             for psi in matches:
-                yield ClassRecord(AffineForm(group, phi, psi, 0), CASE_P2, simple)
+                yield phi, psi, 0, CASE_P2, simple
         return
     plus_cases = [f"cyclic.psi-plus.i{i}" for i in range(m.k + 1)]
     for phi in unit_group(m):
         # n is odd, so psi = -phi differs from phi and sorts on one side of it.
-        minus = ClassRecord(AffineForm(group, phi, n - phi, 0), CASE_PSI_MINUS, simple)
+        minus = (phi, n - phi, 0, CASE_PSI_MINUS, simple)
         if n - phi < phi:
             yield minus
         i = _image_exponent(phi, m)
         for c in [0] + [m.p**j for j in range(i)]:
-            yield ClassRecord(AffineForm(group, phi, phi, c), plus_cases[i], simple)
+            yield phi, phi, c, plus_cases[i], simple
         if n - phi > phi:
             yield minus
 
 
 def enumerate_cyclic(m: Modulus) -> CyclicClassification:
     """All classes over Z_{p^k}, ordered by (phi, psi, c) ascending."""
-    return CyclicClassification(modulus=m, records=tuple(_records(m)))
+    return CyclicClassification(modulus=m, rows=tuple(_rows(m)))
 
 
 def gl2_closed_count(p: int) -> int:

@@ -13,11 +13,13 @@ Aut(Z_p^2) = GL(2,p), so the classification walks the conjugacy classes:
 Each triple (phi, psi, c) with phi in X, psi in Y_phi and c in
 G_{phi,psi} is one isomorphism class, 4p^2 - 2 in total for odd p, and
 every piece is a closed form.  The classes come out as one stream of
-ClassRecords in output order.  y_phi lists each psi with its case
-label and whether its classes are simple, both set by the branch that
-builds it.  For the trace-zero irreducible phi = ((0,1),(a,0)) the p - 2
-non-central orbits of Y_phi are the levels of t = tr(phi psi), conics
-with p + 1 points each (see y_phi).
+plain rows (phi, psi, c, case, simple) in output order; ``records()``
+builds the checked ClassRecords from them only when asked, and
+``cli enumerate`` renders the rows as they are.  y_phi lists each psi
+with its case label and whether its classes are simple, both set by the
+branch that builds it.  For the trace-zero irreducible phi = ((0,1),(a,0))
+the p - 2 non-central orbits of Y_phi are the levels of t = tr(phi psi),
+conics with p + 1 points each (see y_phi).
 
 p = 2 degenerates (no 2^-1, no pairs 0 < a < b), so its 7 classes come
 from a direct search of the 6 elements of GL(2,2) instead; each is
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .affine import AffineForm, ClassRecord, ElemAbelian2Group, is_simple
+from .affine import AffineForm, ClassRecord, ElemAbelian2Group, is_simple, records_of
 from .modring import (
     Mat2,
     Vec2,
@@ -263,19 +265,19 @@ def coset_reps_for(phi: Mat2, psi: Mat2, p: int) -> list[Vec2]:
 
 
 class Gl2Classification:
-    def __init__(self, p: int, classes: tuple[ClassRecord, ...]):
+    def __init__(self, p: int, rows: tuple[tuple[Mat2, Mat2, Vec2, str, bool], ...]):
         self.p = p
-        self.classes = classes
+        self.rows = rows
 
     @property
     def total(self) -> int:
-        return len(self.classes)
+        return len(self.rows)
 
     def records(self) -> list[ClassRecord]:
-        return list(self.classes)
+        return records_of(ElemAbelian2Group(self.p), self.rows)
 
 
-def _records_p2(group: ElemAbelian2Group) -> Iterator[ClassRecord]:
+def _rows_p2(group: ElemAbelian2Group) -> Iterator[tuple[Mat2, Mat2, Vec2, str, bool]]:
     """The classes over Z_2 x Z_2 by direct search of GL(2,2): the least
     phi of each conjugacy class, the least root psi of phi^2 in each orbit
     of C(phi), and c from coset_reps_for, all in increasing order."""
@@ -295,25 +297,22 @@ def _records_p2(group: ElemAbelian2Group) -> Iterator[ClassRecord]:
         centralizer = [g for g in gl if mat_mul(g, phi, 2) == mat_mul(phi, g, 2)]
         for psi in least_of_orbits(roots, centralizer):
             for c in coset_reps_for(phi, psi, 2):
-                form = AffineForm(group, phi, psi, c)
-                yield ClassRecord(form, CASE_P2_ORACLE, is_simple(form))
+                yield phi, psi, c, CASE_P2_ORACLE, is_simple(AffineForm(group, phi, psi, c))
 
 
-def _records(p: int) -> Iterator[ClassRecord]:
-    """Every class over Z_p x Z_p in output order: by the conjugacy class
-    of phi, then in y_phi's order, then by c."""
-    group = ElemAbelian2Group(p)
-    if p == 2:
-        yield from _records_p2(group)
+def _rows(group: ElemAbelian2Group) -> Iterator[tuple[Mat2, Mat2, Vec2, str, bool]]:
+    """Every class over Z_p x Z_p as (phi, psi, c, case, simple), in output
+    order: by the conjugacy class of phi, then in y_phi's order, then by c."""
+    if group.p == 2:
+        yield from _rows_p2(group)
         return
-    for cls in conjugacy_classes(p):
+    for cls in conjugacy_classes(group.p):
         for psi, case, simple in y_phi(cls):
-            for c in coset_reps_for(cls.rep, psi, p):
-                yield ClassRecord(AffineForm(group, cls.rep, psi, c), case, simple)
+            for c in coset_reps_for(cls.rep, psi, group.p):
+                yield cls.rep, psi, c, case, simple
 
 
 def enumerate_gl2(p: int) -> Gl2Classification:
     """All classes over Z_p x Z_p: 4p^2 - 2 for odd p, 7 for p = 2."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    return Gl2Classification(p=p, classes=tuple(_records(p)))
+    group = ElemAbelian2Group(p)  # refuses a p that is not a prime below 2^31
+    return Gl2Classification(p=p, rows=tuple(_rows(group)))

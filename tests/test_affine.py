@@ -123,16 +123,17 @@ def closure(rows, elems):
 
 
 def generator_tables():
-    tables = [materialize(r.form) for p in (3, 5, 7) for r in enumerate_gl2(p).records()]
+    # _generators multiplies on one side only, so it takes commutative tables:
+    # the materialized classes with phi = psi, the commutative loop, and the symmetric tables
+    tables = [materialize(r.form) for p in (3, 5, 7) for r in enumerate_gl2(p).records() if r.form.phi == r.form.psi]
     for p, k in [(3, 2), (7, 2), (2, 5)]:
-        tables += [materialize(f) for f in enumerate_cyclic(Modulus(p, k)).forms]
+        tables += [materialize(f) for f in enumerate_cyclic(Modulus(p, k)).forms if f.phi == f.psi]
     return tables + [QuasigroupTable(6, COMMUTATIVE_LOOP_6)] + symmetric_tables()
 
 
 def symmetric_tables():
-    # commutative tables, whose closures grow on one side only: the groups
-    # (+) that is_paramedial passes in, and commutative quasigroups without
-    # an identity
+    # commutative tables: the groups (+) that is_paramedial passes in, and
+    # commutative quasigroups without an identity
     tables = [raw_table(lambda x, y: (x + y) % n, n) for n in (25, 32, 49)]
     tables += [raw_table(ElemAbelian2Group(p).add, p * p) for p in (3, 5)]
     tables += [raw_table(lambda x, y: (3 * x + 3 * y + 1) % 7, 7), raw_table(lambda x, y: (-x - y) % 27, 27)]
@@ -140,8 +141,8 @@ def symmetric_tables():
 
 
 def test_generators_are_greedy_and_generate_within_the_log_bound():
-    assert all(t.rows == tuple(zip(*t.rows)) for t in symmetric_tables())
     for table in generator_tables():
+        assert table.rows == tuple(zip(*table.rows))
         gens = _generators(table.rows)
         assert closure(table.rows, gens) == set(range(table.n))
         assert len(gens) <= table.n.bit_length()  # floor(log2 n) + 1
@@ -449,6 +450,32 @@ def test_closed_counts_match_the_records(group):
     records = group.records()
     assert group.closed_count() == len(records)
     assert group.closed_count(simple_only=True) == sum(1 for rec in records if rec.simple)
+
+
+ROW_GROUPS = [ElemAbelian2Group(p) for p in (2, 3, 5, 7, 11, 13, 17, 31)]
+ROW_GROUPS += [CyclicGroup(Modulus(2, k)) for k in range(1, 13)]
+ROW_GROUPS += [CyclicGroup(Modulus(3, k)) for k in range(1, 7)]
+ROW_GROUPS += [CyclicGroup(Modulus(5, k)) for k in range(1, 5)]
+ROW_GROUPS += [CyclicGroup(Modulus(7, 2)), CyclicGroup(Modulus(101, 2))]
+
+
+@pytest.mark.parametrize("group", ROW_GROUPS, ids=lambda g: g.describe())
+def test_rows_are_checked_forms_and_match_the_records(group):
+    # enumerate renders the rows without building forms: each must be one
+    rows = group.rows()
+    records = group.records()
+    assert len(rows) == len(records) == group.closed_count()
+    for row, rec in zip(rows, records):
+        assert type(row) is tuple and len(row) == 5
+        phi, psi, c, case, simple = row
+        form = AffineForm(group, phi, psi, c)
+        assert (form.phi, form.psi, form.c) == (phi, psi, c)  # already reduced
+        assert type(case) is str and type(simple) is bool
+        assert rec == ClassRecord(form, case, simple)
+    keys = [row[:3] for row in rows]
+    assert len(set(keys)) == len(keys)
+    if isinstance(group, CyclicGroup):  # ordered by (phi, psi, c); over Z_p x Z_p by conjugacy class
+        assert keys == sorted(keys)
 
 
 # -- the table layer against cell-by-cell references --------------------------

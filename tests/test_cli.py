@@ -13,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paramedial
-from paramedial.affine import is_simple
+from paramedial.affine import AffineForm, ClassRecord, is_simple
 from paramedial.cli import (
     CACHE_ENV,
+    JSON_CHUNK_ROWS,
     _cache_load,
     _parse_group,
     build_parser,
@@ -246,7 +247,7 @@ def test_enumerate_tables_of_no_simple_class(capsys):
 def test_simple_only_builds_no_record_when_no_class_is_simple(tmp_path, capsys, monkeypatch, fmt):
     # Z_{2^5} has no simple class: the output is known before any record is built
     group = _parse_group(["cyclic", "2", "5"], build_parser())
-    expected = render_records([rec for rec in group.records() if rec.simple], fmt)
+    expected = render_records(group, [row for row in group.rows() if row[4]], fmt)
 
     def refuse(modulus):
         raise AssertionError(f"enumerate_cyclic({modulus}) was called")
@@ -341,6 +342,20 @@ def test_unusable_cache_dir_prints_one_error_line(tmp_path):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and str(blocker / "sub") in lines[0]
     assert "Traceback" not in result.stderr
+
+
+def test_failed_cache_store_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv(CACHE_ENV, str(cache_dir))
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(capsys, "enumerate", "--group", "cyclic", "3", "1")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot use cache entry") and "No space" in lines[0]
+    assert list(cache_dir.iterdir()) == []
 
 
 def test_json_round_trip():
@@ -517,28 +532,37 @@ def _reference_render(records, fmt: str) -> bytes:
     return buf.getvalue().encode()
 
 
-def _records(*spec):
-    return _parse_group(list(spec), build_parser()).records()
+def _rows(*spec, stop=None):
+    group = _parse_group(list(spec), build_parser())
+    return group, group.rows()[:stop]
 
 
 RENDER_INPUTS = {
-    "elem2-2": lambda: _records("elem2", "2"),
-    "elem2-3": lambda: _records("elem2", "3"),
-    "elem2-5": lambda: _records("elem2", "5"),
-    "elem2-17": lambda: _records("elem2", "17"),
-    "cyclic-2-1": lambda: _records("cyclic", "2", "1"),
-    "cyclic-2-10": lambda: _records("cyclic", "2", "10"),
-    "cyclic-3-6": lambda: _records("cyclic", "3", "6"),
-    "cyclic-101-2": lambda: _records("cyclic", "101", "2"),
-    "empty": lambda: [],
-    "mixed-groups": lambda: [
-        *_records("cyclic", "3", "1"), *_records("elem2", "3"), *_records("cyclic", "5", "1")
-    ],
+    "elem2-2": lambda: _rows("elem2", "2"),
+    "elem2-3": lambda: _rows("elem2", "3"),
+    "elem2-5": lambda: _rows("elem2", "5"),
+    "elem2-17": lambda: _rows("elem2", "17"),
+    "cyclic-2-1": lambda: _rows("cyclic", "2", "1"),
+    "cyclic-2-10": lambda: _rows("cyclic", "2", "10"),
+    "cyclic-3-6": lambda: _rows("cyclic", "3", "6"),
+    "cyclic-101-2": lambda: _rows("cyclic", "101", "2"),
+    "empty": lambda: _rows("cyclic", "3", "2", stop=0),
+    # chunk boundaries of the json render: one row past a chunk, and exactly two chunks
+    "chunk-plus-one": lambda: _rows("elem2", "37", stop=JSON_CHUNK_ROWS + 1),
+    "two-chunks": lambda: _rows("cyclic", "101", "2", stop=2 * JSON_CHUNK_ROWS),
 }
 
 
 @pytest.mark.parametrize("name", RENDER_INPUTS)
 def test_render_records_matches_the_reference_encoders(name):
-    records = RENDER_INPUTS[name]()
+    group, rows = RENDER_INPUTS[name]()
+    records = [ClassRecord(AffineForm(group, phi, psi, c), case, simple) for phi, psi, c, case, simple in rows]
     for fmt in ("json", "csv"):
-        assert render_records(records, fmt) == _reference_render(records, fmt), fmt
+        assert render_records(group, rows, fmt) == _reference_render(records, fmt), fmt
+
+
+def test_chunk_boundary_inputs_cross_a_chunk():
+    # cyclic 101 2 has 20 302 rows: more than one chunk, and not a multiple of it
+    sizes = {name: len(RENDER_INPUTS[name]()[1]) for name in ("chunk-plus-one", "two-chunks", "cyclic-101-2")}
+    assert sizes["chunk-plus-one"] == JSON_CHUNK_ROWS + 1 and sizes["two-chunks"] == 2 * JSON_CHUNK_ROWS
+    assert sizes["cyclic-101-2"] > JSON_CHUNK_ROWS and sizes["cyclic-101-2"] % JSON_CHUNK_ROWS != 0

@@ -39,7 +39,7 @@ def main() -> int:
     print(f"{'group':>14} {'closed':>8} {'enum':>8} {'oracle':>8}")
     for label, group in groups:
         closed = group.closed_count()
-        enum = len(group.records())
+        enum = len(group.rows())
         oracle = "-"
         if group.order <= args.oracle_bound:
             oracle = classify_two_stage(group, max_order=args.oracle_bound).count

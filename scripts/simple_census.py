@@ -12,6 +12,7 @@ import argparse
 import sys
 from collections import Counter
 
+from paramedial.affine import AffineForm, ElemAbelian2Group
 from paramedial.enum_cyclic import simple_closed_count
 from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.modring import is_prime
@@ -30,10 +31,10 @@ def main() -> int:
         if not is_prime(p) or p == 2:
             print(f"skipping p={p} (need an odd prime)")
             continue
-        records = enumerate_gl2(p).records()
-        by_case = Counter(rec.case for rec in records if rec.simple)
+        rows = enumerate_gl2(p).rows
+        by_case = Counter(case for _, _, _, case, simple in rows if simple)
         simple_total = sum(by_case.values())
-        print(f"\np = {p}: {simple_total} simple classes out of {len(records)}")
+        print(f"\np = {p}: {simple_total} simple classes out of {len(rows)}")
         for case in sorted(by_case):
             print(f"  {case:<22} {by_case[case]}")
         expected = simple_closed_count(p)
@@ -41,12 +42,13 @@ def main() -> int:
             failures += 1
             print(f"  MISMATCH: expected {expected}")
         if p <= args.oracle_max_p:
+            group = ElemAbelian2Group(p)
             bad = sum(
                 1
-                for rec in records
-                if rec.simple != simple_via_subgroup_congruences(rec.form)
+                for phi, psi, c, _, simple in rows
+                if simple != simple_via_subgroup_congruences(AffineForm(group, phi, psi, c))
             )
-            print(f"  congruence-oracle check on {len(records)} explicit tables: "
+            print(f"  congruence-oracle check on {len(rows)} explicit tables: "
                   f"{'ok' if bad == 0 else f'{bad} disagreements'}")
             failures += bad
     return 1 if failures else 0

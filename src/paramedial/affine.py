@@ -19,9 +19,9 @@ validated: over Z_{p^k} phi, psi and c are ints, over Z_p x Z_p a pair
 of 4-tuples (row-major matrices) and a 2-tuple, all reduced on
 construction; everything downstream relies on that.  The one exception
 is the enumerators' rows, plain tuples (phi, psi, c, case, simple) in
-that same shape, which ``cli enumerate`` renders without building forms;
-``records_of`` builds checked forms from them, and the tests construct
-an ``AffineForm`` from every row of the enumerated groups.
+that same shape, which ``cli enumerate`` renders and ``cli verify``
+checks as they are, building no form; ``records_of`` builds checked
+forms from them, and the tests build an ``AffineForm`` from every row.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class ParamedialConditionError(ValueError):
 class GroupDescriptor:
     """The base of the two group classes, each the one place that knows its
     kind: ``params()`` names it as json output and cache keys do,
-    ``closed_count``, ``rows`` and ``records`` reach its enumerator, ``dim``
-    counts an element's coordinates and ``entries`` flattens a form's data."""
+    ``closed_count`` and ``rows`` reach its enumerator, ``dim`` counts an
+    element's coordinates and ``entries`` flattens a form's data."""
 
     __slots__ = ()
 
@@ -48,10 +48,6 @@ class GroupDescriptor:
         """The group as ``kind(p[,k])``, e.g. cyclic(3,2) or elem2(5)."""
         params = self.params()
         return f"{params.pop('kind')}({','.join(map(str, params.values()))})"
-
-    def records(self) -> list[ClassRecord]:
-        """``rows()`` as records, each form built by the checked constructor."""
-        return records_of(self, self.rows())
 
 
 class CyclicGroup(GroupDescriptor, Value):
@@ -373,25 +369,14 @@ def _subgroup_sets(group: GroupDescriptor) -> tuple[tuple[tuple[int, ...], froze
     return tuple((sub, frozenset(sub)) for sub in proper_subgroups(group))
 
 
-def invariant_proper_subgroups(form: AffineForm) -> list[tuple[int, ...]]:
-    """Proper subgroups N with phi(N) = psi(N) = N.
+def is_simple(group: GroupDescriptor, phi: int | Mat2, psi: int | Mat2) -> bool:
+    """Whether x*y = phi(x) + psi(y) + c over `group` is simple, whatever c.
 
-    Every proper subgroup here is cyclic and generated by its least
-    non-zero element sub[1] (p^i in Z_{p^k}, any non-zero point of a
-    line), and phi, psi are bijective, so N is invariant exactly when
-    sub[1] maps into N under both.  For Z_p x Z_p these are the lines
-    spanned by common eigenvectors of phi and psi; for cyclic groups
-    every subgroup qualifies since the chain p^i Z_{p^k} is
-    characteristic.
-    """
-    g = form.group
-    return [
-        sub
-        for sub, elems in _subgroup_sets(g)
-        if g.apply(form.phi, sub[1]) in elems and g.apply(form.psi, sub[1]) in elems
-    ]
-
-
-def is_simple(form: AffineForm) -> bool:
-    """No proper invariant subgroup, hence no proper congruence."""
-    return not invariant_proper_subgroups(form)
+    Its congruences are the cosets of the subgroups N with phi(N) = psi(N) = N.
+    Every proper subgroup here is cyclic, generated by its least non-zero
+    element sub[1] (p^i in Z_{p^k}, any non-zero point of a line), and phi,
+    psi are bijective, so N is invariant exactly when sub[1] maps into N
+    under both: over Z_p x Z_p, N is an eigenline of both phi and psi; over
+    Z_{p^k} every N is, the chain p^i Z_{p^k} being characteristic."""
+    apply = group.apply
+    return not any(apply(phi, sub[1]) in elems and apply(psi, sub[1]) in elems for sub, elems in _subgroup_sets(group))

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
+from itertools import groupby
 from operator import itemgetter
 
 from . import __version__
@@ -36,7 +38,7 @@ from .affine import (
 )
 from .enum_cyclic import UnsupportedOrder, pq_total
 from .enum_gl2 import coset_reps_for
-from .modring import Mat2, Modulus, Vec2, mat_det, mat_mul
+from .modring import Modulus, mat_det, mat_mul
 from .oracle import ResourceLimitError, classify_two_stage
 
 CACHE_ENV = "PARAMEDIAL_CACHE_DIR"
@@ -332,54 +334,47 @@ class _Report:
             print(f"FAIL: {name}" + (f" ({detail})" if detail else ""))
 
 
-def _verify_against_oracle(group: GroupDescriptor, forms: list[AffineForm], expected: int, report: _Report) -> None:
+def _verify_against_oracle(group: GroupDescriptor, rows, expected: int, report: _Report) -> None:
     """Check that the orbit oracle finds `expected` classes and that the
-    forms hit each of them exactly once."""
+    rows' triples hit each of them exactly once."""
     oracle_cls = classify_two_stage(group, max_order=ORACLE_MAX_ORDER)
-    report.check(
-        f"oracle orbit count equals {expected}",
-        oracle_cls.count == expected,
-        f"got {oracle_cls.count}",
-    )
-    hit = {oracle_cls.orbit_of(f) for f in forms}
-    report.check(
-        "representatives hit every orbit exactly once",
-        len(hit) == len(forms) == oracle_cls.count,
-    )
+    report.check(f"oracle orbit count equals {expected}", oracle_cls.count == expected, f"got {oracle_cls.count}")
+    hit = {oracle_cls.orbit_of(phi, psi, c) for phi, psi, c, _, _ in rows} - {None}  # None: outside its triples
+    report.check("representatives hit every orbit exactly once", len(hit) == len(rows) == oracle_cls.count)
 
 
-def _verify_cyclic(group: CyclicGroup, records: list[ClassRecord], report: _Report) -> None:
-    m = group.modulus
-    forms = [rec.form for rec in records]
-    ok_units = all(f.phi % m.p != 0 and f.psi % m.p != 0 for f in forms)
-    report.check("phi and psi are units", ok_units)
-    ok_pm = all((f.phi**2 - f.psi**2) % m.n == 0 for f in forms)
-    report.check("phi^2 = psi^2 for every class", ok_pm)
-    keys = [(f.phi, f.psi, f.c) for f in forms]
-    report.check("classes are sorted and distinct", keys == sorted(set(keys)))
+def _verify_cyclic(group: CyclicGroup, rows, report: _Report) -> None:
+    """Over Z_n, n = p^k: phi and psi are residues 0 < x < n prime to p with
+    phi^2 = psi^2, and the triples are sorted and distinct, each c being 0 or a
+    power of p below gcd(1 - phi - psi, n): the least point of its unit orbit on
+    Z_n / Im(1 - phi - psi).  With the closed-form count, no constant is missing."""
+    n, p = group.modulus.n, group.modulus.p
+    report.check("phi and psi are units", all(0 < x < n and x % p for row in rows for x in row[:2]))
+    report.check("phi^2 = psi^2 for every class", all((phi * phi - psi * psi) % n == 0 for phi, psi, *_ in rows))
+    powers = {p**j for j in range(group.modulus.k)}
+    least = all(c == 0 or c in powers and c < math.gcd(1 - phi - psi, n) for phi, psi, c, _, _ in rows)
+    keys = [row[:3] for row in rows]
+    report.check("classes are sorted and distinct", least and keys == sorted(set(keys)))
 
 
-def _verify_elem2(group: ElemAbelian2Group, records: list[ClassRecord], report: _Report) -> None:
+def _verify_elem2(group: ElemAbelian2Group, rows, report: _Report) -> None:
+    """Over Z_p x Z_p: entries lie in 0..p-1, phi^2 = psi^2 for invertible phi
+    and psi, each pair's rows are consecutive with coset_reps_for's constants
+    in order, and the simple flags sum to the closed form and match is_simple."""
     p = group.p
-    constants: dict[tuple[Mat2, Mat2], list[Vec2]] = {}
-    for rec in records:
-        constants.setdefault((rec.form.phi, rec.form.psi), []).append(rec.form.c)
-    ok_struct = all(
-        mat_det(phi, p) != 0
-        and mat_det(psi, p) != 0
+    runs = [(pair, [row[2] for row in run]) for pair, run in groupby(rows, itemgetter(0, 1))]
+    ok_struct = len(dict(runs)) == len(runs) and all(
+        all(0 <= x < p for x in phi + psi)  # each c is compared with coset_reps_for's reduced ones
+        and mat_det(phi, p) != 0  # so det(psi) != 0 too, as det(psi)^2 = det(phi)^2 below
         and mat_mul(phi, phi, p) == mat_mul(psi, psi, p)
         and cs == coset_reps_for(phi, psi, p)
-        for (phi, psi), cs in constants.items()
+        for (phi, psi), cs in runs
     )
     report.check("rows satisfy phi^2 = psi^2 with admissible constants", ok_struct)
-    simple_total = sum(rec.simple for rec in records)
+    simple_total = sum(row[4] for row in rows)
     formula = group.closed_count(simple_only=True)
-    report.check(
-        f"simple class count equals {formula}",
-        simple_total == formula,
-        f"got {simple_total}",
-    )
-    ok_flags = all(is_simple(rec.form) == rec.simple for rec in records)
+    report.check(f"simple class count equals {formula}", simple_total == formula, f"got {simple_total}")
+    ok_flags = all(is_simple(group, phi, psi) == simple for phi, psi, _, _, simple in rows)
     report.check("simplicity flags match the invariant-subgroup criterion", ok_flags)
 
 
@@ -396,13 +391,13 @@ def cmd_verify(args, parser) -> int:
         name, checks = f"Z_{group.order}", _verify_cyclic
     else:
         name, checks = f"Z_{group.p}^2", _verify_elem2
-    records = group.records()
+    rows = group.rows()  # as enumerate renders them, each check validating what it reads
     expected = group.closed_count()
     report = _Report()
-    report.check(f"count over {name} equals closed form {expected}", len(records) == expected, f"got {len(records)}")
-    checks(group, records, report)
+    report.check(f"count over {name} equals closed form {expected}", len(rows) == expected, f"got {len(rows)}")
+    checks(group, rows, report)
     if args.level == "oracle":
-        _verify_against_oracle(group, [rec.form for rec in records], expected, report)
+        _verify_against_oracle(group, rows, expected, report)
     if report.failures:
         print(f"{report.failures} check(s) failed")
         return EXIT_VERIFY_FAILED

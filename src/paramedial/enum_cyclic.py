@@ -20,8 +20,8 @@ when asked, and ``cli enumerate`` renders the rows as they are.
 Simplicity is a closed form too: a class is simple exactly when k = 1.
 Every proper non-trivial subgroup of Z_{p^k} is one of the chain
 p^i Z_{p^k} (0 < i < k), and each is characteristic, so it is invariant
-under every phi and psi; there is one exactly when k > 1.  ``cli verify``
-checks the flags against ``affine.is_simple``.
+under every phi and psi; there is one exactly when k > 1.  Only the
+tests check these flags against ``affine.is_simple``.
 """
 
 from __future__ import annotations

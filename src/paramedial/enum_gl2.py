@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .affine import AffineForm, ClassRecord, ElemAbelian2Group, is_simple, records_of
+from .affine import ClassRecord, ElemAbelian2Group, is_simple, records_of
 from .modring import (
     Mat2,
     Vec2,
@@ -297,7 +297,7 @@ def _rows_p2(group: ElemAbelian2Group) -> Iterator[tuple[Mat2, Mat2, Vec2, str, 
         centralizer = [g for g in gl if mat_mul(g, phi, 2) == mat_mul(phi, g, 2)]
         for psi in least_of_orbits(roots, centralizer):
             for c in coset_reps_for(phi, psi, 2):
-                yield phi, psi, c, CASE_P2_ORACLE, is_simple(AffineForm(group, phi, psi, c))
+                yield phi, psi, c, CASE_P2_ORACLE, is_simple(group, phi, psi)
 
 
 def _rows(group: ElemAbelian2Group) -> Iterator[tuple[Mat2, Mat2, Vec2, str, bool]]:

@@ -398,10 +398,12 @@ class StagedClassification:
         self.constants = constants
         self.apply = apply
 
-    def orbit_of(self, form: AffineForm) -> int:
-        """The class of (phi, psi, c): that of (phi0, psi0, beta(c))."""
-        pair, beta = self.pairs[form.phi, form.psi]
-        return self.constants[pair][self.apply(beta, form.c)]
+    def orbit_of(self, phi, psi, c) -> int | None:
+        """The class of (phi, psi, c), that of (phi0, psi0, beta(c)); None
+        for a triple outside the classified set, such as an unreduced one."""
+        pair, beta = self.pairs.get((phi, psi), (None, None))
+        index = self.constants.get(pair, {})  # keyed by every point of G
+        return index[self.apply(beta, c)] if c in index else None
 
 
 def classify_two_stage(group: GroupDescriptor, max_order: int = 25) -> StagedClassification:

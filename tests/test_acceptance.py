@@ -166,7 +166,7 @@ def test_criterion_7_simplicity():
         ok &= rec.simple == simple_via_subgroup_congruences(rec.form)
     for m in (Modulus(3, 2), Modulus(5, 2)):
         for form in enumerate_cyclic(m).forms:
-            ok &= not is_simple(form)
+            ok &= not is_simple(form.group, form.phi, form.psi)
             ok &= not simple_via_subgroup_congruences(form)
     elapsed = time.perf_counter() - start
     report(7, "simple counts are 9 and 35 and flags match the congruence oracle", ok, elapsed)

@@ -16,12 +16,12 @@ from paramedial.affine import (
     QuasigroupTable,
     _generators,
     _subgroup_sets,
-    invariant_proper_subgroups,
     is_latin,
     is_paramedial,
     is_simple,
     materialize,
     proper_subgroups,
+    records_of,
     table_from_text,
     table_to_text,
 )
@@ -396,23 +396,18 @@ def test_proper_subgroups():
 
 
 def test_invariant_subgroups_cyclic_prime_square():
-    form = cyclic_form(3, 2, 2, 2, 1)
-    assert invariant_proper_subgroups(form) == [(0, 3, 6)]
-    assert not is_simple(form)
+    # (0, 3, 6), the one proper subgroup of Z_9, is invariant under every unit
+    assert not is_simple(CyclicGroup(Modulus(3, 2)), 2, 2)
 
 
 def test_invariant_subgroups_shared_eigenbasis():
-    form = elem2_form(3, (1, 0, 0, 2), (1, 0, 0, 2))
-    subs = invariant_proper_subgroups(form)
-    assert sorted(subs) == [(0, 1, 2), (0, 3, 6)]
-    assert not is_simple(form)
+    # both axes, (0, 1, 2) and (0, 3, 6), are invariant
+    assert not is_simple(ElemAbelian2Group(3), (1, 0, 0, 2), (1, 0, 0, 2))
 
 
 def test_invariant_subgroups_irreducible_rotation():
     # x^2 - 2 has no root mod 3, so no eigenvector exists at all
-    form = elem2_form(3, (0, 1, 2, 0), (0, 1, 2, 0))
-    assert invariant_proper_subgroups(form) == []
-    assert is_simple(form)
+    assert is_simple(ElemAbelian2Group(3), (0, 1, 2, 0), (0, 1, 2, 0))
 
 
 def test_invariant_subgroups_match_full_images():
@@ -421,18 +416,18 @@ def test_invariant_subgroups_match_full_images():
     forms += list(enumerate_cyclic(Modulus(2, 4)).forms) + list(enumerate_cyclic(Modulus(3, 3)).forms)
     for form in forms:
         g = form.group
-        expected = [
+        invariant = [
             sub
             for sub in proper_subgroups(g)
             if {g.apply(form.phi, x) for x in sub} == set(sub) == {g.apply(form.psi, x) for x in sub}
         ]
-        assert invariant_proper_subgroups(form) == expected
+        assert is_simple(g, form.phi, form.psi) == (not invariant)
 
 
 def test_simplicity_prime_order_and_mixed_pair():
-    assert is_simple(cyclic_form(5, 1, 3, 2, 4))
+    assert is_simple(CyclicGroup(Modulus(5, 1)), 3, 2)
     # phi diagonal, psi the swap: axes are phi's eigenlines but psi exchanges them
-    assert is_simple(elem2_form(3, (1, 0, 0, 2), (0, 1, 1, 0)))
+    assert is_simple(ElemAbelian2Group(3), (1, 0, 0, 2), (0, 1, 1, 0))
 
 
 # -- what the group classes know about their kind -----------------------------
@@ -447,9 +442,9 @@ GROUPS_WITH_RECORDS += [ElemAbelian2Group(p) for p in (2, 3, 5, 7, 11)]
 
 @pytest.mark.parametrize("group", GROUPS_WITH_RECORDS, ids=lambda g: g.describe())
 def test_closed_counts_match_the_records(group):
-    records = group.records()
-    assert group.closed_count() == len(records)
-    assert group.closed_count(simple_only=True) == sum(1 for rec in records if rec.simple)
+    rows = group.rows()
+    assert group.closed_count() == len(rows)
+    assert group.closed_count(simple_only=True) == sum(1 for row in rows if row[4])
 
 
 ROW_GROUPS = [ElemAbelian2Group(p) for p in (2, 3, 5, 7, 11, 13, 17, 31)]
@@ -463,7 +458,7 @@ ROW_GROUPS += [CyclicGroup(Modulus(7, 2)), CyclicGroup(Modulus(101, 2))]
 def test_rows_are_checked_forms_and_match_the_records(group):
     # enumerate renders the rows without building forms: each must be one
     rows = group.rows()
-    records = group.records()
+    records = records_of(group, rows)
     assert len(rows) == len(records) == group.closed_count()
     for row, rec in zip(rows, records):
         assert type(row) is tuple and len(row) == 5
@@ -505,7 +500,7 @@ def test_materialize_matches_the_cell_by_cell_reference(group):
     n = group.order
     for a in range(n):
         assert group.translation(a) == tuple(group.add(a, y) for y in range(n))
-    for rec in group.records():
+    for rec in records_of(group, group.rows()):
         table = materialize(rec.form)
         assert table.rows == materialize_by_cells(rec.form)
         text = table_to_text(table)

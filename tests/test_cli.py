@@ -363,7 +363,7 @@ def test_json_round_trip():
     for rec in records:
         rebuilt = form_from_dict(json.loads(json.dumps(record_to_dict(rec))))
         assert rebuilt == rec.form
-        assert is_simple(rebuilt) == rec.simple
+        assert is_simple(rebuilt.group, rebuilt.phi, rebuilt.psi) == rec.simple
 
 
 @pytest.mark.parametrize(

@@ -154,7 +154,7 @@ def reference_case_label(form) -> str:
 )
 def test_stream_simplicity_and_labels_match_their_definitions(p, k):
     for rec in enumerate_cyclic(Modulus(p, k)).records:
-        assert rec.simple == is_simple(rec.form)
+        assert rec.simple == is_simple(rec.form.group, rec.form.phi, rec.form.psi)
         assert rec.case == reference_case_label(rec.form)
 
 

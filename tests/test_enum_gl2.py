@@ -446,8 +446,9 @@ def test_simple_family_counts(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_simple_flags_agree_with_invariant_subgroup_criterion(p):
-    for rec in enumerate_gl2(p).records():
-        assert rec.simple == is_simple(rec.form)
+    group = ElemAbelian2Group(p)
+    for phi, psi, _, _, simple in group.rows():
+        assert simple == is_simple(group, phi, psi)
 
 
 def test_simple_rows_have_no_diagonalizable_scalar_or_jordan_phi():
@@ -462,7 +463,7 @@ def test_stream_simplicity_and_labels_match_their_definitions(p):
     for rec in enumerate_gl2(p).records():
         phi, psi = rec.form.phi, rec.form.psi
         cases.add(rec.case)
-        assert rec.simple == is_simple(rec.form)
+        assert rec.simple == is_simple(rec.form.group, phi, psi)
         if rec.case.startswith("irred0"):
             singular = mat_det(one_minus(phi, psi, p), p) == 0
             assert (rec.case == CASE_IRRED0_CONIC) == singular

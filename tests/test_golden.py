@@ -1,10 +1,10 @@
 """Byte-for-byte pins of `enumerate` output in every format, and of the
-stdout of `verify --level oracle`.
+stdout of `verify` at both levels.
 
 Each value is the first 16 hex digits of the sha256 of the file written by
 `paramedial enumerate --group ... --format F --out PATH`, or of the text
-`paramedial verify --group ... --level oracle` prints.  A change that
-alters any of them alters the public output and must say so.
+`paramedial verify --group ... --level L` prints.  A change that alters
+any of them alters the public output and must say so.
 """
 
 import hashlib
@@ -67,5 +67,30 @@ GOLDEN_VERIFY_ORACLE = {
 )
 def test_verify_oracle_output_digest(capsys, group, digest):
     assert main(["verify", "--group", *group, "--level", "oracle"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+# Pinned when verify still rebuilt every row as a checked AffineForm; the
+# checks on the raw rows that replaced it must print the same report.  Both
+# kinds, the p = 2 paths (elem2 2 by direct search, cyclic 2 k) and large groups.
+GOLDEN_VERIFY_FAST = {
+    ("elem2", "2"): "17dfb355f35072ba",
+    ("elem2", "3"): "b2151c5551d0a3a1",
+    ("elem2", "5"): "ea73c3cab82aee6e",
+    ("elem2", "7"): "bffb953a37865295",
+    ("elem2", "31"): "6a81ae3043c14236",
+    ("cyclic", "3", "2"): "e3db530b3213c01a",
+    ("cyclic", "5", "2"): "8c4ba72b4a8fbfc6",
+    ("cyclic", "2", "4"): "dd9f66db05ffdac0",
+    ("cyclic", "7", "1"): "edd413485f4bae1d",
+    ("cyclic", "2", "10"): "ae7bde74cb276f9d",
+    ("cyclic", "101", "2"): "6503f419d292ad2e",
+}
+
+
+@pytest.mark.parametrize("group,digest", [pytest.param(g, d, id="-".join(g)) for g, d in GOLDEN_VERIFY_FAST.items()])
+def test_verify_fast_output_digest(capsys, group, digest):
+    assert main(["verify", "--group", *group, "--level", "fast"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

@@ -170,7 +170,7 @@ def test_two_stage_matches_classify_triples(group):
     assert staged.representatives == ref.representatives
     # every triple, not only the representatives, lands in its reference orbit
     for triple, i in ref.partition.index.items():
-        assert staged.orbit_of(AffineForm(group, *triple)) == i
+        assert staged.orbit_of(*triple) == i
 
 
 @pytest.mark.parametrize("group", ORDER_AT_MOST_27 + [ElemAbelian2Group(7)], ids=lambda g: g.describe())
@@ -194,7 +194,7 @@ def test_automorphism_generators_generate_aut(group):
 def test_two_stage_classifies_elem2_7_against_the_enumerator():
     staged = classify_two_stage(ElemAbelian2Group(7), max_order=49)
     assert staged.count == 194 == 4 * 7**2 - 2
-    hit = sorted(staged.orbit_of(r.form) for r in enumerate_gl2(7).records())
+    hit = sorted(staged.orbit_of(phi, psi, c) for phi, psi, c, _, _ in enumerate_gl2(7).rows)
     assert hit == list(range(194))
 
 
@@ -395,11 +395,11 @@ def test_simplicity_oracles_agree_at_order_nine():
     spec = triple_action_spec(group)
     cls = classify_triples(group)
     for form in cls.representatives:
-        structural = is_simple(form)
+        structural = is_simple(group, form.phi, form.psi)
         by_subgroups = simple_via_subgroup_congruences(form)
         by_search = table_is_simple(materialize(form))
         assert structural == by_subgroups == by_search
     for form in enumerate_cyclic(Modulus(3, 2)).forms:
-        assert not is_simple(form)
+        assert not is_simple(form.group, form.phi, form.psi)
         assert not simple_via_subgroup_congruences(form)
         assert not table_is_simple(materialize(form))

@@ -20,8 +20,10 @@ of 4-tuples (row-major matrices) and a 2-tuple, all reduced on
 construction; everything downstream relies on that.  The one exception
 is the enumerators' rows, plain tuples (phi, psi, c, case, simple) in
 that same shape, which ``cli enumerate`` renders and ``cli verify``
-checks as they are, building no form; ``records_of`` builds checked
-forms from them, and the tests build an ``AffineForm`` from every row.
+checks as they are, building no form.  Both enumerators return them as a
+``Classification``, whose ``records()`` and ``forms`` build checked
+objects from them on request, and the tests build an ``AffineForm`` from
+every row.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ class ParamedialConditionError(ValueError):
 class GroupDescriptor:
     """The base of the two group classes, each the one place that knows its
     kind: ``params()`` names it as json output and cache keys do,
-    ``closed_count`` and ``rows`` reach its enumerator, ``dim`` counts an
-    element's coordinates and ``entries`` flattens a form's data."""
+    ``closed_count`` and ``rows`` reach its enumerator and ``dim`` counts
+    an element's coordinates."""
 
     __slots__ = ()
 
@@ -97,11 +99,6 @@ class CyclicGroup(GroupDescriptor, Value):
 
         return enum_cyclic.enumerate_cyclic(self.modulus).rows
 
-    @staticmethod
-    def entries(form: AffineForm) -> tuple[tuple[int], tuple[int], tuple[int]]:
-        """phi, psi and c of a form over the group as flat row-major tuples."""
-        return (form.phi,), (form.psi,), (form.c,)
-
 
 class ElemAbelian2Group(GroupDescriptor, Value):
     """The group Z_p x Z_p with (x, y) encoded as x*p + y."""
@@ -157,11 +154,6 @@ class ElemAbelian2Group(GroupDescriptor, Value):
 
         return enum_gl2.enumerate_gl2(self.p).rows
 
-    @staticmethod
-    def entries(form: AffineForm) -> tuple[Mat2, Mat2, Vec2]:
-        """phi, psi and c of a form over the group as flat row-major tuples."""
-        return form.phi, form.psi, form.c
-
 
 class AffineForm(Value):
     """One isomorphism-class representative (G, phi, psi, c).
@@ -216,9 +208,26 @@ class ClassRecord(Value):
         self._set("simple", simple)
 
 
-def records_of(group: GroupDescriptor, rows) -> list[ClassRecord]:
-    """The enumerator rows (phi, psi, c, case, simple) of `group` as records, each form checked."""
-    return [ClassRecord(AffineForm(group, phi, psi, c), case, simple) for phi, psi, c, case, simple in rows]
+class Classification:
+    """The classes over `group` as enumerator rows (phi, psi, c, case, simple), in output order."""
+
+    def __init__(self, group: GroupDescriptor, rows: tuple):
+        self.group = group
+        self.rows = rows
+
+    @property
+    def count(self) -> int:
+        return len(self.rows)
+
+    def records(self) -> list[ClassRecord]:
+        """The rows as records, each form checked."""
+        group = self.group
+        return [ClassRecord(AffineForm(group, phi, psi, c), case, simple) for phi, psi, c, case, simple in self.rows]
+
+    @property
+    def forms(self) -> tuple[AffineForm, ...]:
+        """The rows' checked forms, built here rather than by ``records()``, which a tracer may time."""
+        return tuple(AffineForm(self.group, phi, psi, c) for phi, psi, c, _, _ in self.rows)
 
 
 class QuasigroupTable(Value):

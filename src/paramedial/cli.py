@@ -75,8 +75,9 @@ def _require_record_bound(command: str, group: GroupDescriptor) -> None:
 
 def record_to_dict(rec: ClassRecord) -> dict:
     """JSON form of one class: matrices as lists of rows, vectors flat."""
-    group = rec.form.group
-    return _record_dict(group, *group.entries(rec.form), rec.simple, rec.case)
+    form = rec.form
+    phi, psi, c = ((v,) if type(v) is int else v for v in (form.phi, form.psi, form.c))  # over Z_{p^k}: ints
+    return _record_dict(form.group, phi, psi, c, rec.simple, rec.case)
 
 
 def _record_dict(group: GroupDescriptor, phi: tuple, psi: tuple, c: tuple, simple, case) -> dict:
@@ -438,7 +439,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()  # here, where a closed pipe is caught, not at interpreter exit
+        return code
+    except BrokenPipeError as exc:
+        print(f"error: cannot write <stdout>: {exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the interpreter's final flush fails no more
+        os.close(devnull)
+        return EXIT_USAGE
     except UnsupportedOrder as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,9 +14,10 @@ closed form; nothing here runs the orbit oracle.
 
 The classes come out as one stream of plain rows (phi, psi, c, case,
 simple) in output order, each labelled by the branch that produced it
-(``cyclic.p2``, ``cyclic.psi-minus`` or ``cyclic.psi-plus.i{i}``);
-``records`` and ``forms`` build the checked objects from the rows only
-when asked, and ``cli enumerate`` renders the rows as they are.
+(``cyclic.p2``, ``cyclic.psi-minus`` or ``cyclic.psi-plus.i{i}``), in
+an ``affine.Classification``, whose ``records()`` and ``forms`` build the
+checked objects from the rows only when asked; ``cli enumerate`` renders
+the rows as they are.
 Simplicity is a closed form too: a class is simple exactly when k = 1.
 Every proper non-trivial subgroup of Z_{p^k} is one of the chain
 p^i Z_{p^k} (0 < i < k), and each is characteristic, so it is invariant
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .affine import AffineForm, ClassRecord, CyclicGroup, records_of
+from .affine import Classification, CyclicGroup
 from .modring import MAX_MODULUS, Modulus, unit_group
 
 CASE_P2 = "cyclic.p2"
@@ -37,24 +38,6 @@ CASE_PSI_MINUS = "cyclic.psi-minus"
 
 class UnsupportedOrder(ValueError):
     """An order whose abelian-group shapes fall outside the classification."""
-
-
-class CyclicClassification:
-    def __init__(self, modulus: Modulus, rows: tuple[tuple[int, int, int, str, bool], ...]):
-        self.modulus = modulus
-        self.rows = rows
-
-    @property
-    def records(self) -> list[ClassRecord]:
-        return records_of(CyclicGroup(self.modulus), self.rows)
-
-    @property
-    def forms(self) -> tuple[AffineForm, ...]:
-        return tuple(rec.form for rec in self.records)
-
-    @property
-    def count(self) -> int:
-        return len(self.rows)
 
 
 def closed_form_count(m: Modulus) -> int:
@@ -113,9 +96,9 @@ def _rows(m: Modulus) -> Iterator[tuple[int, int, int, str, bool]]:
             yield minus
 
 
-def enumerate_cyclic(m: Modulus) -> CyclicClassification:
+def enumerate_cyclic(m: Modulus) -> Classification:
     """All classes over Z_{p^k}, ordered by (phi, psi, c) ascending."""
-    return CyclicClassification(modulus=m, rows=tuple(_rows(m)))
+    return Classification(CyclicGroup(m), tuple(_rows(m)))
 
 
 def gl2_closed_count(p: int) -> int:

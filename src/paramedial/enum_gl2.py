@@ -13,13 +13,14 @@ Aut(Z_p^2) = GL(2,p), so the classification walks the conjugacy classes:
 Each triple (phi, psi, c) with phi in X, psi in Y_phi and c in
 G_{phi,psi} is one isomorphism class, 4p^2 - 2 in total for odd p, and
 every piece is a closed form.  The classes come out as one stream of
-plain rows (phi, psi, c, case, simple) in output order; ``records()``
-builds the checked ClassRecords from them only when asked, and
-``cli enumerate`` renders the rows as they are.  y_phi lists each psi
-with its case label and whether its classes are simple, both set by the
-branch that builds it.  For the trace-zero irreducible phi = ((0,1),(a,0))
-the p - 2 non-central orbits of Y_phi are the levels of t = tr(phi psi),
-conics with p + 1 points each (see y_phi).
+plain rows (phi, psi, c, case, simple) in output order, in an
+``affine.Classification``, whose ``records()`` builds the checked
+ClassRecords from them only when asked; ``cli enumerate`` renders the
+rows as they are.  y_phi lists each psi with its case label and whether
+its classes are simple, both set by the branch that builds it.  For the
+trace-zero irreducible phi = ((0,1),(a,0)) the p - 2 non-central orbits
+of Y_phi are the levels of t = tr(phi psi), conics with p + 1 points
+each (see y_phi).
 
 p = 2 degenerates (no 2^-1, no pairs 0 < a < b), so its 7 classes come
 from a direct search of the 6 elements of GL(2,2) instead; each is
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .affine import ClassRecord, ElemAbelian2Group, is_simple, records_of
+from .affine import Classification, ElemAbelian2Group, is_simple
 from .modring import (
     Mat2,
     Vec2,
@@ -264,17 +265,8 @@ def coset_reps_for(phi: Mat2, psi: Mat2, p: int) -> list[Vec2]:
 # -- the full classification ------------------------------------------------------
 
 
-class Gl2Classification:
-    def __init__(self, p: int, rows: tuple[tuple[Mat2, Mat2, Vec2, str, bool], ...]):
-        self.p = p
-        self.rows = rows
-
-    @property
-    def total(self) -> int:
-        return len(self.rows)
-
-    def records(self) -> list[ClassRecord]:
-        return records_of(ElemAbelian2Group(self.p), self.rows)
+# Only for perfbench/tracer.py, which wraps Gl2Classification.records; ROADMAP item 2 drops it.
+Gl2Classification = Classification
 
 
 def _rows_p2(group: ElemAbelian2Group) -> Iterator[tuple[Mat2, Mat2, Vec2, str, bool]]:
@@ -312,7 +304,7 @@ def _rows(group: ElemAbelian2Group) -> Iterator[tuple[Mat2, Mat2, Vec2, str, boo
                 yield cls.rep, psi, c, case, simple
 
 
-def enumerate_gl2(p: int) -> Gl2Classification:
+def enumerate_gl2(p: int) -> Classification:
     """All classes over Z_p x Z_p: 4p^2 - 2 for odd p, 7 for p = 2."""
     group = ElemAbelian2Group(p)  # refuses a p that is not a prime below 2^31
-    return Gl2Classification(p=p, rows=tuple(_rows(group)))
+    return Classification(group, tuple(_rows(group)))

@@ -13,8 +13,10 @@ the enumerators are checked against, and a kernel shared with them could
 hide one bug on both sides.
 
 The isomorphism classes of affine triples (phi, psi, c) are found two
-ways, both from that one description.  A triple is an ``AffineForm``'s
-own fields, and ``AffineForm`` builds back, and checks, each representative.
+ways, both from that one description.  A triple is in the shape of an
+enumerator row's first three fields, and each class comes back as its
+least triple, raw: every triple is built from ``_pairs`` and the points
+of G, so it needs no check.
 ``classify_triples`` takes the orbits on the whole triple set at once; it
 is the reference.
 ``classify_two_stage``, which ``verify`` runs, splits the action as a
@@ -104,6 +106,10 @@ class OrbitPartition:
         self.stabilizer_orders = stabilizer_orders
         self.group_order = group_order
         self.index = index
+
+    @property
+    def count(self) -> int:
+        return len(self.orbits)
 
 
 def orbits(spec: ActionSpec, max_points: int = DEFAULT_MAX_POINTS) -> OrbitPartition:
@@ -295,20 +301,6 @@ def _pairs(aut: _Automorphisms) -> list:
     return [(phi, psi) for phi in aut.elements for psi in by_square[aut.mul(phi, phi)]]
 
 
-class TripleClassification:
-    def __init__(
-        self,
-        group: GroupDescriptor,
-        partition: OrbitPartition,
-        count: int,
-        representatives: tuple[AffineForm, ...],
-    ):
-        self.group = group
-        self.partition = partition
-        self.count = count
-        self.representatives = representatives
-
-
 def triple_action_spec(group: GroupDescriptor, with_elements: bool = False) -> ActionSpec:
     """The isomorphism action on all valid triples (phi, psi, c) over G.
 
@@ -350,19 +342,16 @@ def classify_triples(
     group: GroupDescriptor,
     max_order: int = 25,
     max_points: int = DEFAULT_MAX_POINTS,
-) -> TripleClassification:
+) -> OrbitPartition:
     """Isomorphism classes of paramedial quasigroups affine over G.
 
-    Counts orbits of the isomorphism action on the exhaustive triple set
-    and returns the lexicographically least triple of each orbit as its
-    canonical representative.
+    The orbits of the isomorphism action on the exhaustive triple set;
+    the lexicographically least triple of each orbit is its canonical
+    representative.
     """
     if group.order > max_order:
         raise ResourceLimitError(f"|G| = {group.order} exceeds the bound {max_order}")
-    spec = triple_action_spec(group)
-    part = orbits(spec, max_points=max_points)
-    reps = tuple(AffineForm(group, *t) for t in part.representatives)
-    return TripleClassification(group=group, partition=part, count=len(reps), representatives=reps)
+    return orbits(triple_action_spec(group), max_points=max_points)
 
 
 # -- the same classes in two stages -------------------------------------------
@@ -378,25 +367,22 @@ def classify_triples(
 class StagedClassification:
     """The classes of ``classify_triples``, found in two stages.
 
-    ``pairs`` maps each pair (phi, psi) to the least pair of its orbit and
-    a transporter beta in Aut(G) with beta (phi, psi) beta^-1 equal to that
-    least pair; ``constants`` maps each least pair to the class index of
-    every constant c there.
+    ``representatives`` holds the least triple (phi, psi, c) of each class,
+    in increasing order; ``pairs`` maps each pair (phi, psi) to the least
+    pair of its orbit and a transporter beta in Aut(G) with
+    beta (phi, psi) beta^-1 equal to that least pair; ``constants`` maps
+    each least pair to the class index of every constant c there.
     """
 
-    def __init__(
-        self,
-        count: int,
-        representatives: tuple[AffineForm, ...],
-        pairs: dict,
-        constants: dict,
-        apply: Callable[[object, object], object],
-    ):
-        self.count = count
+    def __init__(self, representatives: tuple, pairs: dict, constants: dict, apply: Callable[[object, object], object]):
         self.representatives = representatives
         self.pairs = pairs
         self.constants = constants
         self.apply = apply
+
+    @property
+    def count(self) -> int:
+        return len(self.representatives)
 
     def orbit_of(self, phi, psi, c) -> int | None:
         """The class of (phi, psi, c), that of (phi0, psi0, beta(c)); None
@@ -457,14 +443,8 @@ def classify_two_stage(group: GroupDescriptor, max_order: int = 25) -> StagedCla
                 for u in {aut.apply(a, c) for a in stab}:
                     if u not in index:  # a coset u + T not yet met
                         index.update(dict.fromkeys((aut.add(u, t) for t in translations), len(reps)))
-                reps.append(AffineForm(group, phi, psi, c))
-    return StagedClassification(
-        count=len(reps),
-        representatives=tuple(reps),
-        pairs=pairs,
-        constants=constants,
-        apply=aut.apply,
-    )
+                reps.append((phi, psi, c))
+    return StagedClassification(representatives=tuple(reps), pairs=pairs, constants=constants, apply=aut.apply)
 
 
 # -- raw Cayley-table isomorphism ---------------------------------------------

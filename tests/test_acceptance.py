@@ -50,7 +50,7 @@ def test_criterion_1_closed_form_counts():
         ok &= enumerate_cyclic(m1).count == closed_form_count(m1) == 2 * p - 1
         ok &= enumerate_cyclic(m2).count == closed_form_count(m2) == 2 * p * p - p + 1
     for p in (3, 5, 7):
-        ok &= enumerate_gl2(p).total == 4 * p * p - 2
+        ok &= enumerate_gl2(p).count == 4 * p * p - 2
         ok &= pq_total(p * p) == 6 * p * p - p - 1
     for (p, k), expected in [((2, 1), 1), ((2, 2), 4), ((2, 3), 16), ((2, 4), 32)]:
         m = Modulus(p, k)
@@ -67,8 +67,8 @@ def test_criterion_2_oracle_equivalence_order_p_squared():
     for p, expected in ((3, 34), (5, 98)):
         oracle = classify_triples(ElemAbelian2Group(p))
         cls = enumerate_gl2(p)
-        ok &= oracle.count == expected == cls.total
-        hit = sorted(oracle.partition.index[(r.form.phi, r.form.psi, r.form.c)] for r in cls.records())
+        ok &= oracle.count == expected == cls.count
+        hit = sorted(oracle.index[row[:3]] for row in cls.rows)
         ok &= hit == list(range(oracle.count))
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0
@@ -89,7 +89,7 @@ def test_criterion_3_tiny_scale_table_ground_truth():
 
     # order 9: the 16 + 34 = 50 representatives are pairwise non-isomorphic
     forms9 = list(enumerate_cyclic(Modulus(3, 2)).forms)
-    forms9 += [r.form for r in enumerate_gl2(3).records()]
+    forms9 += enumerate_gl2(3).forms
     tables9 = [materialize(f) for f in forms9]
     ok &= len(tables9) == 50
     ok &= all(
@@ -102,12 +102,12 @@ def test_criterion_3_tiny_scale_table_ground_truth():
     # oracle's canonical representative of the same orbit
     for group, forms in (
         (CyclicGroup(Modulus(3, 2)), enumerate_cyclic(Modulus(3, 2)).forms),
-        (ElemAbelian2Group(3), [r.form for r in enumerate_gl2(3).records()]),
+        (ElemAbelian2Group(3), enumerate_gl2(3).forms),
     ):
         oracle = classify_triples(group)
         for form in forms:
-            rep = oracle.representatives[oracle.partition.index[(form.phi, form.psi, form.c)]]
-            ok &= table_isomorphic(materialize(form), materialize(rep))
+            rep = oracle.representatives[oracle.index[form.phi, form.psi, form.c]]
+            ok &= table_isomorphic(materialize(form), materialize(AffineForm(group, *rep)))
     elapsed = time.perf_counter() - start
     report(3, "raw Cayley-table search agrees at orders 3 and 9 (5 and 50 classes)", ok, elapsed)
 
@@ -180,7 +180,7 @@ def test_criterion_8_structural_property_suite():
                  (7, 1), (11, 1), (13, 1)):
         form_sets.append(enumerate_cyclic(Modulus(p, k)).forms)
     for p in (2, 3, 5):
-        form_sets.append([r.form for r in enumerate_gl2(p).records()])
+        form_sets.append(enumerate_gl2(p).forms)
     checked = 0
     for forms in form_sets:
         for form in forms:
@@ -190,7 +190,7 @@ def test_criterion_8_structural_property_suite():
             ok &= is_paramedial(table)
             checked += 1
     # n = 49 through the O(n^2 log n) affine-recovery test only
-    large = list(enumerate_cyclic(Modulus(7, 2)).forms) + [r.form for r in enumerate_gl2(7).records()]
+    large = enumerate_cyclic(Modulus(7, 2)).forms + enumerate_gl2(7).forms
     for form in large:
         table = materialize(form)
         ok &= is_latin(table)

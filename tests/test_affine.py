@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from paramedial.affine import (
     AffineForm,
+    Classification,
     ClassRecord,
     CyclicGroup,
     ElemAbelian2Group,
@@ -21,7 +22,6 @@ from paramedial.affine import (
     is_simple,
     materialize,
     proper_subgroups,
-    records_of,
     table_from_text,
     table_to_text,
 )
@@ -125,7 +125,7 @@ def closure(rows, elems):
 def generator_tables():
     # _generators multiplies on one side only, so it takes commutative tables:
     # the materialized classes with phi = psi, the commutative loop, and the symmetric tables
-    tables = [materialize(r.form) for p in (3, 5, 7) for r in enumerate_gl2(p).records() if r.form.phi == r.form.psi]
+    tables = [materialize(f) for p in (3, 5, 7) for f in enumerate_gl2(p).forms if f.phi == f.psi]
     for p, k in [(3, 2), (7, 2), (2, 5)]:
         tables += [materialize(f) for f in enumerate_cyclic(Modulus(p, k)).forms if f.phi == f.psi]
     return tables + [QuasigroupTable(6, COMMUTATIVE_LOOP_6)] + symmetric_tables()
@@ -412,8 +412,8 @@ def test_invariant_subgroups_irreducible_rotation():
 
 def test_invariant_subgroups_match_full_images():
     # reference: a subgroup is invariant when its whole phi- and psi-images equal it
-    forms = [r.form for p in (3, 5) for r in enumerate_gl2(p).records()]
-    forms += list(enumerate_cyclic(Modulus(2, 4)).forms) + list(enumerate_cyclic(Modulus(3, 3)).forms)
+    forms = [f for p in (3, 5) for f in enumerate_gl2(p).forms]
+    forms += enumerate_cyclic(Modulus(2, 4)).forms + enumerate_cyclic(Modulus(3, 3)).forms
     for form in forms:
         g = form.group
         invariant = [
@@ -454,12 +454,19 @@ ROW_GROUPS += [CyclicGroup(Modulus(5, k)) for k in range(1, 5)]
 ROW_GROUPS += [CyclicGroup(Modulus(7, 2)), CyclicGroup(Modulus(101, 2))]
 
 
+def classification(group):
+    return enumerate_cyclic(group.modulus) if isinstance(group, CyclicGroup) else enumerate_gl2(group.p)
+
+
 @pytest.mark.parametrize("group", ROW_GROUPS, ids=lambda g: g.describe())
 def test_rows_are_checked_forms_and_match_the_records(group):
     # enumerate renders the rows without building forms: each must be one
-    rows = group.rows()
-    records = records_of(group, rows)
-    assert len(rows) == len(records) == group.closed_count()
+    cls = classification(group)
+    assert type(cls) is Classification and cls.group == group
+    rows, records = cls.rows, cls.records()
+    assert rows == group.rows()
+    assert len(rows) == len(records) == cls.count == group.closed_count()
+    assert cls.forms == tuple(rec.form for rec in records)
     for row, rec in zip(rows, records):
         assert type(row) is tuple and len(row) == 5
         phi, psi, c, case, simple = row
@@ -500,9 +507,9 @@ def test_materialize_matches_the_cell_by_cell_reference(group):
     n = group.order
     for a in range(n):
         assert group.translation(a) == tuple(group.add(a, y) for y in range(n))
-    for rec in records_of(group, group.rows()):
-        table = materialize(rec.form)
-        assert table.rows == materialize_by_cells(rec.form)
+    for form in classification(group).forms:
+        table = materialize(form)
+        assert table.rows == materialize_by_cells(form)
         text = table_to_text(table)
         assert text == table_to_text_by_str(table)
         assert table_from_text(text) == table

@@ -344,6 +344,34 @@ def test_unusable_cache_dir_prints_one_error_line(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--order", "9"], ["verify", "--group", "elem2", "5"], ["enumerate", "--group", "elem2", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_prints_one_error_line(argv, unbuffered):
+    # the read end of the pipe is closed before the child starts, so its first write to stdout fails
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in (CACHE_ENV, "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "paramedial", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
 def test_failed_cache_store_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
     def refuse(src, dst):
         raise OSError(28, "No space left on device")

@@ -13,7 +13,7 @@ from paramedial.oracle import classify_triples
 
 
 def triples(m):
-    return [(f.phi, f.psi, f.c) for f in enumerate_cyclic(m).forms]
+    return [row[:3] for row in enumerate_cyclic(m).rows]
 
 
 @pytest.mark.parametrize(
@@ -119,12 +119,12 @@ def test_oracle_equivalence_up_to_27(p, k):
     cls = enumerate_cyclic(m)
     oracle = classify_triples(CyclicGroup(m), max_order=27)
     assert oracle.count == closed_form_count(m) == cls.count
-    hit = sorted(oracle.partition.index[(f.phi, f.psi, f.c)] for f in cls.forms)
+    hit = sorted(oracle.index[row[:3]] for row in cls.rows)
     assert hit == list(range(oracle.count))
 
 
 def test_case_labels():
-    labels = [rec.case for rec in enumerate_cyclic(Modulus(3, 1)).records]
+    labels = [rec.case for rec in enumerate_cyclic(Modulus(3, 1)).records()]
     assert labels == [
         "cyclic.psi-plus.i0",
         "cyclic.psi-minus",
@@ -132,7 +132,7 @@ def test_case_labels():
         "cyclic.psi-plus.i1",
         "cyclic.psi-plus.i1",
     ]
-    assert all(rec.case == "cyclic.p2" for rec in enumerate_cyclic(Modulus(2, 3)).records)
+    assert all(rec.case == "cyclic.p2" for rec in enumerate_cyclic(Modulus(2, 3)).records())
 
 
 def reference_case_label(form) -> str:
@@ -153,7 +153,7 @@ def reference_case_label(form) -> str:
     + [(101, 1), (101, 2)],
 )
 def test_stream_simplicity_and_labels_match_their_definitions(p, k):
-    for rec in enumerate_cyclic(Modulus(p, k)).records:
+    for rec in enumerate_cyclic(Modulus(p, k)).records():
         assert rec.simple == is_simple(rec.form.group, rec.form.phi, rec.form.psi)
         assert rec.case == reference_case_label(rec.form)
 

@@ -352,7 +352,7 @@ def test_coset_reps_requires_matching_squares():
 
 @pytest.mark.parametrize("p,total", [(2, 7), (3, 34), (5, 98), (7, 194)])
 def test_total_class_count(p, total):
-    assert enumerate_gl2(p).total == total
+    assert enumerate_gl2(p).count == total
 
 
 @pytest.mark.parametrize("p", ODD)
@@ -401,8 +401,8 @@ def test_rows_are_structurally_valid(p):
 
 def test_p2_search_matches_classify_triples():
     cls = enumerate_gl2(2)
-    assert cls.total == 7
-    assert tuple(r.form for r in cls.records()) == classify_triples(ElemAbelian2Group(2)).representatives
+    assert cls.count == 7
+    assert tuple(row[:3] for row in cls.rows) == classify_triples(ElemAbelian2Group(2)).representatives
     assert all(r.case == "p2-oracle" for r in cls.records())
     assert sum(1 for r in cls.records() if r.simple) == 3
 
@@ -480,6 +480,6 @@ def test_oracle_equivalence_small(p):
     group = ElemAbelian2Group(p)
     oracle = classify_triples(group)
     cls = enumerate_gl2(p)
-    assert oracle.count == cls.total
-    hit = sorted(oracle.partition.index[(r.form.phi, r.form.psi, r.form.c)] for r in cls.records())
+    assert oracle.count == cls.count
+    hit = sorted(oracle.index[row[:3]] for row in cls.rows)
     assert hit == list(range(oracle.count))

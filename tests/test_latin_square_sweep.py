@@ -68,7 +68,7 @@ def class_tables(n):
         return [materialize(f) for f in enumerate_cyclic(Modulus(3, 1)).forms]
     if n == 4:
         reps = [materialize(f) for f in enumerate_cyclic(Modulus(2, 2)).forms]
-        reps += [materialize(r.form) for r in enumerate_gl2(2).records()]
+        reps += [materialize(f) for f in enumerate_gl2(2).forms]
         return reps
     if n == 5:
         return [materialize(f) for f in enumerate_cyclic(Modulus(5, 1)).forms]

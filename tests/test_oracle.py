@@ -140,8 +140,8 @@ def test_classify_order_nine():
 
 def test_classify_representatives_are_canonical():
     cls = classify_triples(CyclicGroup(Modulus(3, 1)))
-    reps = [(f.phi, f.psi, f.c) for f in cls.representatives]
-    for rep, orbit in zip(reps, cls.partition.orbits):
+    reps = list(cls.representatives)
+    for rep, orbit in zip(reps, cls.orbits):
         assert rep == min(orbit)
     assert reps == sorted(reps)
 
@@ -166,10 +166,10 @@ ORDER_AT_MOST_27 = [CyclicGroup(Modulus(p, k)) for p, k in CYCLIC_AT_MOST_27] + 
 def test_two_stage_matches_classify_triples(group):
     ref = classify_triples(group, max_order=27)
     staged = classify_two_stage(group, max_order=27)
-    assert staged.count == ref.count
+    assert staged.count == ref.count == len(ref.representatives) == len(staged.representatives)
     assert staged.representatives == ref.representatives
     # every triple, not only the representatives, lands in its reference orbit
-    for triple, i in ref.partition.index.items():
+    for triple, i in ref.index.items():
         assert staged.orbit_of(*triple) == i
 
 
@@ -286,8 +286,8 @@ def _relabelled(table, rng):
 @functools.cache
 def _order_nine_reps():
     """The 50 class representatives of order 9, pairwise non-isomorphic."""
-    forms = [r.form for r in enumerate_gl2(3).records()] + list(enumerate_cyclic(Modulus(3, 2)).forms)
-    return tuple(materialize(f) for f in forms)
+    forms = enumerate_gl2(3).forms + enumerate_cyclic(Modulus(3, 2)).forms
+    return tuple(map(materialize, forms))
 
 
 def _order_nine_tables(seed):
@@ -324,7 +324,7 @@ def test_classify_tables_matches_the_pairwise_reference_on_mixed_orders():
     forms = [
         *enumerate_cyclic(Modulus(3, 1)).forms,
         *enumerate_cyclic(Modulus(2, 2)).forms,
-        *(r.form for r in enumerate_gl2(2).records()),
+        *enumerate_gl2(2).forms,
         *enumerate_cyclic(Modulus(5, 1)).forms,
     ]
     tables = [materialize(f) for f in forms] + list(_order_nine_reps()[::5])
@@ -394,8 +394,9 @@ def test_simplicity_oracles_agree_at_order_nine():
     group = ElemAbelian2Group(3)
     spec = triple_action_spec(group)
     cls = classify_triples(group)
-    for form in cls.representatives:
-        structural = is_simple(group, form.phi, form.psi)
+    for phi, psi, c in cls.representatives:
+        form = AffineForm(group, phi, psi, c)
+        structural = is_simple(group, phi, psi)
         by_subgroups = simple_via_subgroup_congruences(form)
         by_search = table_is_simple(materialize(form))
         assert structural == by_subgroups == by_search

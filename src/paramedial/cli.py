@@ -255,13 +255,21 @@ def _write_manifest(path: str, command: str, params: dict, data: bytes) -> None:
         fh.write("\n")
 
 
+def _write_all(fh, data: bytes) -> None:
+    """Write every byte: a raw stream, such as stdout under ``PYTHONUNBUFFERED``,
+    may take only part of a write and return the count it took."""
+    view = memoryview(data)
+    while view:
+        view = view[fh.write(view) :]
+
+
 def _emit(data: bytes, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.buffer.write(data)
+        _write_all(sys.stdout.buffer, data)
         sys.stdout.buffer.flush()
     else:
         with open(out_path, "wb") as fh:
-            fh.write(data)
+            _write_all(fh, data)
 
 
 # -- subcommands ------------------------------------------------------------------

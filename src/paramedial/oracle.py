@@ -26,12 +26,16 @@ the orbits of the constants c under the stabilizer of each least pair
 and the translations.  Both are brute force, by closure under generators
 and by filtering Aut(G).
 
-Explicit Cayley tables are compared by ``table_isomorphic``, a raw
-backtracking search for a bijection.  ``classify_tables`` first buckets
-the tables by an isomorphism invariant (the order and the sorted
+The explicit-table layer takes quasigroups only: ``table_isomorphic``,
+``classify_tables`` and ``table_is_simple`` raise ``ValueError`` for a
+table that is not latin.  ``table_isomorphic`` is a raw backtracking
+search for a bijection, closed under products.  ``classify_tables`` first
+buckets the tables by an isomorphism invariant (the order and the sorted
 row/column cycle types and diagonal profile), computed once per table,
 then runs that search only between a table and the earlier class
 representatives in its bucket; every match is still decided by the search.
+``table_is_simple`` and ``simple_via_subgroup_congruences`` both ask
+whether principal congruences are total.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .affine import AffineForm, CyclicGroup, GroupDescriptor, QuasigroupTable
+from .affine import AffineForm, CyclicGroup, GroupDescriptor, QuasigroupTable, is_latin
 from .modring import unit_group
 
 DEFAULT_MAX_POINTS = 10**7
@@ -450,6 +454,14 @@ def classify_two_stage(group: GroupDescriptor, max_order: int = 25) -> StagedCla
 # -- raw Cayley-table isomorphism ---------------------------------------------
 
 
+def _check_quasigroup(table: QuasigroupTable, max_order: int) -> None:
+    """The domain of the table layer: order at most ``max_order``, then latin."""
+    if table.n > max_order:
+        raise ResourceLimitError(f"a table of order {table.n} exceeds the bound {max_order}")
+    if not is_latin(table):
+        raise ValueError(f"a table of order {table.n} is not latin, so not a quasigroup")
+
+
 def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
     seen = [False] * len(perm)
     lengths = []
@@ -467,79 +479,52 @@ def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
 
 
 def _signature(table) -> list[tuple]:
-    n = len(table)
-    diag_indeg = [0] * n
-    for x in range(n):
-        diag_indeg[table[x][x]] += 1
-    sigs = []
-    for x in range(n):
-        sigs.append(
-            (
-                _cycle_type(table[x]),
-                _cycle_type([row[x] for row in table]),
-                table[x][x] == x,
-                diag_indeg[x],
-            )
-        )
-    return sigs
-
-
-def _division_tables(table):
-    n = len(table)
-    left = [[0] * n for _ in range(n)]  # left[a][c] = b with a*b = c
-    right = [[0] * n for _ in range(n)]  # right[b][c] = a with a*b = c
-    for a in range(n):
-        for b in range(n):
-            c = table[a][b]
-            left[a][c] = b
-            right[b][c] = a
-    return left, right
+    """Per element x: the cycle types of its row and column, whether x*x = x,
+    and how many y have y*y = x.  An isomorphism preserves each of them;
+    the cycle types are defined because rows and columns are permutations."""
+    diagonal = [row[x] for x, row in enumerate(table)]
+    return [
+        (_cycle_type(row), _cycle_type(column), diagonal[x] == x, diagonal.count(x))
+        for x, (row, column) in enumerate(zip(table, zip(*table)))
+    ]
 
 
 def table_isomorphic(t1: QuasigroupTable, t2: QuasigroupTable, max_order: int = 9) -> bool:
-    """Whether a bijection s exists with s(x*y) = s(x) o s(y).
+    """Whether a bijection s exists with s(x*y) = s(x) o s(y), for quasigroups
+    (``ValueError`` for a table of equal order that is not latin).
 
     Backtracking over images of a few seed elements; every partial
-    assignment is closed under products and both divisions, which forces
-    the rest of the map, and candidates are pruned by row/column cycle
-    types and the multiset profile of the diagonal x*x.
+    assignment is closed under products, which forces the rest of the map,
+    and candidates are pruned by row/column cycle types and the multiset
+    profile of the diagonal x*x.  A complete map is checked on every product.
     """
     if t1.n != t2.n:
         return False
+    _check_quasigroup(t1, max_order)
+    _check_quasigroup(t2, max_order)
     n = t1.n
-    if n > max_order:
-        raise ResourceLimitError(f"order {n} exceeds the bound {max_order}")
-    if n == 0:
-        return True
     a, b = t1.rows, t2.rows
     sig1, sig2 = _signature(a), _signature(b)
     if sorted(sig1) != sorted(sig2):
         return False
-    la, ra = _division_tables(a)
-    lb, rb = _division_tables(b)
     candidates = [[v for v in range(n) if sig2[v] == sig1[x]] for x in range(n)]
 
     def close(sigma: dict, used: set, fresh: list) -> bool:
-        # Propagate forced images through *, \ and / until stable.
+        # Propagate forced images through * until stable.
         while fresh:
             x = fresh.pop()
             for y in list(sigma):
                 for (u, v) in ((x, y), (y, x)):
-                    trios = (
-                        (a[u][v], b[sigma[u]][sigma[v]]),
-                        (la[u][v], lb[sigma[u]][sigma[v]]),
-                        (ra[u][v], rb[sigma[u]][sigma[v]]),
-                    )
-                    for w, w2 in trios:
-                        if w in sigma:
-                            if sigma[w] != w2:
-                                return False
-                        else:
-                            if w2 in used or sig2[w2] != sig1[w]:
-                                return False
-                            sigma[w] = w2
-                            used.add(w2)
-                            fresh.append(w)
+                    w, w2 = a[u][v], b[sigma[u]][sigma[v]]
+                    if w in sigma:
+                        if sigma[w] != w2:
+                            return False
+                    else:
+                        if w2 in used or sig2[w2] != sig1[w]:
+                            return False
+                        sigma[w] = w2
+                        used.add(w2)
+                        fresh.append(w)
         return True
 
     def extend(sigma: dict, used: set) -> bool:
@@ -613,79 +598,55 @@ def principal_congruence(table: QuasigroupTable, a: int, b: int) -> tuple[int, .
         if rx == ry:
             continue
         parent[ry] = rx
-        for z in range(n):
-            queue.append((t[x][z], t[y][z]))
-            queue.append((t[z][x], t[z][y]))
+        queue += zip(t[x], t[y])
+        queue += ((row[x], row[y]) for row in t)
     roots = [find(x) for x in range(n)]
     relabel = {}
     return tuple(relabel.setdefault(r, len(relabel)) for r in roots)
 
 
 def table_is_simple(table: QuasigroupTable, max_order: int = 9) -> bool:
-    """Simplicity by exhaustive principal-congruence search."""
-    if table.n > max_order:
-        raise ResourceLimitError(f"order {table.n} exceeds the bound {max_order}")
-    for a in range(table.n):
-        for b in range(a + 1, table.n):
-            if max(principal_congruence(table, a, b)) > 0:
-                return False
-    return True
+    """Whether a quasigroup has no congruence but equality and the total one
+    (``ValueError`` for a table that is not latin).
 
-
-def partition_from_subgroup(group: GroupDescriptor, subgroup: Sequence[int]) -> tuple[int, ...]:
-    """Class-id vector of the coset partition x ~ y iff x - y in N."""
-    n = group.order
-    class_of = {}
-    ids = [0] * n
-    for x in range(n):
-        rep = min(group.add(x, e) for e in subgroup)
-        ids[x] = class_of.setdefault(rep, len(class_of))
-    return tuple(ids)
-
-
-def is_congruence(table: QuasigroupTable, class_ids: Sequence[int]) -> bool:
-    """Whether the partition is compatible with the table's operation."""
-    t = table.rows
-    n = table.n
-    classes: dict[int, list[int]] = {}
-    for x, c in enumerate(class_ids):
-        classes.setdefault(c, []).append(x)
-    for members in classes.values():
-        x0 = members[0]
-        for x in members[1:]:
-            for z in range(n):
-                if class_ids[t[x0][z]] != class_ids[t[x][z]]:
-                    return False
-                if class_ids[t[z][x0]] != class_ids[t[z][x]]:
-                    return False
-    return True
+    In a finite quasigroup all classes of a congruence have the same size:
+    if x*y = z, right translation by y maps x's class injectively into z's,
+    and every z is some x*y.  So a congruence other than equality puts some
+    x != 0 in the class of 0 and contains Cg(0, x): the table is simple
+    exactly when each of the n - 1 principal congruences Cg(0, x) is total.
+    """
+    _check_quasigroup(table, max_order)
+    return all(max(principal_congruence(table, 0, x)) == 0 for x in range(1, table.n))
 
 
 def simple_via_subgroup_congruences(form: AffineForm) -> bool:
-    """Table-level simplicity oracle: no proper subgroup's coset partition
-    is a congruence of the materialized table."""
+    """Table-level simplicity oracle: Cg(0, sub[1]) is total on the
+    materialized table for every proper subgroup ``sub`` of G.
+
+    The congruences of an affine quasigroup are the coset partitions of the
+    subgroups N invariant under phi and psi.  A proper such N gives one
+    that contains Cg(0, N[1]) and is not total; and a Cg(0, g) that is not
+    total is itself a congruence other than equality.
+    """
     from .affine import materialize, proper_subgroups
 
     table = materialize(form)
-    for sub in proper_subgroups(form.group):
-        if is_congruence(table, partition_from_subgroup(form.group, sub)):
-            return False
-    return True
+    return all(max(principal_congruence(table, 0, sub[1])) == 0 for sub in proper_subgroups(form.group))
 
 
 def classify_tables(tables: Sequence[QuasigroupTable], max_order: int = 9) -> list[int]:
-    """Partition explicit tables into isomorphism classes; returns class ids.
+    """Partition quasigroup tables into isomorphism classes; returns class ids.
 
-    Classes are numbered in order of first sighting, and a table joins the
-    first earlier representative it is isomorphic to.  Each table's order
+    Every table is checked, as ``table_isomorphic`` checks its two, before
+    any search.  Classes are numbered in order of first sighting, and a
+    table joins the first earlier representative it is isomorphic to.  Each table's order
     and sorted ``_signature`` are computed once as its bucket key; they are
     invariant under isomorphism (``table_isomorphic`` rejects a pair whose
     keys differ), so only the representatives in a table's own bucket can
     match it, and the raw search is run against those alone.
     """
     for t in tables:
-        if t.n > max_order:
-            raise ResourceLimitError(f"a table of order {t.n} exceeds the bound {max_order}")
+        _check_quasigroup(t, max_order)
     buckets: dict = {}  # key -> [(class id, representative)], in order of sighting
     ids = []
     classes = 0

@@ -372,6 +372,30 @@ def test_closed_stdout_prints_one_error_line(argv, unbuffered):
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
+class _ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most 7 bytes per write, as a pipe may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += bytes(b[:7])
+        return min(len(b), 7)
+
+
+def test_enumerate_writes_every_byte_to_a_stream_that_takes_part_of_each_write(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    out_file = tmp_path / "out.json"
+    assert run(capsys, "enumerate", "--group", "elem2", "3", "--out", str(out_file))[0] == 0
+    raw = _ShortWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+    assert main(["enumerate", "--group", "elem2", "3"]) == 0
+    assert bytes(raw.data) == out_file.read_bytes()
+
+
 def test_failed_cache_store_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
     def refuse(src, dst):
         raise OSError(28, "No space left on device")

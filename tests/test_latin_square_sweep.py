@@ -7,8 +7,12 @@ filters the paramedial ones by the raw identity, and matches each
 against the class representatives by raw table isomorphism.  Along the
 way the O(n^2 log n) affine-recovery test ``is_paramedial`` is compared with
 the n^4 identity oracle on every square of order <= 4, and must accept
-every paramedial square of order 5.
+every paramedial square of order 5.  ``table_is_simple``, which closes
+only the pairs (0, x), is checked against every pair on all latin
+squares of order <= 4: general quasigroups, not only affine ones.
 """
+
+import itertools
 
 import pytest
 
@@ -16,7 +20,7 @@ from paramedial.affine import QuasigroupTable, is_paramedial, materialize
 from paramedial.enum_cyclic import enumerate_cyclic
 from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.modring import Modulus
-from paramedial.oracle import satisfies_paramedial_identity, table_isomorphic
+from paramedial.oracle import principal_congruence, satisfies_paramedial_identity, table_is_simple, table_isomorphic
 
 
 def all_latin_squares(n):
@@ -100,3 +104,14 @@ def test_every_paramedial_latin_square_is_affine(n, total_squares):
         assert paramedial_count == square_count  # every quasigroup of order <= 3 qualifies
     else:
         assert 0 < paramedial_count < square_count
+
+
+@pytest.mark.parametrize("n,not_simple", [(2, 0), (3, 0), (4, 88)])
+def test_table_is_simple_matches_all_pairs_on_every_latin_square(n, not_simple):
+    found = 0
+    for rows in all_latin_squares(n):
+        table = QuasigroupTable(n, rows)
+        every_pair = all(max(principal_congruence(table, a, b)) == 0 for a, b in itertools.combinations(range(n), 2))
+        assert table_is_simple(table) == every_pair, rows
+        found += not every_pair
+    assert found == not_simple

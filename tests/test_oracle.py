@@ -24,9 +24,7 @@ from paramedial.oracle import (
     classify_tables,
     classify_triples,
     classify_two_stage,
-    is_congruence,
     orbits,
-    partition_from_subgroup,
     principal_congruence,
     simple_via_subgroup_congruences,
     table_is_simple,
@@ -40,6 +38,11 @@ from paramedial.oracle import (
 
 def raw_table(op, n):
     return QuasigroupTable(n, tuple(tuple(op(x, y) for y in range(n)) for x in range(n)))
+
+
+# A magma that is not a quasigroup, and its image under the swap 0 <-> 1.
+MAGMA = QuasigroupTable(2, ((1, 1), (0, 1)))
+SWAPPED = QuasigroupTable(2, ((0, 1), (0, 0)))
 
 
 # -- orbit machinery -----------------------------------------------------------
@@ -250,6 +253,13 @@ def test_table_isomorphic_bound():
         table_isomorphic(big, big)
 
 
+def test_table_isomorphic_rejects_a_non_latin_table():
+    latin = raw_table(lambda x, y: (x + y) % 2, 2)
+    for t1, t2 in ((MAGMA, SWAPPED), (MAGMA, latin), (latin, SWAPPED)):
+        with pytest.raises(ValueError, match="not latin"):
+            table_isomorphic(t1, t2)
+
+
 def test_classify_tables_partitions_all_order_three_triples():
     group = CyclicGroup(Modulus(3, 1))
     spec = triple_action_spec(group)
@@ -360,6 +370,15 @@ def test_classify_tables_checks_every_order_before_any_search(monkeypatch):
     assert classify_tables([big, small, big], max_order=10) == [0, 1, 0]
 
 
+def test_classify_tables_checks_every_table_is_latin_before_any_search(monkeypatch):
+    small = materialize(enumerate_cyclic(Modulus(2, 1)).forms[0])
+    calls = _count_searches(monkeypatch)
+    for tables in ([MAGMA], [small, SWAPPED], [MAGMA, SWAPPED], [small, small, MAGMA]):
+        with pytest.raises(ValueError, match="not latin"):
+            classify_tables(tables)
+    assert calls == []
+
+
 # -- congruences -------------------------------------------------------------------
 
 
@@ -381,26 +400,23 @@ def test_table_is_simple_bound():
         table_is_simple(big)
 
 
-def test_subgroup_partition_and_congruence():
-    group = CyclicGroup(Modulus(3, 2))
-    ids = partition_from_subgroup(group, (0, 3, 6))
-    assert len(set(ids)) == 3
-    add9 = raw_table(lambda x, y: (x + y) % 9, 9)
-    assert is_congruence(add9, ids)
-    assert not is_congruence(add9, (0, 0, 1, 1, 2, 2, 0, 1, 2))
+def test_table_is_simple_rejects_a_non_latin_table():
+    with pytest.raises(ValueError, match="not latin"):
+        table_is_simple(MAGMA)
 
 
 def test_simplicity_oracles_agree_at_order_nine():
-    group = ElemAbelian2Group(3)
-    spec = triple_action_spec(group)
-    cls = classify_triples(group)
-    for phi, psi, c in cls.representatives:
-        form = AffineForm(group, phi, psi, c)
-        structural = is_simple(group, phi, psi)
-        by_subgroups = simple_via_subgroup_congruences(form)
-        by_search = table_is_simple(materialize(form))
-        assert structural == by_subgroups == by_search
-    for form in enumerate_cyclic(Modulus(3, 2)).forms:
-        assert not is_simple(form.group, form.phi, form.psi)
-        assert not simple_via_subgroup_congruences(form)
-        assert not table_is_simple(materialize(form))
+    # and at orders 3, 4 and 8: a cyclic group of prime order has simple classes
+    for group, simple in (
+        (ElemAbelian2Group(3), 9),
+        (CyclicGroup(Modulus(3, 2)), 0),
+        (CyclicGroup(Modulus(3, 1)), 5),
+        (CyclicGroup(Modulus(2, 3)), 0),
+        (ElemAbelian2Group(2), 3),
+    ):
+        flags = []
+        for phi, psi, c in classify_triples(group).representatives:
+            form = AffineForm(group, phi, psi, c)
+            flags.append(is_simple(group, phi, psi))
+            assert flags[-1] == simple_via_subgroup_congruences(form) == table_is_simple(materialize(form))
+        assert sum(flags) == simple, group.describe()

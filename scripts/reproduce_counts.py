@@ -4,6 +4,8 @@
 For each supported group the closed-form value, the structured
 enumeration and (within the configured bound) the brute-force orbit
 classification are printed side by side; any disagreement is flagged.
+A group with more classes than the CLI's MAX_RECORDS is not enumerated
+(``-`` in the enum column), as the CLI refuses it.
 
 Usage: python3 scripts/reproduce_counts.py [--max-p 7] [--oracle-bound 27]
 """
@@ -13,6 +15,7 @@ import sys
 import time
 
 from paramedial.affine import CyclicGroup, ElemAbelian2Group
+from paramedial.cli import MAX_RECORDS
 from paramedial.enum_cyclic import pq_total
 from paramedial.modring import Modulus, is_prime
 from paramedial.oracle import classify_two_stage
@@ -39,11 +42,12 @@ def main() -> int:
     print(f"{'group':>14} {'closed':>8} {'enum':>8} {'oracle':>8}")
     for label, group in groups:
         closed = group.closed_count()
-        enum = len(group.rows())
-        oracle = "-"
+        enum = oracle = "-"
+        if closed <= MAX_RECORDS:  # the CLI's bound on an enumeration
+            enum = len(group.rows())
         if group.order <= args.oracle_bound:
             oracle = classify_two_stage(group, max_order=args.oracle_bound).count
-        ok = enum == closed and (oracle == "-" or oracle == closed)
+        ok = enum in ("-", closed) and oracle in ("-", closed)
         failures += 0 if ok else 1
         flag = "" if ok else "   <-- MISMATCH"
         print(f"{label:>14} {closed:>8} {enum:>8} {oracle:>8}{flag}")

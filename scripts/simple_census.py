@@ -3,7 +3,9 @@
 
 Prints, per case family, how many simple classes it contributes, checks
 the total against the closed form p(2p - 3), and cross-checks every
-flag against the congruence-based table oracle (for small p).
+flag against ``oracle.table_is_simple`` on the explicit table (for small
+p).  A p that is not an odd prime below 2^31, or whose classes exceed the
+CLI's MAX_RECORDS, is skipped before any enumeration, as the CLI refuses it.
 
 Usage: python3 scripts/simple_census.py [--primes 3 5 7]
 """
@@ -12,11 +14,10 @@ import argparse
 import sys
 from collections import Counter
 
-from paramedial.affine import AffineForm, ElemAbelian2Group
+from paramedial.affine import AffineForm, ElemAbelian2Group, materialize
+from paramedial.cli import MAX_RECORDS
 from paramedial.enum_cyclic import simple_closed_count
-from paramedial.enum_gl2 import enumerate_gl2
-from paramedial.modring import is_prime
-from paramedial.oracle import simple_via_subgroup_congruences
+from paramedial.oracle import table_is_simple
 
 
 def main() -> int:
@@ -28,10 +29,19 @@ def main() -> int:
 
     failures = 0
     for p in args.primes:
-        if not is_prime(p) or p == 2:
+        try:
+            group = ElemAbelian2Group(p)  # range-checked before the trial division of is_prime
+        except ValueError as exc:
+            print(f"skipping p={p} ({exc})")
+            continue
+        if p == 2:
             print(f"skipping p={p} (need an odd prime)")
             continue
-        rows = enumerate_gl2(p).rows
+        classes = group.closed_count()
+        if classes > MAX_RECORDS:
+            print(f"skipping p={p} ({classes} classes, above the CLI's bound {MAX_RECORDS})")
+            continue
+        rows = group.rows()
         by_case = Counter(case for _, _, _, case, simple in rows if simple)
         simple_total = sum(by_case.values())
         print(f"\np = {p}: {simple_total} simple classes out of {len(rows)}")
@@ -42,11 +52,10 @@ def main() -> int:
             failures += 1
             print(f"  MISMATCH: expected {expected}")
         if p <= args.oracle_max_p:
-            group = ElemAbelian2Group(p)
             bad = sum(
                 1
                 for phi, psi, c, _, simple in rows
-                if simple != simple_via_subgroup_congruences(AffineForm(group, phi, psi, c))
+                if simple != table_is_simple(materialize(AffineForm(group, phi, psi, c)), max_order=group.order)
             )
             print(f"  congruence-oracle check on {len(rows)} explicit tables: "
                   f"{'ok' if bad == 0 else f'{bad} disagreements'}")

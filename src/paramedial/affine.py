@@ -6,8 +6,8 @@ its operation can be written x*y = phi(x) + psi(y) + c for automorphisms
 phi, psi of G with phi^2 = psi^2 and a constant c.  This module builds
 the quasigroup from such data, checks an explicit table by recovering
 that affine form from it (O(n^2 log n); the n^4 identity check itself
-lives in ``oracle`` as the reference), and decides simplicity via
-invariant subgroups.  The table functions take O(n log n) Python steps
+lives in ``oracle`` as the reference), and decides simplicity in closed
+form from phi and psi alone.  The table functions take O(n log n) Python steps
 per table, each step over n entries a C-level itemgetter, map or slice.
 
 Two underlying groups are supported: the cyclic group Z_{p^k} and the
@@ -355,37 +355,36 @@ def table_from_text(text: str) -> QuasigroupTable:
     return QuasigroupTable(n, tuple(tuple(map(int, ln)) for ln in lines[1:]))
 
 
-# -- subgroup structure and simplicity ----------------------------------------
-
-
-def proper_subgroups(group: GroupDescriptor) -> list[tuple[int, ...]]:
-    """All proper non-trivial subgroups, as sorted tuples of encoded elements.
-
-    Z_{p^k} has exactly the chain p^i Z_{p^k} (0 < i < k); Z_p x Z_p has
-    the p + 1 lines through the origin.
-    """
-    if isinstance(group, CyclicGroup):
-        m = group.modulus
-        return [tuple(range(0, m.n, m.p**i)) for i in range(1, m.k)]
-    p = group.p
-    lines = [tuple(range(p))]  # the span of (0, 1)
-    lines += [tuple(s * p + s * t % p for s in range(p)) for t in range(p)]  # of (1, t)
-    return sorted(lines)
-
-
-@lru_cache(maxsize=16)
-def _subgroup_sets(group: GroupDescriptor) -> tuple[tuple[tuple[int, ...], frozenset], ...]:
-    return tuple((sub, frozenset(sub)) for sub in proper_subgroups(group))
+# -- simplicity ------------------------------------------------------------------
 
 
 def is_simple(group: GroupDescriptor, phi: int | Mat2, psi: int | Mat2) -> bool:
-    """Whether x*y = phi(x) + psi(y) + c over `group` is simple, whatever c.
+    """Whether x*y = phi(x) + psi(y) + c over `group` is simple, whatever c,
+    by O(1) arithmetic on the entries mod p (so an unreduced or singular
+    pair gets an answer too).
 
-    Its congruences are the cosets of the subgroups N with phi(N) = psi(N) = N.
-    Every proper subgroup here is cyclic, generated by its least non-zero
-    element sub[1] (p^i in Z_{p^k}, any non-zero point of a line), and phi,
-    psi are bijective, so N is invariant exactly when sub[1] maps into N
-    under both: over Z_p x Z_p, N is an eigenline of both phi and psi; over
-    Z_{p^k} every N is, the chain p^i Z_{p^k} being characteristic."""
-    apply = group.apply
-    return not any(apply(phi, sub[1]) in elems and apply(psi, sub[1]) in elems for sub, elems in _subgroup_sets(group))
+    Its congruences are the cosets of the subgroups N that phi and psi map
+    into N.  Over Z_{p^k} every proper N > 0 is some p^i Z_{p^k}, which is
+    characteristic: simple iff k = 1.  Over Z_p x Z_p the N are the lines
+    <v> with v a common eigenvector.  Let C = phi psi - psi phi.  If C != 0,
+    there is one iff det C = 0 (Shemesh): Cv = 0 for such v; conversely
+    tr C = 0 gives C^2 = -det(C) I, and Cayley-Hamilton gives
+    phi C + C phi = tr(phi) C, likewise for psi, so if det C = 0 the line
+    Im C = ker C is invariant under both.  If C = 0 and phi is not scalar,
+    it is cyclic, psi lies in F_p[phi], and the invariant lines are phi's
+    eigenlines; if phi is scalar, they are psi's.  So there is none iff the
+    characteristic polynomial of that one has no root in F_p (Euler's
+    criterion on the discriminant for odd p; both field elements for p = 2)."""
+    if isinstance(group, CyclicGroup):
+        return group.modulus.k == 1
+    p = group.p
+    (a, b, c, d), (e, f, g, h) = phi, psi
+    x, y, z = b * g - c * f, f * (a - d) - b * (e - h), c * (e - h) - g * (a - d)  # C = ((x, y), (z, -x))
+    if x % p or y % p or z % p:
+        return (x * x + y * z) % p != 0  # -det C
+    if not (b % p or c % p or (a - d) % p):  # phi scalar: psi decides (scalar too: a double root)
+        a, b, c, d = psi
+    t, det = a + d, a * d - b * c  # the characteristic polynomial s^2 - t s + det
+    if p == 2:
+        return all((s * s - t * s + det) % 2 for s in (0, 1))
+    return pow(t * t - 4 * det, (p - 1) // 2, p) == p - 1

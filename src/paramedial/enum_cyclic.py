@@ -18,11 +18,10 @@ simple) in output order, each labelled by the branch that produced it
 an ``affine.Classification``, whose ``records()`` and ``forms`` build the
 checked objects from the rows only when asked; ``cli enumerate`` renders
 the rows as they are.
-Simplicity is a closed form too: a class is simple exactly when k = 1.
-Every proper non-trivial subgroup of Z_{p^k} is one of the chain
-p^i Z_{p^k} (0 < i < k), and each is characteristic, so it is invariant
-under every phi and psi; there is one exactly when k > 1.  Only the
-tests check these flags against ``affine.is_simple``.
+Simplicity is a closed form too: a class is simple exactly when k = 1,
+since every p^i Z_{p^k} (0 < i < k) is characteristic (``affine.is_simple``
+says why).  The tests check these flags against ``oracle.table_is_simple``
+on the explicit tables.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ buckets the tables by an isomorphism invariant (the order and the sorted
 row/column cycle types and diagonal profile), computed once per table,
 then runs that search only between a table and the earlier class
 representatives in its bucket; every match is still decided by the search.
-``table_is_simple`` and ``simple_via_subgroup_congruences`` both ask
-whether principal congruences are total.
+``table_is_simple`` asks whether the principal congruences Cg(0, x) are
+all total; it is the table-level reference for ``affine.is_simple``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .affine import AffineForm, CyclicGroup, GroupDescriptor, QuasigroupTable, is_latin
+from .affine import CyclicGroup, GroupDescriptor, QuasigroupTable, is_latin
 from .modring import unit_group
 
 DEFAULT_MAX_POINTS = 10**7
@@ -578,8 +578,8 @@ def principal_congruence(table: QuasigroupTable, a: int, b: int) -> tuple[int, .
     """Smallest congruence identifying a and b, as a class-id vector.
 
     Union-find closure: whenever two classes merge, products against all
-    elements are merged as well.  On a finite quasigroup the result is
-    automatically compatible with both divisions.
+    elements are merged as well, until one class is left.  On a finite
+    quasigroup the result is automatically compatible with both divisions.
     """
     t = table.rows
     n = table.n
@@ -592,12 +592,14 @@ def principal_congruence(table: QuasigroupTable, a: int, b: int) -> tuple[int, .
         return x
 
     queue = [(a, b)]
-    while queue:
+    classes = n
+    while queue and classes > 1:
         x, y = queue.pop()
         rx, ry = find(x), find(y)
         if rx == ry:
             continue
         parent[ry] = rx
+        classes -= 1
         queue += zip(t[x], t[y])
         queue += ((row[x], row[y]) for row in t)
     roots = [find(x) for x in range(n)]
@@ -617,21 +619,6 @@ def table_is_simple(table: QuasigroupTable, max_order: int = 9) -> bool:
     """
     _check_quasigroup(table, max_order)
     return all(max(principal_congruence(table, 0, x)) == 0 for x in range(1, table.n))
-
-
-def simple_via_subgroup_congruences(form: AffineForm) -> bool:
-    """Table-level simplicity oracle: Cg(0, sub[1]) is total on the
-    materialized table for every proper subgroup ``sub`` of G.
-
-    The congruences of an affine quasigroup are the coset partitions of the
-    subgroups N invariant under phi and psi.  A proper such N gives one
-    that contains Cg(0, N[1]) and is not total; and a Cg(0, g) that is not
-    total is itself a congruence other than equality.
-    """
-    from .affine import materialize, proper_subgroups
-
-    table = materialize(form)
-    return all(max(principal_congruence(table, 0, sub[1])) == 0 for sub in proper_subgroups(form.group))
 
 
 def classify_tables(tables: Sequence[QuasigroupTable], max_order: int = 9) -> list[int]:

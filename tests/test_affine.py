@@ -16,19 +16,17 @@ from paramedial.affine import (
     ParamedialConditionError,
     QuasigroupTable,
     _generators,
-    _subgroup_sets,
     is_latin,
     is_paramedial,
     is_simple,
     materialize,
-    proper_subgroups,
     table_from_text,
     table_to_text,
 )
 from paramedial.enum_cyclic import enumerate_cyclic
 from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.cli import form_from_dict, record_to_dict
-from paramedial.modring import Modulus, gl2, mat_mul
+from paramedial.modring import Modulus, gl2, mat_mul, mat_vec
 from paramedial.oracle import satisfies_paramedial_identity
 
 
@@ -335,16 +333,6 @@ def test_value_classes_are_immutable_and_compare_by_fields(make, names):
     assert a == b == pickle.loads(pickle.dumps(a)) == copy.deepcopy(a)
 
 
-@pytest.mark.parametrize(
-    "make", [lambda: ElemAbelian2Group(5), lambda: CyclicGroup(Modulus(3, 3))], ids=["elem2", "cyclic"]
-)
-def test_equal_groups_share_the_subgroup_cache(make):
-    _subgroup_sets.cache_clear()
-    first = _subgroup_sets(make())
-    assert _subgroup_sets(make()) is first
-    assert _subgroup_sets.cache_info()[:2] == (1, 1)  # hits, misses
-
-
 CYCLIC_PAIRS_9 = [(phi, psi) for phi in range(1, 9) for psi in range(1, 9)
                   if phi % 3 and psi % 3 and (phi * phi - psi * psi) % 9 == 0]
 
@@ -385,16 +373,6 @@ def test_element_encoding_of_elem2():
     assert table.rows[0][0] == 1 * 3 + 2
 
 
-def test_proper_subgroups():
-    assert proper_subgroups(CyclicGroup(Modulus(3, 2))) == [(0, 3, 6)]
-    assert proper_subgroups(CyclicGroup(Modulus(3, 1))) == []
-    assert proper_subgroups(CyclicGroup(Modulus(2, 3))) == [(0, 2, 4, 6), (0, 4)]
-    lines = proper_subgroups(ElemAbelian2Group(3))
-    assert len(lines) == 4
-    assert (0, 1, 2) in lines  # span of (0,1)
-    assert (0, 3, 6) in lines  # span of (1,0)
-
-
 def test_invariant_subgroups_cyclic_prime_square():
     # (0, 3, 6), the one proper subgroup of Z_9, is invariant under every unit
     assert not is_simple(CyclicGroup(Modulus(3, 2)), 2, 2)
@@ -410,18 +388,33 @@ def test_invariant_subgroups_irreducible_rotation():
     assert is_simple(ElemAbelian2Group(3), (0, 1, 2, 0), (0, 1, 2, 0))
 
 
+def _some_line_maps_into_itself(p, phi, psi):
+    """Brute force: is there a line {s v} that phi and psi both map into itself?"""
+    def into(m, v):
+        w = mat_vec(m, v, p)
+        return any(w == (s * v[0] % p, s * v[1] % p) for s in range(p))
+
+    return any(into(phi, v) and into(psi, v) for v in [(0, 1)] + [(1, t) for t in range(p)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_simple_matches_a_brute_force_over_lines(p):
+    # all of GL(2,p)^2 for p = 2, 3 (36 and 2 304 pairs); the 3 840 pairs with phi^2 = psi^2 at p = 5
+    group, gl = ElemAbelian2Group(p), gl2(p)
+    pairs = [(f, s) for f in gl for s in gl if p < 5 or mat_mul(f, f, p) == mat_mul(s, s, p)]
+    assert len(pairs) == {2: 36, 3: 2304, 5: 3840}[p]
+    for phi, psi in pairs:
+        assert is_simple(group, phi, psi) == (not _some_line_maps_into_itself(p, phi, psi)), (phi, psi)
+
+
 def test_invariant_subgroups_match_full_images():
-    # reference: a subgroup is invariant when its whole phi- and psi-images equal it
-    forms = [f for p in (3, 5) for f in enumerate_gl2(p).forms]
-    forms += enumerate_cyclic(Modulus(2, 4)).forms + enumerate_cyclic(Modulus(3, 3)).forms
-    for form in forms:
-        g = form.group
-        invariant = [
-            sub
-            for sub in proper_subgroups(g)
-            if {g.apply(form.phi, x) for x in sub} == set(sub) == {g.apply(form.psi, x) for x in sub}
-        ]
-        assert is_simple(g, form.phi, form.psi) == (not invariant)
+    # reference: some p^i Z_{p^k}, 0 < i < k, has its whole phi- and psi-images equal to itself
+    for m in (Modulus(2, 4), Modulus(3, 3), Modulus(5, 1)):
+        g = CyclicGroup(m)
+        for form in enumerate_cyclic(m).forms:
+            subs = [set(range(0, m.n, m.p**i)) for i in range(1, m.k)]
+            invariant = [sub for sub in subs if {g.apply(form.phi, x) for x in sub} == sub == {g.apply(form.psi, x) for x in sub}]
+            assert is_simple(g, form.phi, form.psi) == (not invariant)
 
 
 def test_simplicity_prime_order_and_mixed_pair():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -96,6 +97,62 @@ def test_count_order_is_total(n):
         assert len(err.splitlines()) == 1 and err.startswith("error:")
     else:
         assert err == ""
+
+
+PRIMES = ["2", "3", "5", "7", "11", "13"]
+BAD_TOKENS = ["0", "1", "4", "-3", "40", "2147483659", "1e3", "x", ""]  # none a valid p
+
+
+def _groups(primes, exponents):
+    """Group tokens: a valid group, or a spec that is never one."""
+    valid = st.one_of(
+        st.tuples(st.just("cyclic"), st.sampled_from(primes), st.sampled_from(exponents)),
+        st.tuples(st.just("elem2"), st.sampled_from(primes)),
+    ).map(list)
+    return st.one_of(valid, st.lists(st.sampled_from(["cyclic", "elem2", "foo", *BAD_TOKENS]), max_size=4))
+
+
+@st.composite
+def _argvs(draw):
+    """argv for count, enumerate or verify, with every flag, small valid groups
+    (p <= 13, k <= 3; order <= 49 for --format tables) and malformed tokens."""
+    command = draw(st.sampled_from(["count", "enumerate", "verify"]))
+    argv = [command]
+    if command == "count":
+        target = draw(st.sampled_from(["order", "group", "both", "neither"]))
+        if target in ("order", "both"):
+            argv += ["--order", draw(st.sampled_from(["9", "25", "8", "1", "100", *BAD_TOKENS]))]
+        if target in ("group", "both"):
+            argv += ["--group", *draw(_groups(PRIMES, ["1", "2", "3"]))]
+        argv += ["--json"] * draw(st.booleans())
+        return argv
+    if command == "enumerate":
+        fmt = draw(st.sampled_from([None, "json", "csv", "tables", "xml"]))
+        small = fmt == "tables"
+        argv += ["--group", *draw(_groups(PRIMES[:4] if small else PRIMES, ["1", "2"] if small else ["1", "2", "3"]))]
+        argv += ["--simple-only"] * draw(st.booleans())
+        argv += [] if fmt is None else ["--format", fmt]
+        for flag in ("--out", "--manifest"):
+            argv += draw(st.sampled_from([[], [flag, "{tmp}/file"], [flag, "{tmp}/missing/file"]]))
+        return argv
+    argv += ["--group", *draw(_groups(PRIMES, ["1", "2", "3"]))]
+    argv += draw(st.sampled_from([[], ["--level", "fast"], ["--level", "oracle"], ["--level", "full"]]))
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=150, deadline=None)
+def test_every_argv_exits_with_a_documented_code_and_no_traceback(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [token.format(tmp=tmp) for token in argv]
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage exits
+                code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_usage_error_exit_code(capsys):

@@ -444,7 +444,7 @@ def test_simple_family_counts(p):
     assert twos == p - 3
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
 def test_simple_flags_agree_with_invariant_subgroup_criterion(p):
     group = ElemAbelian2Group(p)
     for phi, psi, _, _, simple in group.rows():

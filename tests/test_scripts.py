@@ -42,6 +42,21 @@ def test_reproduce_counts_runs_both_oracle_columns_up_to_the_bound():
     assert rows["Z_7 x Z_7"] == ["194", "194", "194"]
 
 
+def test_scripts_skip_a_group_over_the_record_bound():
+    # cyclic 2 20 has 2 097 152 classes, above the CLI's MAX_RECORDS, and elem2 1009 has 4 072 322
+    result = run_script(["reproduce_counts.py", "--max-p", "2", "--max-k", "20"])
+    assert result.returncode == 0, result.stdout + result.stderr
+    rows = {line[:14].strip(): line[14:].split() for line in result.stdout.splitlines()[1:22]}
+    assert rows["Z_2^20"] == ["2097152", "-", "-"]
+    assert rows["Z_2^19"] == ["1048576", "1048576", "-"]
+    # a p of 2^31 or more is refused before the trial division that would take minutes
+    result = run_script(["simple_census.py", "--primes", "1009", "1000000000000000003", "4"])
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert [line.split(" (")[0] for line in result.stdout.splitlines()] == [
+        "skipping p=1009", "skipping p=1000000000000000003", "skipping p=4"
+    ]
+
+
 CANNED_RUN = """\
 workload cyclic-sweep, seed 7: 2 passes, 8 requests, 0 failed (failed_frac 0.0000)
 items_per_s = 13500 1/s

@@ -129,3 +129,12 @@ def test_verify_builds_no_form_or_record(capsys, monkeypatch, level):
     for group in (["elem2", "5"], ["elem2", "2"], ["cyclic", "5", "2"], ["cyclic", "2", "4"]):
         assert main(["verify", "--group", *group, "--level", level]) == 0, group
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_applies_no_automorphism_to_an_element(capsys, monkeypatch):
+    # is_simple decides from the entries of phi and psi alone, with no element of G in sight
+    monkeypatch.setattr(ElemAbelian2Group, "apply", _refuse)
+    monkeypatch.setattr(CyclicGroup, "apply", _refuse)
+    for group in (["elem2", "5"], ["elem2", "2"], ["cyclic", "5", "2"]):
+        assert main(["verify", "--group", *group]) == 0, group
+    assert "FAIL" not in capsys.readouterr().out

@@ -413,7 +413,9 @@ def test_invariant_subgroups_match_full_images():
         g = CyclicGroup(m)
         for form in enumerate_cyclic(m).forms:
             subs = [set(range(0, m.n, m.p**i)) for i in range(1, m.k)]
-            invariant = [sub for sub in subs if {g.apply(form.phi, x) for x in sub} == sub == {g.apply(form.psi, x) for x in sub}]
+            invariant = [
+                sub for sub in subs if {g.apply(form.phi, x) for x in sub} == sub == {g.apply(form.psi, x) for x in sub}
+            ]
             assert is_simple(g, form.phi, form.psi) == (not invariant)
 
 

@@ -2,10 +2,11 @@
 """Census of the simple paramedial quasigroups of order p^2.
 
 Prints, per case family, how many simple classes it contributes, checks
-the total against the closed form p(2p - 3), and cross-checks every
-flag against ``oracle.table_is_simple`` on the explicit table (for small
-p).  A p that is not an odd prime below 2^31, or whose classes exceed the
-CLI's MAX_RECORDS, is skipped before any enumeration, as the CLI refuses it.
+the total against the closed form ``simple_closed_count`` (p(2p - 3) for
+odd p, 3 for p = 2), and cross-checks every flag against
+``oracle.table_is_simple`` on the explicit table (for small p).  A p that
+is not a prime below 2^31, or whose classes exceed the CLI's MAX_RECORDS,
+is skipped before any enumeration, as the CLI refuses it.
 
 Usage: python3 scripts/simple_census.py [--primes 3 5 7]
 """
@@ -33,9 +34,6 @@ def main() -> int:
             group = ElemAbelian2Group(p)  # range-checked before the trial division of is_prime
         except ValueError as exc:
             print(f"skipping p={p} ({exc})")
-            continue
-        if p == 2:
-            print(f"skipping p={p} (need an odd prime)")
             continue
         classes = group.closed_count()
         if classes > MAX_RECORDS:

@@ -2,7 +2,7 @@
 
 Nothing in here knows about the structured case analysis used by the
 enumerators; it classifies by raw orbit computation and raw table
-search so the two routes stay independent.
+relabelling so the two routes stay independent.
 
 Aut(G) and G are described once, by ``_automorphisms``: the elements of
 Aut(G) in increasing order, a generating set, and the arithmetic of the
@@ -28,12 +28,11 @@ and by filtering Aut(G).
 
 The explicit-table layer takes quasigroups only: ``table_isomorphic``,
 ``classify_tables`` and ``table_is_simple`` raise ``ValueError`` for a
-table that is not latin.  ``table_isomorphic`` is a raw backtracking
-search for a bijection, closed under products.  ``classify_tables`` first
-buckets the tables by an isomorphism invariant (the order and the sorted
-row/column cycle types and diagonal profile), computed once per table,
-then runs that search only between a table and the earlier class
-representatives in its bucket; every match is still decided by the search.
+table that is not latin.  Isomorphism has one mechanism, a canonical
+form: label the elements in the order in which closure under the product
+reaches them from a shortest generating tuple, and keep the least
+relabelled table.  ``table_isomorphic`` compares two forms;
+``classify_tables`` computes one per table and numbers the distinct ones.
 ``table_is_simple`` asks whether the principal congruences Cg(0, x) are
 all total; it is the table-level reference for ``affine.is_simple``.
 """
@@ -462,89 +461,55 @@ def _check_quasigroup(table: QuasigroupTable, max_order: int) -> None:
         raise ValueError(f"a table of order {table.n} is not latin, so not a quasigroup")
 
 
-def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
+def _canonical_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """A complete isomorphism invariant of a quasigroup table.
 
-
-def _signature(table) -> list[tuple]:
-    """Per element x: the cycle types of its row and column, whether x*x = x,
-    and how many y have y*y = x.  An isomorphism preserves each of them;
-    the cycle types are defined because rows and columns are permutations."""
-    diagonal = [row[x] for x, row in enumerate(table)]
-    return [
-        (_cycle_type(row), _cycle_type(column), diagonal[x] == x, diagonal.count(x))
-        for x, (row, column) in enumerate(zip(table, zip(*table)))
-    ]
+    A seed is a tuple of distinct elements, labelled 0, 1, ... in order.
+    Closure labels every other element when it is first reached: for the
+    labels m = 0, 1, ... and b = 0, ..., m, the products x*y and y*x of the
+    elements x, y labelled m, b.  A seed that reaches all n elements gives
+    its relabelled table, read row by row; the form is the least of these
+    over the seeds of the smallest size k that generate.  An isomorphism
+    carries seeds to seeds and their labellings along, so isomorphic tables
+    get equal forms, and a form is a table, so equal forms mean isomorphic
+    tables.  A quasigroup is generated by at most log2(n) + 1 elements
+    (G. L. Miller, "On the n^(log n) isomorphism technique", STOC 1978),
+    so k stays that small.
+    """
+    n = len(rows)
+    for k in range(1, n + 1):
+        forms = []
+        for seed in itertools.permutations(range(n), k):
+            order = list(seed)
+            label = [-1] * n
+            for i, x in enumerate(order):
+                label[x] = i
+            m = 0
+            while m < len(order) < n:
+                x = order[m]
+                for y in order[: m + 1]:
+                    for z in (rows[x][y], rows[y][x]):
+                        if label[z] < 0:
+                            label[z] = len(order)
+                            order.append(z)
+                m += 1
+            if len(order) == n:
+                forms.append(tuple(label[rows[x][y]] for x in order for y in order))
+        if forms:
+            return min(forms)
+    return ()  # n = 0: the empty table
 
 
 def table_isomorphic(t1: QuasigroupTable, t2: QuasigroupTable, max_order: int = 9) -> bool:
     """Whether a bijection s exists with s(x*y) = s(x) o s(y), for quasigroups
-    (``ValueError`` for a table of equal order that is not latin).
-
-    Backtracking over images of a few seed elements; every partial
-    assignment is closed under products, which forces the rest of the map,
-    and candidates are pruned by row/column cycle types and the multiset
-    profile of the diagonal x*x.  A complete map is checked on every product.
+    (``ValueError`` for a table of equal order that is not latin): whether
+    the two tables have the same ``_canonical_form``.
     """
     if t1.n != t2.n:
         return False
     _check_quasigroup(t1, max_order)
     _check_quasigroup(t2, max_order)
-    n = t1.n
-    a, b = t1.rows, t2.rows
-    sig1, sig2 = _signature(a), _signature(b)
-    if sorted(sig1) != sorted(sig2):
-        return False
-    candidates = [[v for v in range(n) if sig2[v] == sig1[x]] for x in range(n)]
-
-    def close(sigma: dict, used: set, fresh: list) -> bool:
-        # Propagate forced images through * until stable.
-        while fresh:
-            x = fresh.pop()
-            for y in list(sigma):
-                for (u, v) in ((x, y), (y, x)):
-                    w, w2 = a[u][v], b[sigma[u]][sigma[v]]
-                    if w in sigma:
-                        if sigma[w] != w2:
-                            return False
-                    else:
-                        if w2 in used or sig2[w2] != sig1[w]:
-                            return False
-                        sigma[w] = w2
-                        used.add(w2)
-                        fresh.append(w)
-        return True
-
-    def extend(sigma: dict, used: set) -> bool:
-        if len(sigma) == n:
-            return all(
-                sigma[a[x][y]] == b[sigma[x]][sigma[y]] for x in range(n) for y in range(n)
-            )
-        x = min((v for v in range(n) if v not in sigma), key=lambda v: len(candidates[v]))
-        for img in candidates[x]:
-            if img in used:
-                continue
-            sigma2 = dict(sigma)
-            used2 = set(used)
-            sigma2[x] = img
-            used2.add(img)
-            if close(sigma2, used2, [x]) and extend(sigma2, used2):
-                return True
-        return False
-
-    return extend({}, set())
+    return _canonical_form(t1.rows) == _canonical_form(t2.rows)
 
 
 # -- the paramedial identity on explicit tables -------------------------------
@@ -625,26 +590,10 @@ def classify_tables(tables: Sequence[QuasigroupTable], max_order: int = 9) -> li
     """Partition quasigroup tables into isomorphism classes; returns class ids.
 
     Every table is checked, as ``table_isomorphic`` checks its two, before
-    any search.  Classes are numbered in order of first sighting, and a
-    table joins the first earlier representative it is isomorphic to.  Each table's order
-    and sorted ``_signature`` are computed once as its bucket key; they are
-    invariant under isomorphism (``table_isomorphic`` rejects a pair whose
-    keys differ), so only the representatives in a table's own bucket can
-    match it, and the raw search is run against those alone.
+    any form is computed.  Classes are numbered in order of first sighting,
+    keyed by each table's order and ``_canonical_form``, one form per table.
     """
     for t in tables:
         _check_quasigroup(t, max_order)
-    buckets: dict = {}  # key -> [(class id, representative)], in order of sighting
-    ids = []
-    classes = 0
-    for t in tables:
-        bucket = buckets.setdefault((t.n, tuple(sorted(_signature(t.rows)))), [])
-        for i, r in bucket:
-            if table_isomorphic(t, r, max_order=max_order):
-                ids.append(i)
-                break
-        else:
-            ids.append(classes)
-            bucket.append((classes, t))
-            classes += 1
-    return ids
+    classes: dict = {}
+    return [classes.setdefault((t.n, _canonical_form(t.rows)), len(classes)) for t in tables]

@@ -5,7 +5,6 @@ Each test prints a single ``ACCEPTANCE n: PASS/FAIL`` line (visible with
 are exact equalities throughout, plus the stated runtime budgets.
 """
 
-import itertools
 import time
 
 import pytest
@@ -28,7 +27,6 @@ from paramedial.oracle import (
     classify_triples,
     satisfies_paramedial_identity,
     table_is_simple,
-    table_isomorphic,
     triple_action_spec,
 )
 
@@ -78,7 +76,7 @@ def test_criterion_3_tiny_scale_table_ground_truth():
     start = time.perf_counter()
     ok = True
 
-    # order 3: classify every valid triple by raw table-isomorphism search
+    # order 3: classify every valid triple by its raw table alone
     group3 = CyclicGroup(Modulus(3, 1))
     spec3 = triple_action_spec(group3)
     raw_ids = classify_tables([materialize(AffineForm(group3, *t)) for t in spec3.points])
@@ -86,29 +84,23 @@ def test_criterion_3_tiny_scale_table_ground_truth():
     ok &= classify_triples(group3).count == 5
     ok &= enumerate_cyclic(Modulus(3, 1)).count == 5
 
-    # order 9: the 16 + 34 = 50 representatives are pairwise non-isomorphic
-    forms9 = list(enumerate_cyclic(Modulus(3, 2)).forms)
-    forms9 += enumerate_gl2(3).forms
-    tables9 = [materialize(f) for f in forms9]
-    ok &= len(tables9) == 50
-    ok &= all(
-        not table_isomorphic(a, b) for a, b in itertools.combinations(tables9, 2)
-    )
-    ok &= classify_triples(CyclicGroup(Modulus(3, 2))).count == 16
-    ok &= classify_triples(ElemAbelian2Group(3)).count == 34
-
-    # the structured representative of each class is table-isomorphic to the
-    # oracle's canonical representative of the same orbit
-    for group, forms in (
-        (CyclicGroup(Modulus(3, 2)), enumerate_cyclic(Modulus(3, 2)).forms),
-        (ElemAbelian2Group(3), enumerate_gl2(3).forms),
+    # order 9: the 16 + 34 = 50 structured representatives are pairwise
+    # non-isomorphic, and each is table-isomorphic to the oracle's canonical
+    # representative of the same orbit
+    structured, canonical = [], []
+    for group, forms, expected in (
+        (CyclicGroup(Modulus(3, 2)), enumerate_cyclic(Modulus(3, 2)).forms, 16),
+        (ElemAbelian2Group(3), enumerate_gl2(3).forms, 34),
     ):
         oracle = classify_triples(group)
+        ok &= oracle.count == len(forms) == expected
         for form in forms:
             rep = oracle.representatives[oracle.index[form.phi, form.psi, form.c]]
-            ok &= table_isomorphic(materialize(form), materialize(AffineForm(group, *rep)))
+            structured.append(materialize(form))
+            canonical.append(materialize(AffineForm(group, *rep)))
+    ok &= classify_tables(structured + canonical) == list(range(50)) * 2
     elapsed = time.perf_counter() - start
-    report(3, "raw Cayley-table search agrees at orders 3 and 9 (5 and 50 classes)", ok, elapsed)
+    report(3, "raw Cayley-table classification agrees at orders 3 and 9 (5 and 50 classes)", ok, elapsed)
 
 
 def test_criterion_4_matrix_square_roots():

@@ -3,13 +3,15 @@ is isomorphic to one of the enumerated affine classes of that order.
 
 This sweeps ALL latin squares of each order (not just reduced ones,
 since relabelling must act simultaneously on rows, columns and symbols),
-filters the paramedial ones by the raw identity, and matches each
-against the class representatives by raw table isomorphism.  Along the
-way the O(n^2 log n) affine-recovery test ``is_paramedial`` is compared with
+filters the paramedial ones by the raw identity, and classifies them
+together with the class representatives by raw table isomorphism.  Along
+the way the O(n^2 log n) affine-recovery test ``is_paramedial`` is compared with
 the n^4 identity oracle on every square of order <= 4, and must accept
 every paramedial square of order 5.  ``table_is_simple``, which closes
 only the pairs (0, x), is checked against every pair on all latin
-squares of order <= 4: general quasigroups, not only affine ones.
+squares of order <= 4: general quasigroups, not only affine ones, and
+``classify_tables`` is checked against the orbits of S_4 on all latin
+squares of order 4.
 """
 
 import itertools
@@ -20,7 +22,7 @@ from paramedial.affine import QuasigroupTable, is_paramedial, materialize
 from paramedial.enum_cyclic import enumerate_cyclic
 from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.modring import Modulus
-from paramedial.oracle import principal_congruence, satisfies_paramedial_identity, table_is_simple, table_isomorphic
+from paramedial.oracle import classify_tables, principal_congruence, satisfies_paramedial_identity, table_is_simple
 
 
 def all_latin_squares(n):
@@ -82,9 +84,8 @@ def class_tables(n):
 @pytest.mark.parametrize("n,total_squares", [(2, 2), (3, 12), (4, 576), (5, 161280)])
 def test_every_paramedial_latin_square_is_affine(n, total_squares):
     reps = class_tables(n)
-    seen_classes = set()
     square_count = 0
-    paramedial_count = 0
+    paramedial = []
     for rows in all_latin_squares(n):
         square_count += 1
         table = QuasigroupTable(n, rows)
@@ -94,16 +95,38 @@ def test_every_paramedial_latin_square_is_affine(n, total_squares):
         if not raw:
             continue
         assert is_paramedial(table)
-        paramedial_count += 1
-        matches = [i for i, rep in enumerate(reps) if table_isomorphic(table, rep)]
-        assert len(matches) == 1, f"order {n}: {len(matches)} class matches for {rows}"
-        seen_classes.add(matches[0])
+        paramedial.append(table)
     assert square_count == total_squares
-    assert seen_classes == set(range(len(reps)))
+    # the representatives are pairwise non-isomorphic, and every paramedial
+    # square joins one of them: none opens a class of its own
+    ids = classify_tables(reps + paramedial)
+    assert ids[: len(reps)] == list(range(len(reps)))
+    assert set(ids[len(reps) :]) == set(range(len(reps)))
     if n <= 3:
-        assert paramedial_count == square_count  # every quasigroup of order <= 3 qualifies
+        assert len(paramedial) == square_count  # every quasigroup of order <= 3 qualifies
     else:
-        assert 0 < paramedial_count < square_count
+        assert 0 < len(paramedial) < square_count
+
+
+def test_classify_tables_matches_the_orbits_of_s4_on_latin_squares_of_order_4():
+    squares = list(all_latin_squares(4))
+    perms = list(itertools.permutations(range(4)))
+
+    def orbit_key(rows):
+        # the least image of the square under relabelling by every permutation
+        images = []
+        for p in perms:
+            image = [[0] * 4 for _ in range(4)]
+            for x in range(4):
+                for y in range(4):
+                    image[p[x]][p[y]] = p[rows[x][y]]
+            images.append(tuple(map(tuple, image)))
+        return min(images)
+
+    numbers: dict = {}
+    orbit_ids = [numbers.setdefault(orbit_key(rows), len(numbers)) for rows in squares]
+    assert len(numbers) == 35
+    assert classify_tables([QuasigroupTable(4, rows) for rows in squares]) == orbit_ids
 
 
 @pytest.mark.parametrize("n,not_simple", [(2, 0), (3, 0), (4, 88)])

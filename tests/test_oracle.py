@@ -1,4 +1,3 @@
-import collections
 import functools
 import itertools
 import random
@@ -10,6 +9,7 @@ from paramedial.affine import (
     CyclicGroup,
     ElemAbelian2Group,
     QuasigroupTable,
+    is_latin,
     is_simple,
     materialize,
 )
@@ -29,7 +29,6 @@ from paramedial.oracle import (
     table_is_simple,
     table_isomorphic,
     _automorphisms,
-    _signature,
     triple_action_spec,
     validate_action,
 )
@@ -265,24 +264,17 @@ def test_classify_tables_partitions_all_order_three_triples():
     tables = [materialize(AffineForm(group, *t)) for t in spec.points]
     ids = classify_tables(tables)
     assert len(set(ids)) == 5
-    assert ids == _classify_pairwise(tables)
+    orbit = classify_triples(group).index
+    assert ids == _first_sighting(orbit[t] for t in spec.points)
 
 
-# -- classify_tables: invariant buckets, then the raw search -----------------------
+# -- classify_tables: one canonical form per table ---------------------------------
 
 
-def _classify_pairwise(tables):
-    """The reference: each table searched against every class found so far."""
-    reps, ids = [], []
-    for t in tables:
-        for i, r in enumerate(reps):
-            if table_isomorphic(t, r):
-                ids.append(i)
-                break
-        else:
-            ids.append(len(reps))
-            reps.append(t)
-    return ids
+def _first_sighting(keys):
+    """Class ids numbered in order of first sighting, for any class keys."""
+    numbers: dict = {}
+    return [numbers.setdefault(k, len(numbers)) for k in keys]
 
 
 def _relabelled(table, rng):
@@ -299,36 +291,35 @@ def _order_nine_reps():
     return tuple(map(materialize, forms))
 
 
-def _order_nine_tables(seed):
+def _with_copies(reps, seed):
     """The representatives, then one relabelled copy of each in a seeded
     order, and the source class of every copy."""
     rng = random.Random(seed)
-    reps = list(_order_nine_reps())
     sources = list(range(len(reps)))
     rng.shuffle(sources)
-    return reps + [_relabelled(reps[i], rng) for i in sources], sources
+    return list(reps) + [_relabelled(reps[i], rng) for i in sources], sources
 
 
-def _count_searches(monkeypatch):
+def _count_forms(monkeypatch):
     calls = []
+    canonical_form = oracle._canonical_form
 
-    def counted(t1, t2, max_order=9):
-        calls.append((t1.n, t2.n))
-        return table_isomorphic(t1, t2, max_order=max_order)
+    def counted(rows):
+        calls.append(len(rows))
+        return canonical_form(rows)
 
-    monkeypatch.setattr(oracle, "table_isomorphic", counted)
+    monkeypatch.setattr(oracle, "_canonical_form", counted)
     return calls
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_classify_tables_matches_the_pairwise_reference_at_order_nine(seed):
-    tables, sources = _order_nine_tables(seed)
-    ids = classify_tables(tables)
-    assert ids == list(range(50)) + sources
-    assert ids == _classify_pairwise(tables)
+    tables, sources = _with_copies(_order_nine_reps(), seed)
+    assert classify_tables(tables) == list(range(50)) + sources
 
 
 def test_classify_tables_matches_the_pairwise_reference_on_mixed_orders():
+    # every relabelled copy joins its source, numbered in order of first sighting
     rng = random.Random(7)
     forms = [
         *enumerate_cyclic(Modulus(3, 1)).forms,
@@ -337,31 +328,37 @@ def test_classify_tables_matches_the_pairwise_reference_on_mixed_orders():
         *enumerate_cyclic(Modulus(5, 1)).forms,
     ]
     tables = [materialize(f) for f in forms] + list(_order_nine_reps()[::5])
-    tables += [_relabelled(t, rng) for t in tables]
-    rng.shuffle(tables)
-    ids = classify_tables(tables)
-    assert ids == _classify_pairwise(tables)
-    assert max(ids) + 1 == len(tables) // 2
+    tagged = list(enumerate(tables)) + [(i, _relabelled(t, rng)) for i, t in enumerate(tables)]
+    rng.shuffle(tagged)
+    ids = classify_tables([t for _, t in tagged])
+    assert ids == _first_sighting(i for i, _ in tagged)
+    assert max(ids) + 1 == len(tables)
 
 
-def test_invariant_buckets_hold_non_isomorphic_tables():
-    # The bucket key is not a complete invariant: several order-9 buckets
-    # hold two or more classes, which only the raw search tells apart.
-    keys = collections.Counter(tuple(sorted(_signature(t.rows))) for t in _order_nine_reps())
-    assert max(keys.values()) >= 2
+def test_classify_tables_puts_order_25_copies_with_their_sources():
+    reps = tuple(map(materialize, enumerate_cyclic(Modulus(5, 2)).forms))
+    assert len(reps) == 46
+    tables, sources = _with_copies(reps, 5)
+    assert classify_tables(tables, max_order=25) == list(range(46)) + sources
 
 
-def test_classify_tables_searches_only_inside_buckets(monkeypatch):
-    tables, sources = _order_nine_tables(1)
-    calls = _count_searches(monkeypatch)
-    assert classify_tables(tables) == list(range(50)) + sources
-    assert 50 <= len(calls) <= 100  # every copy is searched at least once; pairwise took 2 500
+def test_classify_tables_checks_each_table_is_latin_once(monkeypatch):
+    tables, _ = _with_copies(_order_nine_reps(), 1)
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return is_latin(table)
+
+    monkeypatch.setattr(oracle, "is_latin", counted)
+    classify_tables(tables)
+    assert len(calls) == len(tables) == 100
 
 
 def test_classify_tables_checks_every_order_before_any_search(monkeypatch):
     small = materialize(enumerate_cyclic(Modulus(3, 1)).forms[0])
     big = raw_table(lambda x, y: (x + y) % 10, 10)
-    calls = _count_searches(monkeypatch)
+    calls = _count_forms(monkeypatch)
     for tables in ([big], [small, big], [big, big], [small, small, big]):
         with pytest.raises(ResourceLimitError, match="order 10 exceeds the bound 9"):
             classify_tables(tables)
@@ -371,7 +368,7 @@ def test_classify_tables_checks_every_order_before_any_search(monkeypatch):
 
 def test_classify_tables_checks_every_table_is_latin_before_any_search(monkeypatch):
     small = materialize(enumerate_cyclic(Modulus(2, 1)).forms[0])
-    calls = _count_searches(monkeypatch)
+    calls = _count_forms(monkeypatch)
     for tables in ([MAGMA], [small, SWAPPED], [MAGMA, SWAPPED], [small, small, MAGMA]):
         with pytest.raises(ValueError, match="not latin"):
             classify_tables(tables)

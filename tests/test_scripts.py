@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["reproduce_counts.py", "--max-p", "5"],
         ["simple_census.py", "--primes", "3", "5"],
+        ["simple_census.py", "--primes", "2", "3"],
     ],
 )
 def test_script_exits_zero(argv):

@@ -24,7 +24,9 @@ semidirect product: first the orbits of Aut(G) on the pairs (phi, psi),
 with a transporter from each pair to the least pair of its orbit, then
 the orbits of the constants c under the stabilizer of each least pair
 and the translations.  Both are brute force, by closure under generators
-and by filtering Aut(G).
+and by filtering Aut(G).  The reference is bounded by the order of G
+(``max_order``), ``classify_two_stage`` by |Aff(G)| = |Aut(G)| * |G|, whose
+closed form it checks against ``MAX_AFFINE_ORDER`` before any work.
 
 The explicit-table layer takes quasigroups only: ``table_isomorphic``,
 ``classify_tables`` and ``table_is_simple`` raise ``ValueError`` for a
@@ -46,7 +48,7 @@ from collections.abc import Callable, Sequence
 from .affine import CyclicGroup, GroupDescriptor, QuasigroupTable, is_latin
 from .modring import unit_group
 
-DEFAULT_MAX_POINTS = 10**7
+MAX_AFFINE_ORDER = 2**19  # classify_two_stage: |Aff(G)| = |Aut(G)| * |G| at most
 
 
 class ResourceLimitError(RuntimeError):
@@ -115,7 +117,7 @@ class OrbitPartition:
         return len(self.orbits)
 
 
-def orbits(spec: ActionSpec, max_points: int = DEFAULT_MAX_POINTS) -> OrbitPartition:
+def orbits(spec: ActionSpec, max_points: int = 10**7) -> OrbitPartition:
     """Exact orbit partition of the point set under the action.
 
     Representatives are the least point of each orbit; orbits are listed
@@ -341,11 +343,7 @@ def triple_action_spec(group: GroupDescriptor, with_elements: bool = False) -> A
     )
 
 
-def classify_triples(
-    group: GroupDescriptor,
-    max_order: int = 25,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> OrbitPartition:
+def classify_triples(group: GroupDescriptor, max_order: int = 25) -> OrbitPartition:
     """Isomorphism classes of paramedial quasigroups affine over G.
 
     The orbits of the isomorphism action on the exhaustive triple set;
@@ -354,7 +352,7 @@ def classify_triples(
     """
     if group.order > max_order:
         raise ResourceLimitError(f"|G| = {group.order} exceeds the bound {max_order}")
-    return orbits(triple_action_spec(group), max_points=max_points)
+    return orbits(triple_action_spec(group))
 
 
 # -- the same classes in two stages -------------------------------------------
@@ -395,7 +393,16 @@ class StagedClassification:
         return index[self.apply(beta, c)] if c in index else None
 
 
-def classify_two_stage(group: GroupDescriptor, max_order: int = 25) -> StagedClassification:
+def _affine_order(group: GroupDescriptor) -> int:
+    """|Aut(G)| * |G| in closed form: Aut(G) is the n - n/p units of Z_n
+    for n = p^k, or GL(2, p), of order (n - 1)(n - p) for n = p^2."""
+    n = group.order
+    if isinstance(group, CyclicGroup):
+        return n * (n - n // group.modulus.p)
+    return n * (n - 1) * (n - group.p)
+
+
+def classify_two_stage(group: GroupDescriptor) -> StagedClassification:
     """The classes of ``classify_triples``, with the same representatives
     in the same order, without acting on every triple.
 
@@ -407,8 +414,9 @@ def classify_two_stage(group: GroupDescriptor, max_order: int = 25) -> StagedCla
     and with psi.  With the translations T = Im(1 - phi - psi) it moves c
     to exactly the constants alpha(c) + t, so the orbit of c is stab(c) + T.
     """
-    if group.order > max_order:
-        raise ResourceLimitError(f"|G| = {group.order} exceeds the bound {max_order}")
+    size = _affine_order(group)
+    if size > MAX_AFFINE_ORDER:
+        raise ResourceLimitError(f"|Aff({group.describe()})| = {size} exceeds the oracle's bound {MAX_AFFINE_ORDER}")
     aut = _automorphisms(group)
     mul = aut.mul
     generators = [(g, aut.inv(g)) for g in aut.generators]

@@ -515,10 +515,15 @@ def test_verify_oracle_elem2(capsys):
 
 
 def test_verify_oracle_bound(capsys):
-    # refused before any check runs: no ok: line precedes the refusal
-    code, out, err = run(capsys, "verify", "--group", "elem2", "7", "--level", "oracle")
-    assert code == 3 and out == ""
-    assert len(err.splitlines()) == 1 and "bounded" in err
+    # refused before any check runs: no ok: line precedes the refusal.  Both are
+    # the oracle's closed-form bound |Aut(G)| * |G| <= 2^19; cyclic 101 2 ran out
+    # of memory on an 8 GB host when it was not refused.
+    for group in (["elem2", "11"], ["cyclic", "101", "2"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--group", *group, "--level", "oracle")
+        assert time.perf_counter() - start < 1, group
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "exceeds the oracle's bound" in err
 
 
 NUMPY_BLOCKED_RUN = """

@@ -59,6 +59,11 @@ GOLDEN_VERIFY_ORACLE = {
     ("cyclic", "3", "3"): "0eb601d380a15c6d",
     ("cyclic", "2", "4"): "df2b95fb607abd0b",
     ("cyclic", "5", "2"): "87e0aa212175fd13",
+    # Above order 27, within the oracle's bound |Aut(G)| * |G| <= 2^19; pinned
+    # when the order cap gave way to that bound.  Each report is the fast one
+    # with the two oracle lines before "all checks passed".
+    ("elem2", "7"): "f12dde06c8f0ba20",
+    ("cyclic", "3", "5"): "ce3b79f2309d7a08",
 }
 
 

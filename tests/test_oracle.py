@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -166,7 +167,7 @@ ORDER_AT_MOST_27 = [CyclicGroup(Modulus(p, k)) for p, k in CYCLIC_AT_MOST_27] + 
 @pytest.mark.parametrize("group", ORDER_AT_MOST_27, ids=lambda g: g.describe())
 def test_two_stage_matches_classify_triples(group):
     ref = classify_triples(group, max_order=27)
-    staged = classify_two_stage(group, max_order=27)
+    staged = classify_two_stage(group)
     assert staged.count == ref.count == len(ref.representatives) == len(staged.representatives)
     assert staged.representatives == ref.representatives
     # every triple, not only the representatives, lands in its reference orbit
@@ -193,17 +194,61 @@ def test_automorphism_generators_generate_aut(group):
 
 
 def test_two_stage_classifies_elem2_7_against_the_enumerator():
-    staged = classify_two_stage(ElemAbelian2Group(7), max_order=49)
+    staged = classify_two_stage(ElemAbelian2Group(7))
     assert staged.count == 194 == 4 * 7**2 - 2
     hit = sorted(staged.orbit_of(phi, psi, c) for phi, psi, c, _, _ in enumerate_gl2(7).rows)
     assert hit == list(range(194))
 
 
+# The first group refused in each family, and two beyond it: cyclic(101,2)
+# ran out of memory on an 8 GB host when it was not refused.
+OVER_THE_AFFINE_BOUND = [
+    ElemAbelian2Group(11),
+    CyclicGroup(Modulus(2, 11)),
+    CyclicGroup(Modulus(3, 7)),
+    CyclicGroup(Modulus(29, 2)),
+    CyclicGroup(Modulus(727, 1)),
+    CyclicGroup(Modulus(31, 2)),
+    CyclicGroup(Modulus(101, 2)),
+]
+
+
 def test_two_stage_bound():
-    with pytest.raises(ResourceLimitError):
-        classify_two_stage(CyclicGroup(Modulus(3, 3)))  # 27 > default bound 25
-    with pytest.raises(ResourceLimitError):
-        classify_two_stage(ElemAbelian2Group(7), max_order=27)
+    for group in OVER_THE_AFFINE_BOUND:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="exceeds the oracle's bound 524288"):
+            classify_two_stage(group)
+        assert time.perf_counter() - start < 1, group
+
+
+def test_two_stage_refuses_before_building_aut(monkeypatch):
+    def built(group):
+        raise AssertionError(f"Aut({group.describe()}) was built")
+
+    monkeypatch.setattr(oracle, "_automorphisms", built)
+    for group in OVER_THE_AFFINE_BOUND:
+        with pytest.raises(ResourceLimitError):
+            classify_two_stage(group)
+    with pytest.raises(AssertionError):
+        classify_two_stage(ElemAbelian2Group(7))  # within the bound, so built
+
+
+# Within the bound, at its edge in each family: 2^10 * 2^9 = 2^19 elements,
+# 3^6 * 2 * 3^5, 23^2 * 22 * 23, 719 * 718 and 7^2 * 48 * 42.
+AT_THE_AFFINE_EDGE = [
+    CyclicGroup(Modulus(2, 10)),
+    CyclicGroup(Modulus(3, 6)),
+    CyclicGroup(Modulus(23, 2)),
+    CyclicGroup(Modulus(719, 1)),
+    ElemAbelian2Group(7),
+]
+
+
+@pytest.mark.parametrize("group", ORDER_AT_MOST_27 + AT_THE_AFFINE_EDGE, ids=lambda g: g.describe())
+def test_closed_form_affine_order_matches_aut(group):
+    aut = _automorphisms(group)
+    assert len(aut.points) == group.order
+    assert oracle._affine_order(group) == len(aut.elements) * group.order <= oracle.MAX_AFFINE_ORDER
 
 
 # -- raw table isomorphism ---------------------------------------------------------

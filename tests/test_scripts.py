@@ -35,8 +35,8 @@ def run_script(argv):
 
 
 def test_reproduce_counts_runs_both_oracle_columns_up_to_the_bound():
-    # elem2 7 has order 49: above the orbit oracle's default bound, within --oracle-bound
-    result = run_script(["reproduce_counts.py", "--max-p", "7", "--max-k", "1", "--oracle-bound", "49"])
+    # elem2 7 has order 49 and |Aff| = 98 784, within the orbit oracle's bound
+    result = run_script(["reproduce_counts.py", "--max-p", "7", "--max-k", "1"])
     assert result.returncode == 0, result.stdout + result.stderr
     rows = {line[:14].strip(): line[14:].split() for line in result.stdout.splitlines()[1:9]}
     assert rows["Z_7^1"] == ["13", "13", "13"]
@@ -50,6 +50,9 @@ def test_scripts_skip_a_group_over_the_record_bound():
     rows = {line[:14].strip(): line[14:].split() for line in result.stdout.splitlines()[1:22]}
     assert rows["Z_2^20"] == ["2097152", "-", "-"]
     assert rows["Z_2^19"] == ["1048576", "1048576", "-"]
+    # the oracle column stops where classify_two_stage refuses: |Aff(Z_2^k)| = 2^(2k - 1) <= 2^19
+    assert rows["Z_2^10"] == ["2048", "2048", "2048"]
+    assert rows["Z_2^11"] == ["4096", "4096", "-"]
     # a p of 2^31 or more is refused before the trial division that would take minutes
     result = run_script(["simple_census.py", "--primes", "1009", "1000000000000000003", "4"])
     assert result.returncode == 0, result.stdout + result.stderr

@@ -107,14 +107,14 @@ def test_a_bad_row_fails_its_check(capsys, monkeypatch, name, level):
 
 
 def test_orbit_of_is_none_outside_the_classified_triples():
-    staged = classify_two_stage(ElemAbelian2Group(3), max_order=9)
+    staged = classify_two_stage(ElemAbelian2Group(3))
     identity = (1, 0, 0, 1)
     assert staged.orbit_of(*staged.representatives[1]) == 1
     assert staged.orbit_of((1 + 3, 0, 0, 1), identity, (0, 0)) is None  # unreduced
     assert staged.orbit_of(identity, identity, (3, 0)) is None  # unreduced constant
     assert staged.orbit_of(identity, (0, 1, 1, 1), (0, 0)) is None  # phi^2 != psi^2
     assert staged.orbit_of((1, 0, 0, 0), (1, 0, 0, 0), (0, 0)) is None  # singular
-    cyclic = classify_two_stage(CyclicGroup(Modulus(5, 2)), max_order=25)
+    cyclic = classify_two_stage(CyclicGroup(Modulus(5, 2)))
     assert cyclic.orbit_of(1, 1, 25) is None and cyclic.orbit_of(1, 2, 0) is None
 
 

@@ -21,9 +21,9 @@ construction; everything downstream relies on that.  The one exception
 is the enumerators' rows, plain tuples (phi, psi, c, case, simple) in
 that same shape, which ``cli enumerate`` renders and ``cli verify``
 checks as they are, building no form.  Both enumerators return them as a
-``Classification``, whose ``records()`` and ``forms`` build checked
-objects from them on request, and the tests build an ``AffineForm`` from
-every row.
+``Classification``, which checks the closed-form count against
+``MAX_RECORDS`` before it draws a row, and whose ``records()`` and
+``forms`` build checked objects from them on request.
 """
 
 from __future__ import annotations
@@ -33,9 +33,15 @@ from operator import add, itemgetter, ne
 
 from .modring import MAX_MODULUS, Mat2, Modulus, Value, Vec2, is_prime, mat_det, mat_mul, mat_vec, require_int
 
+MAX_RECORDS = 2**20  # Classification: classes of the group at most
+
 
 class ParamedialConditionError(ValueError):
     """Affine data whose automorphisms do not satisfy phi^2 = psi^2."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A configured size or memory budget would be exceeded."""
 
 
 class GroupDescriptor:
@@ -211,9 +217,11 @@ class ClassRecord(Value):
 class Classification:
     """The classes over `group` as enumerator rows (phi, psi, c, case, simple), in output order."""
 
-    def __init__(self, group: GroupDescriptor, rows: tuple):
+    def __init__(self, group: GroupDescriptor, rows):
+        if (count := group.closed_count()) > MAX_RECORDS:
+            raise ResourceLimitError(f"enumeration is bounded to {MAX_RECORDS} classes, {group.describe()} has {count}")
         self.group = group
-        self.rows = rows
+        self.rows = tuple(rows)
 
     @property
     def count(self) -> int:

@@ -97,7 +97,7 @@ def _rows(m: Modulus) -> Iterator[tuple[int, int, int, str, bool]]:
 
 def enumerate_cyclic(m: Modulus) -> Classification:
     """All classes over Z_{p^k}, ordered by (phi, psi, c) ascending."""
-    return Classification(CyclicGroup(m), tuple(_rows(m)))
+    return Classification(CyclicGroup(m), _rows(m))
 
 
 def gl2_closed_count(p: int) -> int:

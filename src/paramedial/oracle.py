@@ -24,9 +24,8 @@ semidirect product: first the orbits of Aut(G) on the pairs (phi, psi),
 with a transporter from each pair to the least pair of its orbit, then
 the orbits of the constants c under the stabilizer of each least pair
 and the translations.  Both are brute force, by closure under generators
-and by filtering Aut(G).  The reference is bounded by the order of G
-(``max_order``), ``classify_two_stage`` by |Aff(G)| = |Aut(G)| * |G|, whose
-closed form it checks against ``MAX_AFFINE_ORDER`` before any work.
+and by filtering Aut(G).  Each checks the closed form of its cost,
+|Aff(G)| = |Aut(G)| * |G|, against its own bound before any work.
 
 The explicit-table layer takes quasigroups only: ``table_isomorphic``,
 ``classify_tables`` and ``table_is_simple`` raise ``ValueError`` for a
@@ -36,7 +35,8 @@ reaches them from a shortest generating tuple, and keep the least
 relabelled table.  ``table_isomorphic`` compares two forms;
 ``classify_tables`` computes one per table and numbers the distinct ones.
 ``table_is_simple`` asks whether the principal congruences Cg(0, x) are
-all total; it is the table-level reference for ``affine.is_simple``.
+all total; it is the table-level reference for ``affine.is_simple``, its
+O(n^3) cost bounded by the order (the other two take the caller's bound).
 """
 
 from __future__ import annotations
@@ -45,14 +45,13 @@ import itertools
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .affine import CyclicGroup, GroupDescriptor, QuasigroupTable, is_latin
+from .affine import CyclicGroup, GroupDescriptor, QuasigroupTable, ResourceLimitError, is_latin
 from .modring import unit_group
 
-MAX_AFFINE_ORDER = 2**19  # classify_two_stage: |Aff(G)| = |Aut(G)| * |G| at most
-
-
-class ResourceLimitError(RuntimeError):
-    """A configured size or memory budget would be exceeded."""
+MAX_POINTS = 10**7  # orbits: points of the action at most
+REFERENCE_MAX_AFFINE_ORDER = 2**14  # classify_triples: |Aff(G)| = |Aut(G)| * |G| at most
+MAX_AFFINE_ORDER = 2**19  # classify_two_stage: the same at most
+TABLE_SIMPLE_MAX_ORDER = 128  # table_is_simple: order of the table at most
 
 
 class ActionSpec:
@@ -117,7 +116,7 @@ class OrbitPartition:
         return len(self.orbits)
 
 
-def orbits(spec: ActionSpec, max_points: int = 10**7) -> OrbitPartition:
+def orbits(spec: ActionSpec) -> OrbitPartition:
     """Exact orbit partition of the point set under the action.
 
     Representatives are the least point of each orbit; orbits are listed
@@ -126,8 +125,8 @@ def orbits(spec: ActionSpec, max_points: int = 10**7) -> OrbitPartition:
     point set was ordered.
     """
     points = list(spec.points)
-    if len(points) > max_points:
-        raise ResourceLimitError(f"{len(points)} points exceed the budget of {max_points}")
+    if len(points) > MAX_POINTS:
+        raise ResourceLimitError(f"{len(points)} points exceed the budget of {MAX_POINTS}")
     point_set = set(points)
     gens = spec.generating_set()
     n_group = spec.group_order()
@@ -343,15 +342,29 @@ def triple_action_spec(group: GroupDescriptor, with_elements: bool = False) -> A
     )
 
 
-def classify_triples(group: GroupDescriptor, max_order: int = 25) -> OrbitPartition:
+def _affine_order(group: GroupDescriptor) -> int:
+    """|Aut(G)| * |G| in closed form: Aut(G) is the n - n/p units of Z_n
+    for n = p^k, or GL(2, p), of order (n - 1)(n - p) for n = p^2."""
+    n = group.order
+    if isinstance(group, CyclicGroup):
+        return n * (n - n // group.modulus.p)
+    return n * (n - 1) * (n - group.p)
+
+
+def _require_affine_order(group: GroupDescriptor, bound: int) -> None:
+    """Refuse, before ``_automorphisms`` builds anything, a G with |Aff(G)| above `bound`."""
+    if (size := _affine_order(group)) > bound:
+        raise ResourceLimitError(f"|Aff({group.describe()})| = {size} exceeds the oracle's bound {bound}")
+
+
+def classify_triples(group: GroupDescriptor) -> OrbitPartition:
     """Isomorphism classes of paramedial quasigroups affine over G.
 
     The orbits of the isomorphism action on the exhaustive triple set;
     the lexicographically least triple of each orbit is its canonical
-    representative.
+    representative.  Every G of order at most 27 is within its bound.
     """
-    if group.order > max_order:
-        raise ResourceLimitError(f"|G| = {group.order} exceeds the bound {max_order}")
+    _require_affine_order(group, REFERENCE_MAX_AFFINE_ORDER)
     return orbits(triple_action_spec(group))
 
 
@@ -393,15 +406,6 @@ class StagedClassification:
         return index[self.apply(beta, c)] if c in index else None
 
 
-def _affine_order(group: GroupDescriptor) -> int:
-    """|Aut(G)| * |G| in closed form: Aut(G) is the n - n/p units of Z_n
-    for n = p^k, or GL(2, p), of order (n - 1)(n - p) for n = p^2."""
-    n = group.order
-    if isinstance(group, CyclicGroup):
-        return n * (n - n // group.modulus.p)
-    return n * (n - 1) * (n - group.p)
-
-
 def classify_two_stage(group: GroupDescriptor) -> StagedClassification:
     """The classes of ``classify_triples``, with the same representatives
     in the same order, without acting on every triple.
@@ -414,9 +418,7 @@ def classify_two_stage(group: GroupDescriptor) -> StagedClassification:
     and with psi.  With the translations T = Im(1 - phi - psi) it moves c
     to exactly the constants alpha(c) + t, so the orbit of c is stab(c) + T.
     """
-    size = _affine_order(group)
-    if size > MAX_AFFINE_ORDER:
-        raise ResourceLimitError(f"|Aff({group.describe()})| = {size} exceeds the oracle's bound {MAX_AFFINE_ORDER}")
+    _require_affine_order(group, MAX_AFFINE_ORDER)
     aut = _automorphisms(group)
     mul = aut.mul
     generators = [(g, aut.inv(g)) for g in aut.generators]
@@ -580,7 +582,7 @@ def principal_congruence(table: QuasigroupTable, a: int, b: int) -> tuple[int, .
     return tuple(relabel.setdefault(r, len(relabel)) for r in roots)
 
 
-def table_is_simple(table: QuasigroupTable, max_order: int = 9) -> bool:
+def table_is_simple(table: QuasigroupTable) -> bool:
     """Whether a quasigroup has no congruence but equality and the total one
     (``ValueError`` for a table that is not latin).
 
@@ -590,7 +592,7 @@ def table_is_simple(table: QuasigroupTable, max_order: int = 9) -> bool:
     x != 0 in the class of 0 and contains Cg(0, x): the table is simple
     exactly when each of the n - 1 principal congruences Cg(0, x) is total.
     """
-    _check_quasigroup(table, max_order)
+    _check_quasigroup(table, TABLE_SIMPLE_MAX_ORDER)
     return all(max(principal_congruence(table, 0, x)) == 0 for x in range(1, table.n))
 
 

@@ -2,6 +2,8 @@ import copy
 import math
 import itertools
 import pickle
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from paramedial.affine import (
     ElemAbelian2Group,
     ParamedialConditionError,
     QuasigroupTable,
+    ResourceLimitError,
     _generators,
     is_latin,
     is_paramedial,
@@ -23,6 +26,7 @@ from paramedial.affine import (
     table_from_text,
     table_to_text,
 )
+from paramedial import enum_cyclic, enum_gl2
 from paramedial.enum_cyclic import enumerate_cyclic
 from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.cli import form_from_dict, record_to_dict
@@ -473,6 +477,36 @@ def test_rows_are_checked_forms_and_match_the_records(group):
     assert len(set(keys)) == len(keys)
     if isinstance(group, CyclicGroup):  # ordered by (phi, psi, c); over Z_p x Z_p by conjugacy class
         assert keys == sorted(keys)
+
+
+# 4p^2 - 2 = 400 560 194, 2^22 and 207 100 804 classes, above MAX_RECORDS = 2^20
+OVER_THE_RECORD_BOUND = {
+    "elem2(10007) has 400560194": lambda: enumerate_gl2(10007),
+    "cyclic(2,21) has 4194304": lambda: enumerate_cyclic(Modulus(2, 21)),
+    "cyclic(101,4) has 207100804": lambda: enumerate_cyclic(Modulus(101, 4)),
+}
+
+
+@pytest.mark.parametrize("count", OVER_THE_RECORD_BOUND)
+def test_enumerators_refuse_a_group_over_the_record_bound(count):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=re.escape(f"enumeration is bounded to 1048576 classes, {count}")):
+        OVER_THE_RECORD_BOUND[count]()
+    assert time.perf_counter() - start < 1
+
+
+def test_record_bound_is_checked_before_any_row_is_drawn(monkeypatch):
+    def never_drawn(*args):
+        raise AssertionError("a row was drawn")
+        yield
+
+    monkeypatch.setattr(enum_gl2, "_rows", never_drawn)
+    monkeypatch.setattr(enum_cyclic, "_rows", never_drawn)
+    for call in OVER_THE_RECORD_BOUND.values():
+        with pytest.raises(ResourceLimitError):
+            call()
+    with pytest.raises(AssertionError, match="a row was drawn"):  # within the bound, so drawn
+        enumerate_gl2(3)
 
 
 # -- the table layer against cell-by-cell references --------------------------

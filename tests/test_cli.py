@@ -300,6 +300,13 @@ def test_enumerate_tables_of_no_simple_class(capsys):
     assert code == 0 and out == "" and err == ""
 
 
+@pytest.mark.parametrize("fmt,expected", [("json", "[]\n"), ("csv", "group,phi,psi,c,simple,case\n")])
+def test_simple_only_over_the_record_bound_with_no_simple_class(capsys, fmt, expected):
+    # Z_{2^20} has 2^21 classes, above MAX_RECORDS, but none is simple, so none is built
+    code, out, err = run(capsys, "enumerate", "--group", "cyclic", "2", "20", "--simple-only", "--format", fmt)
+    assert code == 0 and out == expected and err == ""
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "tables"])
 def test_simple_only_builds_no_record_when_no_class_is_simple(tmp_path, capsys, monkeypatch, fmt):
     # Z_{2^5} has no simple class: the output is known before any record is built

@@ -117,7 +117,7 @@ def test_two_power_roots_match_a_scan_of_all_units(k):
 def test_oracle_equivalence_up_to_27(p, k):
     m = Modulus(p, k)
     cls = enumerate_cyclic(m)
-    oracle = classify_triples(CyclicGroup(m), max_order=27)
+    oracle = classify_triples(CyclicGroup(m))
     assert oracle.count == closed_form_count(m) == cls.count
     hit = sorted(oracle.index[row[:3]] for row in cls.rows)
     assert hit == list(range(oracle.count))

@@ -117,9 +117,10 @@ def test_validate_action_spot_checks():
     validate_action(triple_action_spec(ElemAbelian2Group(3), with_elements=True), rng, samples=15)
 
 
-def test_orbits_budget():
+def test_orbits_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_POINTS", 2)
     with pytest.raises(ResourceLimitError):
-        orbits(trivial_spec(), max_points=2)
+        orbits(trivial_spec())
 
 
 # -- classification of triples ---------------------------------------------------
@@ -148,10 +149,34 @@ def test_classify_representatives_are_canonical():
     assert reps == sorted(reps)
 
 
+# |Aff(G)| = 98 784, 2^15, 26 364 and 17 030, above the reference's 2^14
+OVER_THE_REFERENCE_BOUND = [
+    ElemAbelian2Group(7),
+    CyclicGroup(Modulus(2, 8)),
+    CyclicGroup(Modulus(13, 2)),
+    CyclicGroup(Modulus(131, 1)),
+]
+
+
 def test_classify_bound():
-    with pytest.raises(ResourceLimitError):
-        classify_triples(CyclicGroup(Modulus(3, 3)))  # 27 > default bound 25
-    classify_triples(CyclicGroup(Modulus(3, 3)), max_order=27)
+    assert classify_triples(CyclicGroup(Modulus(3, 3))).count == closed_form_count(Modulus(3, 3))  # |Aff| = 486
+    for group in OVER_THE_REFERENCE_BOUND:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="exceeds the oracle's bound 16384"):
+            classify_triples(group)
+        assert time.perf_counter() - start < 1, group
+
+
+def test_classify_triples_refuses_before_building_aut(monkeypatch):
+    def built(group):
+        raise AssertionError(f"Aut({group.describe()}) was built")
+
+    monkeypatch.setattr(oracle, "_automorphisms", built)
+    for group in OVER_THE_REFERENCE_BOUND:
+        with pytest.raises(ResourceLimitError):
+            classify_triples(group)
+    with pytest.raises(AssertionError):
+        classify_triples(CyclicGroup(Modulus(127, 1)))  # |Aff| = 16 002, within the bound, so built
 
 
 # -- the two-stage classifier against the reference ---------------------------------
@@ -166,7 +191,7 @@ ORDER_AT_MOST_27 = [CyclicGroup(Modulus(p, k)) for p, k in CYCLIC_AT_MOST_27] + 
 
 @pytest.mark.parametrize("group", ORDER_AT_MOST_27, ids=lambda g: g.describe())
 def test_two_stage_matches_classify_triples(group):
-    ref = classify_triples(group, max_order=27)
+    ref = classify_triples(group)
     staged = classify_two_stage(group)
     assert staged.count == ref.count == len(ref.representatives) == len(staged.representatives)
     assert staged.representatives == ref.representatives
@@ -249,6 +274,8 @@ def test_closed_form_affine_order_matches_aut(group):
     aut = _automorphisms(group)
     assert len(aut.points) == group.order
     assert oracle._affine_order(group) == len(aut.elements) * group.order <= oracle.MAX_AFFINE_ORDER
+    if group in ORDER_AT_MOST_27:  # all within the reference's bound too
+        assert oracle._affine_order(group) <= oracle.REFERENCE_MAX_AFFINE_ORDER
 
 
 # -- raw table isomorphism ---------------------------------------------------------
@@ -435,9 +462,17 @@ def test_subtraction_mod_5_is_simple():
     assert table_is_simple(sub5)
 
 
-def test_table_is_simple_bound():
-    big = raw_table(lambda x, y: (x - y) % 16, 16)
-    with pytest.raises(ResourceLimitError):
+def test_table_is_simple_bound(monkeypatch):
+    assert not table_is_simple(raw_table(lambda x, y: (x + y) % 128, 128))  # at the bound
+    for form in enumerate_gl2(5).forms[:3]:  # order 25, with no argument
+        assert table_is_simple(materialize(form)) == is_simple(form.group, form.phi, form.psi)
+
+    def closed(table, a, b):
+        raise AssertionError("a congruence was closed")
+
+    monkeypatch.setattr(oracle, "principal_congruence", closed)
+    big = raw_table(lambda x, y: (x - y) % 129, 129)
+    with pytest.raises(ResourceLimitError, match="order 129 exceeds the bound 128"):
         table_is_simple(big)
 
 

@@ -24,14 +24,34 @@ def test_script_exits_zero(argv):
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def run_script(argv):
+def run_script(argv, **kwargs):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         env=env,
-        capture_output=True,
         text=True,
+        **(kwargs or {"capture_output": True}),
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce_counts.py", "--max-p", "2", "--max-k", "3"],
+        ["simple_census.py", "--primes", "3", "5", "--oracle-max-p", "2"],
+    ],
+)
+def test_scripts_exit_2_on_a_closed_stdout(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        result = run_script(argv, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write <stdout>:")
 
 
 def test_reproduce_counts_runs_both_oracle_columns_up_to_the_bound():
@@ -44,7 +64,7 @@ def test_reproduce_counts_runs_both_oracle_columns_up_to_the_bound():
 
 
 def test_scripts_skip_a_group_over_the_record_bound():
-    # cyclic 2 20 has 2 097 152 classes, above the CLI's MAX_RECORDS, and elem2 1009 has 4 072 322
+    # cyclic 2 20 has 2 097 152 classes, above affine.MAX_RECORDS, and elem2 1009 has 4 072 322
     result = run_script(["reproduce_counts.py", "--max-p", "2", "--max-k", "20"])
     assert result.returncode == 0, result.stdout + result.stderr
     rows = {line[:14].strip(): line[14:].split() for line in result.stdout.splitlines()[1:22]}

@@ -6,7 +6,7 @@ its operation can be written x*y = phi(x) + psi(y) + c for automorphisms
 phi, psi of G with phi^2 = psi^2 and a constant c.  This module builds
 the quasigroup from such data, checks an explicit table by recovering
 that affine form from it (O(n^2 log n); the n^4 identity check itself
-lives in ``oracle`` as the reference), and decides simplicity in closed
+lives with the tests as the reference), and decides simplicity in closed
 form from phi and psi alone.  The table functions take O(n log n) Python steps
 per table, each step over n entries a C-level itemgetter, map or slice.
 
@@ -77,14 +77,22 @@ class CyclicGroup(GroupDescriptor, Value):
     def apply(self, aut: int, x: int) -> int:
         return aut * x % self.modulus.n
 
-    @staticmethod
-    @lru_cache(maxsize=16)
-    def _doubled(n: int) -> tuple[int, ...]:
-        return tuple(range(n)) * 2
+    def images(self, aut: int) -> list[int]:
+        """(aut(x) for x in 0..n-1)."""
+        n = self.modulus.n
+        return [aut * x % n for x in range(n)]
 
-    def translation(self, a: int) -> tuple[int, ...]:
-        """(a + y for y in 0..n-1), a slice of 0..n-1 written twice."""
-        return self._doubled(self.modulus.n)[a : a + self.modulus.n]
+    @staticmethod
+    @lru_cache(maxsize=4)
+    def _translations(n: int) -> tuple[tuple[int, ...], ...]:
+        doubled = tuple(range(n)) * 2
+        return tuple(doubled[a : a + n] for a in range(n))
+
+    def translations(self) -> tuple[tuple[int, ...], ...]:
+        """The table of +, row a being (a + y for y in 0..n-1): slices of
+        0..n-1 written twice, built once per n, as many entries as one
+        materialized table has."""
+        return self._translations(self.modulus.n)
 
     def encode(self, element: int) -> int:
         return element
@@ -131,17 +139,23 @@ class ElemAbelian2Group(GroupDescriptor, Value):
     def apply(self, aut: Mat2, x: int) -> int:
         return self.encode(mat_vec(aut, divmod(x, self.p), self.p))
 
-    @staticmethod
-    @lru_cache(maxsize=16)
-    def _doubled(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The encoded coordinates y - y % p and y % p of 0..n-1, each written twice."""
-        return tuple(y - y % p for y in range(p * p)) * 2, tuple(range(p)) * (2 * p)
+    def images(self, aut: Mat2) -> list[int]:
+        """(aut(x) for x in 0..n-1), the encoded x = (u, v) in order."""
+        p, (a, b, c, d) = self.p, aut
+        return [(a * u + b * v) % p * p + (c * u + d * v) % p for u in range(p) for v in range(p)]
 
-    def translation(self, a: int) -> tuple[int, ...]:
-        """(a + y for y in 0..n-1), y's coordinates rotated by a's as slices and added."""
-        p, n, a2 = self.p, self.p * self.p, a % self.p
-        high, low = self._doubled(p)
-        return tuple(map(add, high[a - a2 : a - a2 + n], low[a2 : a2 + n]))
+    @staticmethod
+    @lru_cache(maxsize=4)
+    def _translations(p: int) -> tuple[tuple[int, ...], ...]:
+        n = p * p
+        high, low = tuple(y - y % p for y in range(n)) * 2, tuple(range(p)) * (2 * p)
+        return tuple(tuple(map(add, high[a - a % p : a - a % p + n], low[a % p : a % p + n])) for a in range(n))
+
+    def translations(self) -> tuple[tuple[int, ...], ...]:
+        """The table of +, row a being (a + y for y in 0..n-1): the encoded
+        coordinates y - y % p and y % p of 0..n-1, each written twice,
+        rotated by a's as slices and added, built once per p."""
+        return self._translations(self.p)
 
     def encode(self, element: Vec2) -> int:
         return element[0] * self.p + element[1]
@@ -244,9 +258,9 @@ class QuasigroupTable(Value):
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if len(rows) != n or not set(map(len, rows)) <= {n}:
             raise ValueError("table shape does not match the stated order")
-        if n and not (0 <= min(map(min, rows)) and max(map(max, rows)) < n):
+        if not set().union(*rows) <= set(range(n)):
             raise ValueError(f"table entries must lie in 0..{n - 1}")
         self._set("n", n)
         self._set("rows", rows)
@@ -255,38 +269,41 @@ class QuasigroupTable(Value):
 def materialize(form: AffineForm) -> QuasigroupTable:
     """Cayley table of x*y = phi(x) + psi(y) + c: row x is phi(x)'s translation read at psi(y) + c."""
     g = form.group
-    n = g.order
-    c = g.encode(form.c)
-    get = itemgetter(*(g.add(g.apply(form.psi, y), c) for y in range(n)))  # n >= 2: a tuple
-    return QuasigroupTable(n, tuple(get(g.translation(g.apply(form.phi, x))) for x in range(n)))
+    plus = g.translations()
+    get = itemgetter(*map(plus[g.encode(form.c)].__getitem__, g.images(form.psi)))  # n >= 2: a tuple
+    return QuasigroupTable(g.order, tuple(map(get, map(plus.__getitem__, g.images(form.phi)))))
 
 
 def is_latin(table: QuasigroupTable) -> bool:
     """Every row and every column is a permutation of 0..n-1 (the entries lie in 0..n-1)."""
-    return all(len(set(line)) == table.n for line in (*table.rows, *zip(*table.rows)))
+    return {*map(len, map(set, table.rows)), *map(len, map(set, zip(*table.rows)))} <= {table.n}
 
 
-def _generators(rows: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Generators of the finite commutative quasigroup `rows`, picked
-    greedily: each lies outside the closure of those before.  Closures grow
-    in one pass over pairs, O(n^2) in all, associative or not, multiplying
-    on one side only, which is why the table must be commutative (the one
-    caller, ``is_paramedial``, passes s once s equals its transpose).  A
-    closure is a subquasigroup, and a proper one H has at most half the
-    order (x*H misses H for x outside it), so there are at most
-    floor(log2 n) + 1 generators."""
-    closure: set[int] = set()
-    gens = []
-    for g in range(len(rows)):
-        if g not in closure:
-            gens.append(g)
-            new = {g}
-            while new:  # multiply each new element with all found so far
-                closure |= new
-                found: set[int] = set()
-                for x in new:
-                    found.update(map(rows[x].__getitem__, closure))
-                new = found - closure
+def _walk_generators(s: list[tuple[int, ...]], z: int) -> list[int] | None:
+    """Generators of the commutative table `s` found by walking from {z}:
+    each is the least element not yet reached, and its walk adds the
+    images of the reach under x -> x + a, a translate at a time, until a
+    translate starts at a reached element.  In an abelian group (+) with
+    zero z the reach is then the subgroup the generators so far generate,
+    each generator at least doubles it, and there are at most
+    floor(log2 n) of them, found reading O(n) entries; None past
+    n.bit_length() generators, which no group needs.  In any table every
+    element is a generator or a reached sum built from z and generators."""
+    n = len(s)
+    reach, seen, gens = [z], {z}, []
+    for a in range(n):
+        if a in seen:
+            continue
+        if len(gens) == n.bit_length():
+            return None
+        gens.append(a)
+        translate = reach
+        while True:
+            translate = list(map(s[a].__getitem__, translate))
+            if translate[0] in seen:
+                break
+            seen.update(translate)
+        reach = list(seen)
     return gens
 
 
@@ -297,50 +314,58 @@ def is_paramedial(table: QuasigroupTable) -> bool:
     on all n^4 quadruples.  Fix e = 0, let R(x) = x*e and L(y) = e*y, and
     read off the principal isotope x + y = R^-1(x) * L^-1(y), whose zero
     is z = e*e.  Let phi(x) = R(x) - R(z) and psi(y) = L(y) - L(z).  The
-    table passes when its rows are permutations, + is commutative,
-    phi^2 = psi^2, and (x + g) + y = x + (g + y) and f(x + g) = f(x) + f(g)
-    for f = phi, psi, all x, y and each generator g != z of + (``_generators``).
-    Generators suffice: the a with (x + a) + y = x + (a + y) for all x, y
-    form a closed set (Light's associativity test), so + is associative;
-    then the b with f(a + b) = f(a) + f(b) for all a form a closed set too.
+    table passes when R and L are permutations, + is commutative, the
+    walk of ``_walk_generators`` from z finds at most n.bit_length()
+    generators g, each with some x + g = z and with (x + g) + y =
+    x + (g + y) and f(x + g) = f(x) + f(g) for f = phi, psi and all x, y,
+    and phi^2 = psi^2.  A group needs at most floor(log2 n) generators, so
+    a walk that needs more gives False at once.
 
-    Exactness.  s, the table of +, is the table with its rows sorted by R
-    and its columns by L.  Once s equals its transpose, each column of s
-    is a row of s, a permutation, so each column of the table is one too:
-    the table is latin (R is a permutation) with no check of its columns.
-    If every check passes, (G, +) is an abelian group (a latin
-    commutative associative loop), phi and psi are automorphisms of it,
-    and x*y = R(x) + L(y) = phi(x) + psi(y) + c with c = R(z) + L(z).
-    Expanding both sides of the identity leaves phi^2 x + psi^2 v =
-    phi^2 v + psi^2 x, which holds since phi^2 = psi^2: the table is
-    paramedial.  Conversely, a paramedial quasigroup is affine,
-    x*y = f(x) (+) g(y) (+) c over an abelian group (+) with f^2 = g^2
-    (Nemec-Kepka, after Toyoda-Bruck).  Then x + y = x (+) y (-) z, a
-    translate of (+), isomorphic to it by t(x) = x (-) z; under t the
-    recovered phi and psi are f and g, so every check passes.
+    Exactness.  z is a zero of +, and every element is a generator or a
+    sum of z and generators, which the walk reached.  The a with
+    (x + a) + y = x + (a + y) for all x, y form a closed set (Light's
+    associativity test) holding z and the generators, so it holds every
+    element: + is associative, so with the inverses of the generators
+    (G, +) is an abelian group.  Then the b with f(a + b) = f(a) + f(b)
+    for all a form a closed set holding f(z) = z and the generators, so
+    phi and psi, translates of the permutations R and L, are
+    automorphisms.  The table is latin, its rows and columns being those
+    of s, the table of +, reordered by R and L.  And x*y = R(x) + L(y) =
+    phi(x) + psi(y) + c with c = R(z) + L(z).  Expanding both sides of the
+    identity leaves phi^2 x + psi^2 v = phi^2 v + psi^2 x, which holds
+    since phi^2 = psi^2: the table is paramedial.  Conversely, a
+    paramedial quasigroup is affine, x*y = f(x) (+) g(y) (+) c over an
+    abelian group (+) with f^2 = g^2 (Nemec-Kepka, after Toyoda-Bruck).
+    Then x + y = x (+) y (-) z, a translate of (+), isomorphic to it by
+    t(x) = x (-) z; under t the recovered phi and psi are f and g, so
+    every check passes.
 
     A table that is not latin gives False, even where the identity holds
-    (a constant table); ``oracle.satisfies_paramedial_identity`` tests the
-    raw identity on any magma.
+    (a constant table); the tests' ``satisfies_paramedial_identity`` tests
+    the raw identity on any magma.
     """
     n = table.n
     if n <= 1:  # the one table of order 1 is Z_1; itemgetter of one index returns no tuple
         return True
     t = table.rows
     r, l, z = tuple(map(itemgetter(0), t)), t[0], t[0][0]  # R(x) = x*e, L(y) = e*y, z = e*e
-    if min(map(len, map(set, t))) < n:
+    if len(set(r)) < n or len(set(l)) < n:
         return False
     r_inv, l_inv = (sorted(range(n), key=f.__getitem__) for f in (r, l))
     s = list(map(itemgetter(*l_inv), map(t.__getitem__, r_inv)))  # s[a][b] = a + b
     if s != list(zip(*s)):
         return False
+    gens = _walk_generators(s, z)
+    if gens is None or any(z not in s[g] for g in gens):
+        return False
+    for g in gens:
+        if any(map(ne, map(s.__getitem__, s[g]), map(itemgetter(*s[g]), s))):  # (x + g) + y vs x + (g + y)
+            return False
     phi = itemgetter(*r)(s[s[r[z]].index(z)])  # R(x) + (-R(z))
     psi = itemgetter(*l)(s[s[l[z]].index(z)])
     phi_of, psi_of = itemgetter(*phi), itemgetter(*psi)
-    for g in set(_generators(s)) - {z}:  # the zero passes both checks
+    for g in gens:
         get = itemgetter(*s[g])
-        if any(map(ne, map(s.__getitem__, s[g]), map(get, s))):  # (x + g) + y vs x + (g + y)
-            return False
         if get(phi) != phi_of(s[phi[g]]) or get(psi) != psi_of(s[psi[g]]):  # f(x + g) vs f(x) + f(g)
             return False
     return phi_of(phi) == psi_of(psi)
@@ -348,8 +373,10 @@ def is_paramedial(table: QuasigroupTable) -> bool:
 
 def table_to_text(table: QuasigroupTable) -> str:
     """Serialize as 'order n' followed by n rows of space-separated indices."""
-    row = " ".join(["%d"] * table.n) + "\n"
-    return f"order {table.n}\n" + "".join(map(row.__mod__, table.rows))
+    # keyed by value, so an entry equal to an int (True, 1.0) prints as that
+    # int; for n = 1 the getter returns "0", which joins to itself
+    names = dict(zip(range(table.n), map(str, range(table.n))))
+    return "\n".join([f"order {table.n}", *[" ".join(itemgetter(*row)(names)) for row in table.rows], ""])
 
 
 def table_from_text(text: str) -> QuasigroupTable:

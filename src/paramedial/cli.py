@@ -18,7 +18,6 @@ output (the library's bounds on classes and |Aff(G)|; here, table entries).
 
 from __future__ import annotations
 
-import argparse
 import io
 import math
 import os
@@ -394,6 +393,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at the top, for the library callers of this module; annotations are strings
+
     parser = argparse.ArgumentParser(
         prog="paramedial",
         description="Count, enumerate and verify paramedial quasigroups of prime-power order.",

@@ -6,25 +6,20 @@ relabelling so the two routes stay independent.
 
 Aut(G) and G are described once, by ``_automorphisms``: the elements of
 Aut(G) in increasing order, a generating set, and the arithmetic of the
-action.  Over Z_p x Z_p that arithmetic is the oracle's own 2x2 kernel
-rather than ``modring``'s ``mat_mul``/``mat_inv``/``mat_vec``, although
-both work on the same (a, b, c, d) tuples: this module is the reference
-the enumerators are checked against, and a kernel shared with them could
-hide one bug on both sides.
+action, over Z_p x Z_p the oracle's own 2x2 kernel rather than
+``modring``'s: a kernel shared with the enumerators could hide one bug on
+both sides.
 
 The isomorphism classes of affine triples (phi, psi, c) are found two
-ways, both from that one description.  A triple is in the shape of an
-enumerator row's first three fields, and each class comes back as its
-least triple, raw: every triple is built from ``_pairs`` and the points
-of G, so it needs no check.
-``classify_triples`` takes the orbits on the whole triple set at once; it
-is the reference.
-``classify_two_stage``, which ``verify`` runs, splits the action as a
-semidirect product: first the orbits of Aut(G) on the pairs (phi, psi),
-with a transporter from each pair to the least pair of its orbit, then
-the orbits of the constants c under the stabilizer of each least pair
-and the translations.  Both are brute force, by closure under generators
-and by filtering Aut(G).  Each checks the closed form of its cost,
+ways from that one description, each class as its least triple, raw
+(built from ``_roots`` and the points of G, so it needs no check).
+``classify_triples``, the reference, takes the orbits on the whole triple
+set at once.  ``classify_two_stage``, which ``verify`` runs, splits the
+action as a semidirect product and walks Schreier trees (Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, section 4.1): the
+conjugacy classes of Aut(G), then per class the orbits of a centralizer
+on roots, then the orbits of a stabilizer on the cosets of the
+translations.  Each checks the closed form of its cost,
 |Aff(G)| = |Aut(G)| * |G|, against its own bound before any work.
 
 The explicit-table layer takes quasigroups only: ``table_isomorphic``,
@@ -32,8 +27,9 @@ The explicit-table layer takes quasigroups only: ``table_isomorphic``,
 table that is not latin.  Isomorphism has one mechanism, a canonical
 form: label the elements in the order in which closure under the product
 reaches them from a shortest generating tuple, and keep the least
-relabelled table.  ``table_isomorphic`` compares two forms;
-``classify_tables`` computes one per table and numbers the distinct ones.
+relabelled table, pruning the tuples by the automorphisms found on the
+way.  ``table_isomorphic`` compares two forms; ``classify_tables``
+computes one per table and numbers the distinct ones.
 ``table_is_simple`` asks whether the principal congruences Cg(0, x) are
 all total; it is the table-level reference for ``affine.is_simple``, its
 O(n^3) cost bounded by the order (the other two take the caller's bound).
@@ -42,8 +38,10 @@ O(n^3) cost bounded by the order (the other two take the caller's bound).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
+from operator import itemgetter
 
 from .affine import CyclicGroup, GroupDescriptor, QuasigroupTable, ResourceLimitError, is_latin
 from .modring import unit_group
@@ -168,34 +166,6 @@ def orbits(spec: ActionSpec) -> OrbitPartition:
     )
 
 
-def burnside_count(spec: ActionSpec) -> int:
-    """Orbit count as the average number of fixed points; must divide evenly."""
-    if spec.elements is None:
-        raise ValueError("Burnside counting needs the full element list")
-    points = list(spec.points)
-    total = 0
-    for g in spec.elements:
-        total += sum(1 for x in points if spec.act(g, x) == x)
-    n_group = spec.group_order()
-    if total % n_group != 0:
-        raise ValueError("fixed-point total is not divisible by the group order")
-    return total // n_group
-
-
-def validate_action(spec: ActionSpec, rng, samples: int = 30) -> None:
-    """Spot-check that the identity is trivial and g.(h.x) = (g h).x."""
-    if spec.elements is None:
-        raise ValueError("validation needs the full element list")
-    points = list(spec.points)
-    elements = list(spec.elements)
-    for _ in range(samples):
-        x = points[rng.randrange(len(points))]
-        assert spec.act(spec.identity, x) == x
-        g = elements[rng.randrange(len(elements))]
-        h = elements[rng.randrange(len(elements))]
-        assert spec.act(g, spec.act(h, x)) == spec.act(spec.compose(g, h), x)
-
-
 # -- isomorphism classification of affine paramedial triples ------------------
 #
 # Aff(G, phi1, psi1, c1) and Aff(G, phi2, psi2, c2) are isomorphic exactly
@@ -219,8 +189,10 @@ def validate_action(spec: ActionSpec, rng, samples: int = 30) -> None:
 #   points      G, in increasing order, from 0
 #   basis       elements that generate G
 #   one_minus   (phi, psi) -> the endomorphism 1 - phi - psi
+#   cosets      an endomorphism m -> the map from each point c to the least
+#               point of c + Im(m), and those least points in increasing order
 _Automorphisms = namedtuple(
-    "_Automorphisms", "elements generators identity mul inv apply add points basis one_minus"
+    "_Automorphisms", "elements generators identity mul inv apply add points basis one_minus cosets"
 )
 
 
@@ -255,6 +227,7 @@ def _automorphisms(group: GroupDescriptor) -> _Automorphisms:
             points=range(n),
             basis=[1],
             one_minus=lambda phi, psi: (1 - phi - psi) % n,
+            cosets=lambda m: (lambda c, d=math.gcd(m, n): c % d, range(math.gcd(m, n))),  # Im(m) = gcd(m, n) Z_n
         )
     p = group.p
 
@@ -281,6 +254,19 @@ def _automorphisms(group: GroupDescriptor) -> _Automorphisms:
             (1 - phi[3] - psi[3]) % p,
         )
 
+    points = list(itertools.product(range(p), repeat=2))
+
+    def cosets(m):  # Im(m) is G, or the line through a column (u, v) != 0, or 0
+        if (m[0] * m[3] - m[1] * m[2]) % p:
+            return (lambda c: (0, 0)), [(0, 0)]
+        u, v = (m[0], m[2]) if m[0] or m[2] else (m[1], m[3])
+        if u:  # each coset meets the points (0, y) once
+            r = v * pow(u, -1, p)
+            return (lambda c: (0, (c[1] - c[0] * r) % p)), [(0, y) for y in range(p)]
+        if v:  # the cosets are the points (x, y) of one x
+            return (lambda c: (c[0], 0)), [(x, 0) for x in range(p)]
+        return (lambda c: c), points
+
     # The two elementary transvections generate SL(2,p); diag(u, 1) adds the determinants.
     diagonal = [(u, 0, 0, 1) for u in _unit_generators(range(1, p), p)]
     return _Automorphisms(
@@ -291,18 +277,19 @@ def _automorphisms(group: GroupDescriptor) -> _Automorphisms:
         inv=inv,
         apply=apply,
         add=lambda u, v: ((u[0] + v[0]) % p, (u[1] + v[1]) % p),
-        points=list(itertools.product(range(p), repeat=2)),
+        points=points,
         basis=[(1, 0), (0, 1)],
         one_minus=one_minus,
+        cosets=cosets,
     )
 
 
-def _pairs(aut: _Automorphisms) -> list:
-    """Every pair (phi, psi) of automorphisms with phi^2 = psi^2, in increasing order."""
+def _roots(aut: _Automorphisms) -> dict:
+    """Each square of an automorphism, mapped to its roots in increasing order."""
     by_square: dict = {}
     for a in aut.elements:
         by_square.setdefault(aut.mul(a, a), []).append(a)
-    return [(phi, psi) for phi in aut.elements for psi in by_square[aut.mul(phi, phi)]]
+    return by_square
 
 
 def triple_action_spec(group: GroupDescriptor, with_elements: bool = False) -> ActionSpec:
@@ -327,12 +314,12 @@ def triple_action_spec(group: GroupDescriptor, with_elements: bool = False) -> A
     def compose(g, h):
         return (mul(g[0], h[0]), mul(h[1], g[1]), add(apply(g[0], h[2]), g[2]))
 
-    ident = aut.identity
+    ident, by_square = aut.identity, _roots(aut)
     elements = None
     if with_elements:
         elements = [(a, aut.inv(a), d) for a in aut.elements for d in aut.points]
-    return ActionSpec(
-        points=[(phi, psi, c) for phi, psi in _pairs(aut) for c in aut.points],
+    return ActionSpec(  # phi^2 = psi^2, in increasing order
+        points=[(phi, psi, c) for phi in aut.elements for psi in by_square[mul(phi, phi)] for c in aut.points],
         act=act,
         compose=compose,
         identity=(ident, ident, zero),
@@ -368,96 +355,109 @@ def classify_triples(group: GroupDescriptor) -> OrbitPartition:
     return orbits(triple_action_spec(group))
 
 
-# -- the same classes in two stages -------------------------------------------
-#
-# The isomorphism action is a semidirect product: alpha acts on the pairs
-# (phi, psi) by conjugation alone, and the maps that fix a pair are its
-# stabilizer in Aut(G) together with the translations by Im(1 - phi - psi),
-# which move c only.  So an orbit of triples is one orbit of pairs with one
-# orbit of constants at the pair's least point, and its least triple is
-# that least pair with the least constant of that orbit.
+# -- the same classes in two stages, by Schreier trees --------------------------
+
+
+def _conjugation_trees(points, generators, mul, identity) -> tuple[dict, dict]:
+    """Schreier trees of conjugation by ``generators``, pairs (g, g^-1), on
+    ``points`` in increasing order, each orbit entered at its least point x0:
+    x maps to (x0, b, b^-1) with b x b^-1 = x0, x0 to the edges (x, g, g^-1,
+    y = g x g^-1) outside its tree."""
+    tree, edges = {}, {}
+    for seed in points:
+        if seed not in tree:
+            tree[seed], edges[seed], frontier = (seed, identity, identity), [], [seed]
+            for x in frontier:
+                _, b, b_inv = tree[x]
+                for g, g_inv in generators:
+                    y = mul(mul(g, x), g_inv)
+                    if y in tree:
+                        edges[seed].append((x, g, g_inv, y))
+                    else:
+                        tree[y] = (seed, mul(b, g_inv), mul(g, b_inv))
+                        frontier.append(y)
+    return tree, edges
+
+
+def _schreier_generators(tree: dict, edges: list, mul, identity) -> list:
+    """Generators (s, s^-1) of the stabilizer of an orbit's least point, by
+    Schreier's lemma: s = b_y g b_x^-1 for each edge x -> y outside the
+    tree (a tree edge gives the identity), each distinct s once."""
+    found: dict = {}
+    for x, g, g_inv, y in edges:
+        (_, bx, bx_inv), (_, by, by_inv) = tree[x], tree[y]
+        s = mul(mul(by, g), bx_inv)
+        if s != identity and s not in found:
+            found[s] = mul(mul(bx, g_inv), by_inv)
+    return list(found.items())
 
 
 class StagedClassification:
-    """The classes of ``classify_triples``, found in two stages.
+    """The classes of ``classify_triples``, found in two stages: the least
+    triple (phi, psi, c) of each, in increasing order, and the trees and
+    coset indexes of ``classify_two_stage`` that ``orbit_of`` reads."""
 
-    ``representatives`` holds the least triple (phi, psi, c) of each class,
-    in increasing order; ``pairs`` maps each pair (phi, psi) to the least
-    pair of its orbit and a transporter beta in Aut(G) with
-    beta (phi, psi) beta^-1 equal to that least pair; ``constants`` maps
-    each least pair to the class index of every constant c there.
-    """
-
-    def __init__(self, representatives: tuple, pairs: dict, constants: dict, apply: Callable[[object, object], object]):
+    def __init__(self, representatives: tuple, aut: _Automorphisms, classes: dict, roots: dict, constants: dict):
         self.representatives = representatives
-        self.pairs = pairs
+        self.aut = aut
+        self.classes = classes
+        self.roots = roots
         self.constants = constants
-        self.apply = apply
 
     @property
     def count(self) -> int:
         return len(self.representatives)
 
     def orbit_of(self, phi, psi, c) -> int | None:
-        """The class of (phi, psi, c), that of (phi0, psi0, beta(c)); None
-        for a triple outside the classified set, such as an unreduced one."""
-        pair, beta = self.pairs.get((phi, psi), (None, None))
-        index = self.constants.get(pair, {})  # keyed by every point of G
-        return index[self.apply(beta, c)] if c in index else None
+        """The class of (phi, psi, c), that of (phi0, psi0, gamma beta (c)), or
+        None for a triple outside the classified set, such as an unreduced one."""
+        aut = self.aut
+        if phi not in self.classes or psi not in self.classes or c not in aut.points:
+            return None
+        phi0, beta, beta_inv = self.classes[phi]
+        root = self.roots[phi0].get(aut.mul(aut.mul(beta, psi), beta_inv))
+        if root is None:  # psi^2 != phi^2
+            return None
+        least, index = self.constants[phi0, root[0]]
+        return index[least(aut.apply(aut.mul(root[1], beta), c))]
 
 
 def classify_two_stage(group: GroupDescriptor) -> StagedClassification:
     """The classes of ``classify_triples``, with the same representatives
     in the same order, without acting on every triple.
 
-    Stage 1 takes the orbits of Aut(G) conjugation on the pairs (phi, psi)
-    with phi^2 = psi^2 by closing under generators from each orbit's least
-    pair, and records on the way, as in a Schreier tree, a transporter from
-    every pair to that least pair.  Stage 2 finds the stabilizer of each
-    least pair by filtering Aut(G) for the elements that commute with phi
-    and with psi.  With the translations T = Im(1 - phi - psi) it moves c
-    to exactly the constants alpha(c) + t, so the orbit of c is stab(c) + T.
+    alpha acts on the pairs (phi, psi) by conjugation, and a pair is fixed
+    by its stabilizer and by the translations by T = Im(1 - phi - psi),
+    which move c only.  Stage 1: a Schreier tree of the conjugacy classes
+    of Aut(G), seeded in increasing order, gives every phi a transporter to
+    the least phi0 of its class and generators of its centralizer; a tree
+    of their action on the roots psi of phi0^2 gives transporters to the
+    least psi0 of their orbits and generators of the stabilizer of the
+    least pair (phi0, psi0).  Stage 2: the classes there are the orbits of
+    those generators on the cosets of T, each named by its least point.
     """
     _require_affine_order(group, MAX_AFFINE_ORDER)
     aut = _automorphisms(group)
-    mul = aut.mul
-    generators = [(g, aut.inv(g)) for g in aut.generators]
-
-    # Seeds come in increasing order, so each orbit is entered at its least pair.
-    pairs: dict = {}
-    least: list = []
-    for seed in _pairs(aut):
-        if seed in pairs:
-            continue
-        least.append(seed)
-        pairs[seed] = (seed, aut.identity)
-        frontier = [seed]
-        while frontier:
-            phi, psi = x = frontier.pop()
-            beta = pairs[x][1]
-            for g, g_inv in generators:
-                y = (mul(mul(g, phi), g_inv), mul(mul(g, psi), g_inv))
-                if y not in pairs:
-                    pairs[y] = (seed, mul(beta, g_inv))
-                    frontier.append(y)
-
-    centralizers: dict = {}
-    constants: dict = {}
-    reps: list = []
-    for phi, psi in least:
-        if phi not in centralizers:
-            centralizers[phi] = [a for a in aut.elements if mul(a, phi) == mul(phi, a)]
-        stab = [a for a in centralizers[phi] if mul(a, psi) == mul(psi, a)]
-        m = aut.one_minus(phi, psi)
-        translations = {aut.apply(m, x) for x in aut.points}
-        index = constants[phi, psi] = {}
-        for c in aut.points:  # in increasing order: c is the least of its orbit
-            if c not in index:
-                for u in {aut.apply(a, c) for a in stab}:
-                    if u not in index:  # a coset u + T not yet met
-                        index.update(dict.fromkeys((aut.add(u, t) for t in translations), len(reps)))
-                reps.append((phi, psi, c))
-    return StagedClassification(representatives=tuple(reps), pairs=pairs, constants=constants, apply=aut.apply)
+    mul, identity, by_square = aut.mul, aut.identity, _roots(aut)
+    classes, class_edges = _conjugation_trees(aut.elements, [(g, aut.inv(g)) for g in aut.generators], mul, identity)
+    roots, constants, reps = {}, {}, []
+    for phi0, edges in class_edges.items():  # in increasing order
+        centralizer = _schreier_generators(classes, edges, mul, identity)
+        roots[phi0], root_edges = _conjugation_trees(by_square[mul(phi0, phi0)], centralizer, mul, identity)
+        for psi0, edges in root_edges.items():
+            least, cosets = aut.cosets(aut.one_minus(phi0, psi0))
+            stabilizer = _schreier_generators(roots[phi0], edges, mul, identity) if len(cosets) > 1 else []
+            index: dict = {}
+            constants[phi0, psi0] = (least, index)
+            for c in cosets:  # in increasing order: c is the least of its orbit
+                if c not in index:
+                    index[c], orbit = len(reps), [c]
+                    for u in orbit:
+                        for v in {least(aut.apply(s, u)) for s, _ in stabilizer} - index.keys():
+                            index[v] = len(reps)
+                            orbit.append(v)
+                    reps.append((phi0, psi0, c))
+    return StagedClassification(tuple(reps), aut, classes, roots, constants)
 
 
 # -- raw Cayley-table isomorphism ---------------------------------------------
@@ -485,29 +485,53 @@ def _canonical_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     tables.  A quasigroup is generated by at most log2(n) + 1 elements
     (G. L. Miller, "On the n^(log n) isomorphism technique", STOC 1978),
     so k stays that small.
+
+    Seeds are pruned by automorphisms, as McKay and Piperno prune
+    (J. Symbolic Comput. 60, 2014).  Two seeds with equal forms differ by
+    the automorphism mapping one labelling onto the other, which carries
+    the seeds that start with x onto those that start with its image,
+    with the same forms.  So a first element in the orbit of one already
+    tried, under the automorphisms found so far, adds no form.
     """
     n = len(rows)
+    if n < 2:  # () or ((0,),), whose one labelling is itself; itemgetter below needs two indices
+        return tuple(itertools.chain.from_iterable(rows))
+    columns = list(zip(*rows))
     for k in range(1, n + 1):
-        forms = []
-        for seed in itertools.permutations(range(n), k):
-            order = list(seed)
-            label = [-1] * n
-            for i, x in enumerate(order):
-                label[x] = i
-            m = 0
-            while m < len(order) < n:
-                x = order[m]
-                for y in order[: m + 1]:
-                    for z in (rows[x][y], rows[y][x]):
-                        if label[z] < 0:
-                            label[z] = len(order)
-                            order.append(z)
-                m += 1
-            if len(order) == n:
-                forms.append(tuple(label[rows[x][y]] for x in order for y in order))
-        if forms:
-            return min(forms)
-    return ()  # n = 0: the empty table
+        best, orbit, tried = None, list(range(n)), []
+        for first in range(n):
+            if orbit[first] in {orbit[x] for x in tried}:
+                continue
+            tried.append(first)
+            for rest in itertools.permutations([x for x in range(n) if x != first], k - 1):
+                order = [first, *rest]
+                label = [-1] * n
+                for i, x in enumerate(order):
+                    label[x] = i
+                m = 0
+                while m < len(order) < n:
+                    row, column = rows[order[m]], columns[order[m]]
+                    for y in order[: m + 1]:
+                        for z in (row[y], column[y]):  # x*y, then y*x
+                            if label[z] < 0:
+                                label[z] = len(order)
+                                order.append(z)
+                    m += 1
+                if len(order) < n:
+                    continue
+                get = itemgetter(*order)
+                form = tuple(map(label.__getitem__, itertools.chain.from_iterable(map(get, map(rows.__getitem__, order)))))
+                if best is None or form < best:
+                    best, best_order = form, order
+                elif form == best:  # best_order[i] -> order[i] is an automorphism
+                    for x, y in zip(best_order, order):
+                        if orbit[x] != orbit[y]:
+                            orbit = [orbit[x] if o == orbit[y] else o for o in orbit]
+                    if orbit[first] in {orbit[x] for x in tried[:-1]}:
+                        break  # first's forms are those of one tried before
+        if best is not None:
+            return best
+    raise AssertionError("the seed of all n elements generates")
 
 
 def table_isomorphic(t1: QuasigroupTable, t2: QuasigroupTable, max_order: int = 9) -> bool:
@@ -520,30 +544,6 @@ def table_isomorphic(t1: QuasigroupTable, t2: QuasigroupTable, max_order: int = 
     _check_quasigroup(t1, max_order)
     _check_quasigroup(t2, max_order)
     return _canonical_form(t1.rows) == _canonical_form(t2.rows)
-
-
-# -- the paramedial identity on explicit tables -------------------------------
-
-
-def satisfies_paramedial_identity(table: QuasigroupTable) -> bool:
-    """Exhaustive check of (x*y)*(u*v) = (v*y)*(u*x) over all n^4 quadruples.
-
-    Works on any magma, latin or not, and shares nothing with the
-    affine-recovery test ``affine.is_paramedial``, which it is the
-    reference for.  Vectorized with one n^3 slab per x so memory stays
-    cubic; numpy, needed only by the tests, is imported here alone.
-    """
-    import numpy as np
-
-    t = np.array(table.rows, dtype=np.int64)
-    n = table.n
-    t_uv = t[None, :, :]  # axes (y, u, v) -> t[u][v]
-    for x in range(n):
-        lhs = t[t[x][:, None, None], t_uv]
-        rhs = t[t.T[:, None, :], t[:, x][None, :, None]]  # t[v][y], t[u][x]
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
 
 
 # -- congruences on explicit tables -------------------------------------------

@@ -10,7 +10,8 @@ counts.
 
 from paramedial.enum_gl2 import ConjClass, sqrt_set, y_phi
 from paramedial.modring import is_prime, is_square_mod, mat_inv, mat_mul
-from paramedial.oracle import ActionSpec, burnside_count, orbits
+from paramedial.oracle import ActionSpec, orbits
+from reference import burnside_count
 
 
 def nonsquares(p: int) -> list[int]:

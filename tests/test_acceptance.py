@@ -25,10 +25,10 @@ from paramedial.modring import Modulus, all_matrices, mat_mul
 from paramedial.oracle import (
     classify_tables,
     classify_triples,
-    satisfies_paramedial_identity,
     table_is_simple,
     triple_action_spec,
 )
+from reference import satisfies_paramedial_identity
 
 
 def report(criterion: int, description: str, ok: bool, elapsed: float | None = None) -> None:

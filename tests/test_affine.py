@@ -18,7 +18,7 @@ from paramedial.affine import (
     ParamedialConditionError,
     QuasigroupTable,
     ResourceLimitError,
-    _generators,
+    _walk_generators,
     is_latin,
     is_paramedial,
     is_simple,
@@ -31,7 +31,7 @@ from paramedial.enum_cyclic import enumerate_cyclic
 from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.cli import form_from_dict, record_to_dict
 from paramedial.modring import Modulus, gl2, mat_mul, mat_vec
-from paramedial.oracle import satisfies_paramedial_identity
+from reference import satisfies_paramedial_identity
 
 
 def cyclic_form(p, k, phi, psi, c):
@@ -125,7 +125,7 @@ def closure(rows, elems):
 
 
 def generator_tables():
-    # _generators multiplies on one side only, so it takes commutative tables:
+    # the walk translates on one side only, so it takes commutative tables:
     # the materialized classes with phi = psi, the commutative loop, and the symmetric tables
     tables = [materialize(f) for p in (3, 5, 7) for f in enumerate_gl2(p).forms if f.phi == f.psi]
     for p, k in [(3, 2), (7, 2), (2, 5)]:
@@ -143,17 +143,53 @@ def symmetric_tables():
 
 
 def test_generators_are_greedy_and_generate_within_the_log_bound():
+    # the walk from 0: with 0 its generators generate the table, or it stops
+    # past the log bound, which only a table without the zero 0 reaches here
     for table in generator_tables():
-        assert table.rows == tuple(zip(*table.rows))
-        gens = _generators(table.rows)
-        assert closure(table.rows, gens) == set(range(table.n))
-        assert len(gens) <= table.n.bit_length()  # floor(log2 n) + 1
-        assert all(g not in closure(table.rows, gens[:i]) for i, g in enumerate(gens))
+        rows, n = table.rows, table.n
+        assert rows == tuple(zip(*rows))
+        gens = _walk_generators(rows, 0)
+        if gens is None:
+            assert rows[0] != tuple(range(n))
+            continue
+        assert closure(rows, [0, *gens]) == set(range(n))
+        assert len(gens) <= n.bit_length()  # floor(log2 n) + 1
+        if rows[0] == tuple(range(n)):  # a loop with zero 0: each generator lies outside the closure before it
+            assert all(g not in closure(rows, [0, *gens[:i]]) for i, g in enumerate(gens))
 
 
-# Z_2 x Z_4 with (i, a) encoded as i + 2a, so that the greedy generators of
-# + are 0, 1 = (1, 0) and 2 = (0, 1).  Both tables below fail at the last
-# generator only; a check that skips it accepts them.
+def test_a_walk_past_the_log_bound_rejects_a_commutative_loop():
+    # a commutative loop with zero 1 that is no group; its isotope below,
+    # read off as is_paramedial does, walks {1} -> {0, 1} -> {0, 1, 2, 5} and
+    # then from 3 the first translate 2 = 0 + 3 is already reached: a fourth
+    # generator would be needed where a group of order 6 needs at most two
+    rows = (
+        (1, 0, 3, 4, 5, 2),
+        (0, 1, 2, 3, 4, 5),
+        (3, 2, 1, 5, 0, 4),
+        (4, 3, 5, 1, 2, 0),
+        (5, 4, 0, 2, 3, 1),
+        (2, 5, 4, 0, 1, 3),
+    )
+    isotope = [
+        (1, 0, 5, 2, 3, 4),
+        (0, 1, 2, 3, 4, 5),
+        (5, 2, 3, 4, 0, 1),
+        (2, 3, 4, 1, 5, 0),
+        (3, 4, 0, 5, 1, 2),
+        (4, 5, 1, 0, 2, 3),
+    ]
+    table = QuasigroupTable(6, rows)
+    r_inv = sorted(range(6), key=[row[0] for row in rows].__getitem__)  # R = L, the table being commutative
+    assert isotope == [tuple(rows[x][y] for y in r_inv) for x in r_inv] and isotope == list(zip(*isotope))
+    assert _walk_generators(isotope, 1) is None
+    assert not is_paramedial(table)
+    assert not satisfies_paramedial_identity(table)
+
+
+# Z_2 x Z_4 with (i, a) encoded as i + 2a, so that the walk from 0 finds the
+# generators 1 = (1, 0) and 2 = (0, 1) of +.  Both tables below fail at the
+# last generator only; a check that skips it accepts them.
 
 
 def test_associativity_is_checked_at_every_generator():
@@ -170,7 +206,7 @@ def test_associativity_is_checked_at_every_generator():
         (7, 6, 1, 0, 3, 2, 5, 4),
     )
     table = QuasigroupTable(8, rows)
-    assert is_latin(table) and rows == tuple(zip(*rows)) and _generators(rows) == [0, 1, 2]
+    assert is_latin(table) and rows == tuple(zip(*rows)) and _walk_generators(rows, 0) == [1, 2]
     n = range(8)
     bad = {m for x in n for m in n for y in n if rows[rows[x][m]][y] != rows[x][rows[m][y]]}
     assert bad == set(range(2, 8))
@@ -197,7 +233,7 @@ def test_additivity_is_checked_at_every_generator():
     n = range(8)
     add = tuple(rows[f[x]] for x in n)  # x + y = f(x) * y, since f is an involution
     assert [f[f[x]] for x in n] == list(n) and add == tuple(zip(*add)) and add[0] == tuple(n)
-    assert is_latin(table) and _generators(add) == [0, 1, 2]
+    assert is_latin(table) and _walk_generators(add, 0) == [1, 2]
     bad = {b for a in n for b in n if f[add[a][b]] != add[f[a]][f[b]]}
     assert bad == set(range(2, 8))
     assert not is_paramedial(table)
@@ -224,6 +260,22 @@ def test_non_latin_table_is_outside_the_recovery_test():
     # entries outside 0..n-1 are no table at all
     with pytest.raises(ValueError):
         QuasigroupTable(2, ((0, 1), (1, 2)))
+
+
+def test_a_commutative_monoid_that_is_no_group_is_rejected():
+    # x * y = max(x, y): its first row and column are the identity, it is
+    # commutative and associative, and only the generators' inverses are
+    # missing; the identity holds, since both sides are max(x, y, u, v)
+    for n in range(2, 6):
+        table = raw_table(max, n)
+        assert satisfies_paramedial_identity(table) and not is_latin(table)
+        assert not is_paramedial(table)
+
+
+def test_table_to_text_prints_entries_equal_to_ints_as_ints():
+    # the table accepts an entry equal to an int in range, such as True or 1.0
+    assert table_to_text(QuasigroupTable(2, ((0, 1.0), (True, 0)))) == "order 2\n0 1\n1 0\n"
+    assert table_to_text(QuasigroupTable(1, ((0,),))) == "order 1\n0\n"
 
 
 @pytest.mark.parametrize("bad", [5, -1])
@@ -535,7 +587,7 @@ TABLE_GROUPS += [ElemAbelian2Group(p) for p in (2, 3, 5)]
 def test_materialize_matches_the_cell_by_cell_reference(group):
     n = group.order
     for a in range(n):
-        assert group.translation(a) == tuple(group.add(a, y) for y in range(n))
+        assert group.translations()[a] == tuple(group.add(a, y) for y in range(n))
     for form in classification(group).forms:
         table = materialize(form)
         assert table.rows == materialize_by_cells(form)

@@ -555,7 +555,7 @@ assert all(is_paramedial(materialize(f)) for f in enumerate_cyclic(Modulus(7, 2)
 
 def test_cli_import_leaves_numpy_unloaded(tmp_path):
     # The runtime needs no numpy: the commands and the paramedial test run
-    # with it blocked.  Only oracle.satisfies_paramedial_identity uses it.
+    # with it blocked.  Only the tests' reference satisfies_paramedial_identity uses it.
     src = os.path.dirname(os.path.dirname(paramedial.__file__))
     env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
     env["PYTHONPATH"] = src

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -21,7 +22,6 @@ from paramedial.modring import Modulus, gl2, mat_inv, mat_mul
 from paramedial.oracle import (
     ActionSpec,
     ResourceLimitError,
-    burnside_count,
     classify_tables,
     classify_triples,
     classify_two_stage,
@@ -31,8 +31,8 @@ from paramedial.oracle import (
     table_isomorphic,
     _automorphisms,
     triple_action_spec,
-    validate_action,
 )
+from reference import burnside_count, canonical_form_unpruned, validate_action
 
 
 def raw_table(op, n):
@@ -278,6 +278,30 @@ def test_closed_form_affine_order_matches_aut(group):
         assert oracle._affine_order(group) <= oracle.REFERENCE_MAX_AFFINE_ORDER
 
 
+@pytest.mark.parametrize("group", AT_THE_AFFINE_EDGE[:4], ids=lambda g: g.describe())
+def test_two_stage_at_the_edge_hits_every_class_once(group):
+    # the constants are indexed by the cosets of T, not by every point of G,
+    # so orbit_of must check itself that a constant lies in G
+    staged = classify_two_stage(group)
+    hit = sorted(staged.orbit_of(phi, psi, c) for phi, psi, c, _, _ in group.rows())
+    assert hit == list(range(staged.count)) and staged.count == closed_form_count(group.modulus)
+    phi, psi, _ = staged.representatives[-1]
+    assert staged.orbit_of(phi, psi, group.order) is None and staged.orbit_of(phi, psi, -1) is None
+
+
+def test_two_stage_constants_index_stays_small_at_the_edge():
+    # an index over every point of Z_1024 for each of the 2 048 least pairs
+    # peaked above 100 MB; the index over cosets holds one entry per coset
+    tracemalloc.start()
+    try:
+        staged = classify_two_stage(CyclicGroup(Modulus(2, 10)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert staged.count == 2048
+    assert peak < 16 * 2**20
+
+
 # -- raw table isomorphism ---------------------------------------------------------
 
 
@@ -405,6 +429,19 @@ def test_classify_tables_matches_the_pairwise_reference_on_mixed_orders():
     ids = classify_tables([t for _, t in tagged])
     assert ids == _first_sighting(i for i, _ in tagged)
     assert max(ids) + 1 == len(tables)
+
+
+CANONICAL_FORM_GROUPS = [ElemAbelian2Group(3), ElemAbelian2Group(5)]
+CANONICAL_FORM_GROUPS += [CyclicGroup(Modulus(p, k)) for p, k in ((3, 2), (5, 2), (7, 1))]
+
+
+@pytest.mark.parametrize("group", CANONICAL_FORM_GROUPS, ids=lambda g: g.describe())
+def test_pruned_canonical_form_equals_the_unpruned_reference(group):
+    forms = enumerate_gl2(group.p).forms if isinstance(group, ElemAbelian2Group) else enumerate_cyclic(group.modulus).forms
+    tables = list(map(materialize, forms))
+    rng = random.Random(group.order)
+    for table in tables + [_relabelled(t, rng) for t in tables]:
+        assert oracle._canonical_form(table.rows) == canonical_form_unpruned(table.rows)
 
 
 def test_classify_tables_puts_order_25_copies_with_their_sources():

@@ -34,13 +34,13 @@ def main() -> int:
     for p in primes:
         for k in range(1, args.max_k + 1):
             try:
-                groups.append((f"Z_{p}^{k}", CyclicGroup(Modulus(p, k))))
+                groups.append(CyclicGroup(Modulus(p, k)))
             except ValueError:  # p^k beyond the supported range
                 pass
-    groups += [(f"Z_{p} x Z_{p}", ElemAbelian2Group(p)) for p in primes]
+    groups += [ElemAbelian2Group(p) for p in primes]
     failures = 0
     print(f"{'group':>14} {'closed':>8} {'enum':>8} {'oracle':>8}")
-    for label, group in groups:
+    for group in groups:
         closed = group.closed_count()
         enum = oracle = "-"
         try:
@@ -54,7 +54,7 @@ def main() -> int:
         ok = enum in ("-", closed) and oracle in ("-", closed)
         failures += 0 if ok else 1
         flag = "" if ok else "   <-- MISMATCH"
-        print(f"{label:>14} {closed:>8} {enum:>8} {oracle:>8}{flag}")
+        print(f"{group.describe():>14} {closed:>8} {enum:>8} {oracle:>8}{flag}")
 
     print()
     for p in primes:

@@ -28,6 +28,7 @@ checks as they are, building no form.  Both enumerators return them as a
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from operator import add, itemgetter, ne
 
@@ -260,6 +261,9 @@ class QuasigroupTable(Value):
     def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
         if len(rows) != n or not set(map(len, rows)) <= {n}:
             raise ValueError("table shape does not match the stated order")
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:  # as require_int, a bool refused too
+            bad = next(x for row in rows for x in row if type(x) is not int)
+            raise TypeError(f"table entries must be ints, got {bad!r}")
         if not set().union(*rows) <= set(range(n)):
             raise ValueError(f"table entries must lie in 0..{n - 1}")
         self._set("n", n)
@@ -373,8 +377,7 @@ def is_paramedial(table: QuasigroupTable) -> bool:
 
 def table_to_text(table: QuasigroupTable) -> str:
     """Serialize as 'order n' followed by n rows of space-separated indices."""
-    # keyed by value, so an entry equal to an int (True, 1.0) prints as that
-    # int; for n = 1 the getter returns "0", which joins to itself
+    # for n = 1 the getter returns "0", which joins to itself
     names = dict(zip(range(table.n), map(str, range(table.n))))
     return "\n".join([f"order {table.n}", *[" ".join(itemgetter(*row)(names)) for row in table.rows], ""])
 

@@ -265,7 +265,7 @@ def coset_reps_for(phi: Mat2, psi: Mat2, p: int) -> list[Vec2]:
 # -- the full classification ------------------------------------------------------
 
 
-# Only for perfbench/tracer.py, which wraps Gl2Classification.records; ROADMAP item 2 drops it.
+# Only for perfbench/tracer.py, which wraps Gl2Classification.records; ROADMAP item 1 drops it.
 Gl2Classification = Classification
 
 

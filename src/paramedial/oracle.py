@@ -29,10 +29,13 @@ form: label the elements in the order in which closure under the product
 reaches them from a shortest generating tuple, and keep the least
 relabelled table, pruning the tuples by the automorphisms found on the
 way.  ``table_isomorphic`` compares two forms; ``classify_tables``
-computes one per table and numbers the distinct ones.
-``table_is_simple`` asks whether the principal congruences Cg(0, x) are
-all total; it is the table-level reference for ``affine.is_simple``, its
-O(n^3) cost bounded by the order (the other two take the caller's bound).
+computes one per table and numbers the distinct ones.  Before any form
+is computed, each table's cost is worked out in closed form and held to
+``MAX_FORM_COST``: a greedy walk finds g generators, at most
+log2(n) + 1, and the form costs at most n^2 for each of the seeds of up
+to g elements.  ``table_is_simple`` asks whether the principal
+congruences Cg(0, x) are all total; it is the table-level reference for
+``affine.is_simple``, its O(n^3) cost bounded by the order.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ MAX_POINTS = 10**7  # orbits: points of the action at most
 REFERENCE_MAX_AFFINE_ORDER = 2**14  # classify_triples: |Aff(G)| = |Aut(G)| * |G| at most
 MAX_AFFINE_ORDER = 2**19  # classify_two_stage: the same at most
 TABLE_SIMPLE_MAX_ORDER = 128  # table_is_simple: order of the table at most
+MAX_FORM_COST = 2**24  # _canonical_form: n^2 * (the seeds of size at most g) at most
 
 
 class ActionSpec:
@@ -292,10 +296,11 @@ def _roots(aut: _Automorphisms) -> dict:
     return by_square
 
 
-def triple_action_spec(group: GroupDescriptor, with_elements: bool = False) -> ActionSpec:
+def triple_action_spec(group: GroupDescriptor) -> ActionSpec:
     """The isomorphism action on all valid triples (phi, psi, c) over G.
 
-    A group element is (alpha, alpha^-1, d), the map x -> alpha(x) + d.
+    A group element is (alpha, alpha^-1, d), the map x -> alpha(x) + d;
+    ``elements`` lists all |Aff(G)| of them, for the Burnside count.
     """
     aut = _automorphisms(group)
     mul, apply, add, one_minus = aut.mul, aut.apply, aut.add, aut.one_minus
@@ -315,17 +320,13 @@ def triple_action_spec(group: GroupDescriptor, with_elements: bool = False) -> A
         return (mul(g[0], h[0]), mul(h[1], g[1]), add(apply(g[0], h[2]), g[2]))
 
     ident, by_square = aut.identity, _roots(aut)
-    elements = None
-    if with_elements:
-        elements = [(a, aut.inv(a), d) for a in aut.elements for d in aut.points]
     return ActionSpec(  # phi^2 = psi^2, in increasing order
         points=[(phi, psi, c) for phi in aut.elements for psi in by_square[mul(phi, phi)] for c in aut.points],
         act=act,
         compose=compose,
         identity=(ident, ident, zero),
-        elements=elements,
+        elements=[(a, aut.inv(a), d) for a in aut.elements for d in aut.points],
         generators=[(g, aut.inv(g), zero) for g in aut.generators] + [(ident, ident, e) for e in aut.basis],
-        order=len(aut.elements) * len(aut.points),
     )
 
 
@@ -463,12 +464,61 @@ def classify_two_stage(group: GroupDescriptor) -> StagedClassification:
 # -- raw Cayley-table isomorphism ---------------------------------------------
 
 
-def _check_quasigroup(table: QuasigroupTable, max_order: int) -> None:
-    """The domain of the table layer: order at most ``max_order``, then latin."""
-    if table.n > max_order:
-        raise ResourceLimitError(f"a table of order {table.n} exceeds the bound {max_order}")
+def _require_latin(table: QuasigroupTable) -> None:
     if not is_latin(table):
         raise ValueError(f"a table of order {table.n} is not latin, so not a quasigroup")
+
+
+def _generator_count(rows: Sequence[Sequence[int]]) -> int:
+    """g, the generators a greedy walk takes: the least element not yet
+    reached, then closure under the product, until all n are reached.
+
+    For a subquasigroup S and x outside it, S*x has |S| elements, none in
+    S: s*x = t in S would make x the solution in S of s*y = t.  So each
+    generator at least doubles what is reached, and g <= floor(log2 n) + 1.
+    Each pair of reached elements is multiplied at most once, both ways:
+    O(n^2).
+    """
+    n = len(rows)
+    reached, order, g, m = [False] * n, [], 0, 0
+    for x in range(n):
+        if not reached[x]:
+            g += 1
+            reached[x] = True
+            order.append(x)
+            while m < len(order) < n:
+                a = order[m]
+                row = rows[a]
+                for b in order[: m + 1]:
+                    for z in (row[b], rows[b][a]):  # a*b, then b*a
+                        if not reached[z]:
+                            reached[z] = True
+                            order.append(z)
+                m += 1
+    return g
+
+
+def _form_cost(n: int, g: int) -> int:
+    """The cost bound of ``_canonical_form`` on a table of order n whose
+    greedy walk takes g generators: n^2 per seed, for every seed of at
+    most g distinct elements, sum_{j=1..g} n!/(n-j)! of them."""
+    return n * n * sum(math.perm(n, j) for j in range(1, g + 1))
+
+
+def _check_quasigroup(table: QuasigroupTable) -> None:
+    """The domain of the canonical form: a latin table whose form costs at
+    most ``MAX_FORM_COST``.  The cost at g = 1, n^3, is checked before the
+    table is read, the cost at the table's own g before any search."""
+    n = table.n
+    if (cost := _form_cost(n, 1)) > MAX_FORM_COST:
+        raise ResourceLimitError(
+            f"a canonical form of order {n} costs at least {cost}, above the bound {MAX_FORM_COST}"
+        )
+    _require_latin(table)
+    if (cost := _form_cost(n, g := _generator_count(table.rows))) > MAX_FORM_COST:
+        raise ResourceLimitError(
+            f"a canonical form of order {n} from {g} generators costs {cost}, above the bound {MAX_FORM_COST}"
+        )
 
 
 def _canonical_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -482,9 +532,10 @@ def _canonical_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     over the seeds of the smallest size k that generate.  An isomorphism
     carries seeds to seeds and their labellings along, so isomorphic tables
     get equal forms, and a form is a table, so equal forms mean isomorphic
-    tables.  A quasigroup is generated by at most log2(n) + 1 elements
-    (G. L. Miller, "On the n^(log n) isomorphism technique", STOC 1978),
-    so k stays that small.
+    tables.  The g generators of ``_generator_count`` form a seed, so
+    k <= g <= log2(n) + 1, Miller's bound (G. L. Miller, "On the n^(log n)
+    isomorphism technique", STOC 1978), and at most ``_form_cost(n, g)``
+    is spent.
 
     Seeds are pruned by automorphisms, as McKay and Piperno prune
     (J. Symbolic Comput. 60, 2014).  Two seeds with equal forms differ by
@@ -534,15 +585,16 @@ def _canonical_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     raise AssertionError("the seed of all n elements generates")
 
 
-def table_isomorphic(t1: QuasigroupTable, t2: QuasigroupTable, max_order: int = 9) -> bool:
+def table_isomorphic(t1: QuasigroupTable, t2: QuasigroupTable) -> bool:
     """Whether a bijection s exists with s(x*y) = s(x) o s(y), for quasigroups
     (``ValueError`` for a table of equal order that is not latin): whether
-    the two tables have the same ``_canonical_form``.
+    the two tables have the same ``_canonical_form``.  Both are checked
+    before either form is computed.
     """
     if t1.n != t2.n:
         return False
-    _check_quasigroup(t1, max_order)
-    _check_quasigroup(t2, max_order)
+    _check_quasigroup(t1)
+    _check_quasigroup(t2)
     return _canonical_form(t1.rows) == _canonical_form(t2.rows)
 
 
@@ -592,11 +644,13 @@ def table_is_simple(table: QuasigroupTable) -> bool:
     x != 0 in the class of 0 and contains Cg(0, x): the table is simple
     exactly when each of the n - 1 principal congruences Cg(0, x) is total.
     """
-    _check_quasigroup(table, TABLE_SIMPLE_MAX_ORDER)
+    if table.n > TABLE_SIMPLE_MAX_ORDER:
+        raise ResourceLimitError(f"a table of order {table.n} exceeds the bound {TABLE_SIMPLE_MAX_ORDER}")
+    _require_latin(table)
     return all(max(principal_congruence(table, 0, x)) == 0 for x in range(1, table.n))
 
 
-def classify_tables(tables: Sequence[QuasigroupTable], max_order: int = 9) -> list[int]:
+def classify_tables(tables: Sequence[QuasigroupTable]) -> list[int]:
     """Partition quasigroup tables into isomorphism classes; returns class ids.
 
     Every table is checked, as ``table_isomorphic`` checks its two, before
@@ -604,6 +658,6 @@ def classify_tables(tables: Sequence[QuasigroupTable], max_order: int = 9) -> li
     keyed by each table's order and ``_canonical_form``, one form per table.
     """
     for t in tables:
-        _check_quasigroup(t, max_order)
+        _check_quasigroup(t)
     classes: dict = {}
     return [classes.setdefault((t.n, _canonical_form(t.rows)), len(classes)) for t in tables]

@@ -1,8 +1,9 @@
 """Brute-force references that only the tests call: the unpruned canonical
-form, which ``oracle._canonical_form`` must equal on every table, the n^4
-paramedial identity, which ``affine.is_paramedial`` must agree with, and
-the Burnside count and action spot check that the orbit computations are
-held to."""
+form, which ``oracle._canonical_form`` must equal on every table, the
+smallest generating seed, which bounds ``oracle._generator_count`` from
+below, the n^4 paramedial identity, which ``affine.is_paramedial`` must
+agree with (vectorized, and as a plain loop), and the Burnside count and
+action spot check that the orbit computations are held to."""
 
 import itertools
 from collections.abc import Sequence
@@ -36,6 +37,31 @@ def canonical_form_unpruned(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         if forms:
             return min(forms)
     return ()  # n = 0: the empty table
+
+
+def raw_table(op, n: int) -> QuasigroupTable:
+    """The table of x*y = op(x, y) on 0..n-1."""
+    return QuasigroupTable(n, tuple(tuple(op(x, y) for y in range(n)) for x in range(n)))
+
+
+def smallest_generating_seed(rows: Sequence[Sequence[int]]) -> int:
+    """The least k such that some k elements generate the table under the
+    product, by closing every k-subset in turn."""
+    n = len(rows)
+    for k in range(n + 1):
+        for seed in itertools.combinations(range(n), k):
+            reached = set(seed)
+            frontier = list(seed)
+            while frontier:
+                x = frontier.pop()
+                for y in list(reached):
+                    for z in (rows[x][y], rows[y][x]):
+                        if z not in reached:
+                            reached.add(z)
+                            frontier.append(z)
+            if len(reached) == n:
+                return k
+    raise AssertionError("all n elements generate")
 
 
 def burnside_count(spec: ActionSpec) -> int:
@@ -84,4 +110,19 @@ def satisfies_paramedial_identity(table: QuasigroupTable) -> bool:
         rhs = t[t.T[:, None, :], t[:, x][None, :, None]]  # t[v][y], t[u][x]
         if not np.array_equal(lhs, rhs):
             return False
+    return True
+
+
+def paramedial_by_loop(table: QuasigroupTable) -> bool:
+    """(x*y)*(u*v) = (v*y)*(u*x), quadruple by quadruple, stopping at the
+    first that fails: the plain-loop twin of ``satisfies_paramedial_identity``."""
+    rows, n = table.rows, table.n
+    for x in range(n):
+        for y in range(n):
+            xy = rows[x][y]
+            for u in range(n):
+                ux = rows[u][x]
+                for v in range(n):
+                    if rows[xy][rows[u][v]] != rows[rows[v][y]][ux]:
+                        return False
     return True

@@ -31,7 +31,7 @@ from paramedial.enum_cyclic import enumerate_cyclic
 from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.cli import form_from_dict, record_to_dict
 from paramedial.modring import Modulus, gl2, mat_mul, mat_vec
-from reference import satisfies_paramedial_identity
+from reference import paramedial_by_loop, raw_table, satisfies_paramedial_identity
 
 
 def cyclic_form(p, k, phi, psi, c):
@@ -40,21 +40,6 @@ def cyclic_form(p, k, phi, psi, c):
 
 def elem2_form(p, phi, psi, c=(0, 0)):
     return AffineForm(ElemAbelian2Group(p), phi, psi, c)
-
-
-def raw_table(op, n):
-    return QuasigroupTable(n, tuple(tuple(op(x, y) for y in range(n)) for x in range(n)))
-
-
-def paramedial_by_loop(table):
-    # quadruple-by-quadruple reference check, independent of the
-    # vectorized implementation
-    t = table.rows
-    n = table.n
-    for x, y, u, v in itertools.product(range(n), repeat=4):
-        if t[t[x][y]][t[u][v]] != t[t[v][y]][t[u][x]]:
-            return False
-    return True
 
 
 def test_materialize_identity_automorphisms_gives_addition():
@@ -272,9 +257,15 @@ def test_a_commutative_monoid_that_is_no_group_is_rejected():
         assert not is_paramedial(table)
 
 
-def test_table_to_text_prints_entries_equal_to_ints_as_ints():
-    # the table accepts an entry equal to an int in range, such as True or 1.0
-    assert table_to_text(QuasigroupTable(2, ((0, 1.0), (True, 0)))) == "order 2\n0 1\n1 0\n"
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_entries_that_only_equal_an_int_are_refused(bad):
+    # is_paramedial indexes rows by the entries, which a float cannot do, so
+    # the table refuses any entry that is not an int, as AffineForm does
+    with pytest.raises(TypeError, match="entries must be ints"):
+        QuasigroupTable(2, ((0, bad), (1, 0)))
+    table = QuasigroupTable(2, ((0, 1), (1, 0)))
+    assert is_paramedial(table)
+    assert table_to_text(table) == "order 2\n0 1\n1 0\n"
     assert table_to_text(QuasigroupTable(1, ((0,),))) == "order 1\n0\n"
 
 

@@ -22,8 +22,9 @@ from paramedial.affine import QuasigroupTable, is_paramedial, materialize
 from paramedial.enum_cyclic import enumerate_cyclic
 from paramedial.enum_gl2 import enumerate_gl2
 from paramedial.modring import Modulus
+from paramedial import oracle
 from paramedial.oracle import classify_tables, principal_congruence, table_is_simple
-from reference import satisfies_paramedial_identity
+from reference import paramedial_by_loop, satisfies_paramedial_identity, smallest_generating_seed
 
 
 def all_latin_squares(n):
@@ -56,18 +57,6 @@ def all_latin_squares(n):
     yield from build(0)
 
 
-def paramedial_raw(rows, n):
-    for x in range(n):
-        for y in range(n):
-            xy = rows[x][y]
-            for u in range(n):
-                ux = rows[u][x]
-                for v in range(n):
-                    if rows[xy][rows[u][v]] != rows[rows[v][y]][ux]:
-                        return False
-    return True
-
-
 def class_tables(n):
     if n == 2:
         return [materialize(f) for f in enumerate_cyclic(Modulus(2, 1)).forms]
@@ -90,7 +79,7 @@ def test_every_paramedial_latin_square_is_affine(n, total_squares):
     for rows in all_latin_squares(n):
         square_count += 1
         table = QuasigroupTable(n, rows)
-        raw = paramedial_raw(rows, n)
+        raw = paramedial_by_loop(table)
         if n <= 4:
             assert is_paramedial(table) == satisfies_paramedial_identity(table) == raw
         if not raw:
@@ -139,3 +128,27 @@ def test_table_is_simple_matches_all_pairs_on_every_latin_square(n, not_simple):
         assert table_is_simple(table) == every_pair, rows
         found += not every_pair
     assert found == not_simple
+
+
+def _rows(forms):
+    return [materialize(f).rows for f in forms]
+
+
+GENERATED_SETS = {
+    "latin-squares-4": (576, lambda: list(all_latin_squares(4))),
+    "order-9": (50, lambda: _rows(enumerate_gl2(3).forms + enumerate_cyclic(Modulus(3, 2)).forms)),
+    "elem2-5": (98, lambda: _rows(enumerate_gl2(5).forms)),
+    "cyclic-5-2": (46, lambda: _rows(enumerate_cyclic(Modulus(5, 2)).forms)),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED_SETS)
+def test_greedy_generator_count_lies_between_the_least_seed_and_miller_bound(name):
+    # the canonical form stops at the least generating seed, so g bounds its
+    # size from above; each greedy generator at least doubles what is reached
+    count, build = GENERATED_SETS[name]
+    tables = build()
+    assert len(tables) == count
+    for rows in tables:
+        g = oracle._generator_count(rows)
+        assert smallest_generating_seed(rows) <= g <= len(rows).bit_length(), rows

@@ -32,11 +32,7 @@ from paramedial.oracle import (
     _automorphisms,
     triple_action_spec,
 )
-from reference import burnside_count, canonical_form_unpruned, validate_action
-
-
-def raw_table(op, n):
-    return QuasigroupTable(n, tuple(tuple(op(x, y) for y in range(n)) for x in range(n)))
+from reference import burnside_count, canonical_form_unpruned, raw_table, validate_action
 
 
 # A magma that is not a quasigroup, and its image under the swap 0 <-> 1.
@@ -107,14 +103,14 @@ def test_burnside_identity_on_orbit_specs():
 def test_burnside_identity_on_triple_actions():
     for group in (CyclicGroup(Modulus(3, 1)), CyclicGroup(Modulus(3, 2)),
                   CyclicGroup(Modulus(2, 2)), ElemAbelian2Group(2)):
-        spec = triple_action_spec(group, with_elements=True)
+        spec = triple_action_spec(group)
         assert burnside_count(spec) == len(orbits(spec).orbits)
 
 
 def test_validate_action_spot_checks():
     rng = random.Random(7)
-    validate_action(triple_action_spec(CyclicGroup(Modulus(3, 2)), with_elements=True), rng)
-    validate_action(triple_action_spec(ElemAbelian2Group(3), with_elements=True), rng, samples=15)
+    validate_action(triple_action_spec(CyclicGroup(Modulus(3, 2))), rng)
+    validate_action(triple_action_spec(ElemAbelian2Group(3)), rng, samples=15)
 
 
 def test_orbits_budget(monkeypatch):
@@ -341,10 +337,31 @@ def test_relabelled_table_is_isomorphic():
     assert table_isomorphic(base, relabelled)
 
 
-def test_table_isomorphic_bound():
-    big = raw_table(lambda x, y: (x + y) % 10, 10)
-    with pytest.raises(ResourceLimitError):
+# Z_2^4 under XOR: the greedy walk needs all 5 generators, a form cost of
+# 256 * (16 + 16*15 + ... + 16*15*14*13*12) = 146 292 736, above the bound
+XOR_16 = raw_table(lambda x, y: x ^ y, 16)
+# Z_16 under addition: one generator, a form cost of 16^3
+CYCLIC_16 = raw_table(lambda x, y: (x + y) % 16, 16)
+
+
+def test_table_isomorphic_bound(monkeypatch):
+    calls = _count_forms(monkeypatch)
+    for t1, t2 in ((XOR_16, XOR_16), (XOR_16, CYCLIC_16), (CYCLIC_16, XOR_16)):
+        with pytest.raises(ResourceLimitError, match="from 5 generators costs 146292736, above the bound 16777216"):
+            table_isomorphic(t1, t2)
+    assert calls == []
+    assert table_isomorphic(CYCLIC_16, CYCLIC_16)
+    big = raw_table(lambda x, y: (x + y) % 257, 257)  # n^3 above the bound: refused before the table is read
+    with pytest.raises(ResourceLimitError, match="order 257 costs at least 16974593"):
         table_isomorphic(big, big)
+    assert calls == [16, 16]
+
+
+def test_form_cost_at_miller_bound_is_within_the_bound_up_to_order_nine():
+    # so every quasigroup of order at most 9 is accepted, whatever its walk
+    for n in range(1, 10):
+        assert oracle._form_cost(n, n.bit_length()) <= oracle.MAX_FORM_COST
+    assert oracle._form_cost(9, 4) == 81 * (9 + 72 + 504 + 3024)
 
 
 def test_table_isomorphic_rejects_a_non_latin_table():
@@ -448,7 +465,18 @@ def test_classify_tables_puts_order_25_copies_with_their_sources():
     reps = tuple(map(materialize, enumerate_cyclic(Modulus(5, 2)).forms))
     assert len(reps) == 46
     tables, sources = _with_copies(reps, 5)
-    assert classify_tables(tables, max_order=25) == list(range(46)) + sources
+    assert classify_tables(tables) == list(range(46)) + sources
+
+
+def test_classify_tables_takes_elem2_5_with_copies_and_the_classes_of_cyclic_7_2():
+    # over a group of order 25 the subquasigroups are cosets of order 1, 5 or
+    # 25, so a walk takes at most 3 generators (9 015 625); the classes of
+    # cyclic 7 2 take at most 2 (5 764 801), but g depends on the labelling,
+    # and a relabelled copy of order 49 may take a third (271 180 945)
+    reps = tuple(map(materialize, enumerate_gl2(5).forms))
+    tables, sources = _with_copies(reps, 25)
+    assert classify_tables(tables) == list(range(98)) + sources
+    assert classify_tables(list(map(materialize, enumerate_cyclic(Modulus(7, 2)).forms))) == list(range(92))
 
 
 def test_classify_tables_checks_each_table_is_latin_once(monkeypatch):
@@ -466,13 +494,12 @@ def test_classify_tables_checks_each_table_is_latin_once(monkeypatch):
 
 def test_classify_tables_checks_every_order_before_any_search(monkeypatch):
     small = materialize(enumerate_cyclic(Modulus(3, 1)).forms[0])
-    big = raw_table(lambda x, y: (x + y) % 10, 10)
     calls = _count_forms(monkeypatch)
-    for tables in ([big], [small, big], [big, big], [small, small, big]):
-        with pytest.raises(ResourceLimitError, match="order 10 exceeds the bound 9"):
+    for tables in ([XOR_16], [small, XOR_16], [XOR_16, XOR_16], [small, CYCLIC_16, XOR_16]):
+        with pytest.raises(ResourceLimitError, match="order 16 from 5 generators costs 146292736"):
             classify_tables(tables)
     assert calls == []
-    assert classify_tables([big, small, big], max_order=10) == [0, 1, 0]
+    assert classify_tables([CYCLIC_16, small, CYCLIC_16]) == [0, 1, 0]
 
 
 def test_classify_tables_checks_every_table_is_latin_before_any_search(monkeypatch):

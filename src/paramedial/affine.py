@@ -22,14 +22,15 @@ is the enumerators' rows, plain tuples (phi, psi, c, case, simple) in
 that same shape, which ``cli enumerate`` renders and ``cli verify``
 checks as they are, building no form.  Both enumerators return them as a
 ``Classification``, which checks the closed-form count against
-``MAX_RECORDS`` before it draws a row, and whose ``records()`` and
-``forms`` build checked objects from them on request.
+``MAX_RECORDS`` before it draws a row, draws them lazily, and whose
+``rows``, ``records()`` and ``forms`` hold them on request.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from collections.abc import Callable, Iterator
+from functools import cached_property, lru_cache
 from operator import add, itemgetter, ne
 
 from .modring import MAX_MODULUS, Mat2, Modulus, Value, Vec2, is_prime, mat_det, mat_mul, mat_vec, require_int
@@ -48,8 +49,8 @@ class ResourceLimitError(RuntimeError):
 class GroupDescriptor:
     """The base of the two group classes, each the one place that knows its
     kind: ``params()`` names it as json output and cache keys do,
-    ``closed_count`` and ``rows`` reach its enumerator and ``dim`` counts
-    an element's coordinates."""
+    ``closed_count`` and ``classification`` reach its enumerator and ``dim``
+    counts an element's coordinates."""
 
     __slots__ = ()
 
@@ -57,6 +58,10 @@ class GroupDescriptor:
         """The group as ``kind(p[,k])``, e.g. cyclic(3,2) or elem2(5)."""
         params = self.params()
         return f"{params.pop('kind')}({','.join(map(str, params.values()))})"
+
+    def rows(self) -> tuple[tuple, ...]:
+        """Every class as an enumerator row (phi, psi, c, case, simple), in output order."""
+        return self.classification().rows
 
 
 class CyclicGroup(GroupDescriptor, Value):
@@ -109,10 +114,10 @@ class CyclicGroup(GroupDescriptor, Value):
             return 0
         return enum_cyclic.closed_form_count(self.modulus)
 
-    def rows(self) -> tuple[tuple[int, int, int, str, bool], ...]:
+    def classification(self) -> Classification:
         from . import enum_cyclic
 
-        return enum_cyclic.enumerate_cyclic(self.modulus).rows
+        return enum_cyclic.enumerate_cyclic(self.modulus)
 
 
 class ElemAbelian2Group(GroupDescriptor, Value):
@@ -170,10 +175,10 @@ class ElemAbelian2Group(GroupDescriptor, Value):
 
         return (enum_cyclic.simple_closed_count if simple_only else enum_cyclic.gl2_closed_count)(self.p)
 
-    def rows(self) -> tuple[tuple[Mat2, Mat2, Vec2, str, bool], ...]:
+    def classification(self) -> Classification:
         from . import enum_gl2
 
-        return enum_gl2.enumerate_gl2(self.p).rows
+        return enum_gl2.enumerate_gl2(self.p)
 
 
 class AffineForm(Value):
@@ -230,13 +235,26 @@ class ClassRecord(Value):
 
 
 class Classification:
-    """The classes over `group` as enumerator rows (phi, psi, c, case, simple), in output order."""
+    """The classes over `group` as enumerator rows (phi, psi, c, case, simple), in output order.
 
-    def __init__(self, group: GroupDescriptor, rows):
+    Iterating draws the rows afresh from the enumerator and holds none of
+    them, which is how ``cli enumerate`` reads them; ``rows`` holds them all
+    as a tuple, built the first time it, ``count``, ``records()`` or
+    ``forms`` is asked for."""
+
+    def __init__(self, group: GroupDescriptor, draw: Callable[[], Iterator[tuple]]):
         if (count := group.closed_count()) > MAX_RECORDS:
             raise ResourceLimitError(f"enumeration is bounded to {MAX_RECORDS} classes, {group.describe()} has {count}")
         self.group = group
-        self.rows = tuple(rows)
+        self._draw = draw
+
+    def __iter__(self) -> Iterator[tuple]:
+        held = self.__dict__.get("rows")
+        return self._draw() if held is None else iter(held)
+
+    @cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(self._draw())
 
     @property
     def count(self) -> int:
@@ -269,13 +287,23 @@ class QuasigroupTable(Value):
         self._set("n", n)
         self._set("rows", rows)
 
+    @classmethod
+    def _unchecked(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> QuasigroupTable:
+        """The table of rows whose builder guarantees the constructor's checks, skipping them."""
+        table = object.__new__(cls)
+        table._set("n", n)
+        table._set("rows", rows)
+        return table
+
 
 def materialize(form: AffineForm) -> QuasigroupTable:
-    """Cayley table of x*y = phi(x) + psi(y) + c: row x is phi(x)'s translation read at psi(y) + c."""
+    """Cayley table of x*y = phi(x) + psi(y) + c: row x is phi(x)'s translation read at psi(y) + c.
+    Its entries are read from the group's own ``translations()``, n tuples of
+    n ints in 0..n-1, so the table is built unchecked."""
     g = form.group
     plus = g.translations()
     get = itemgetter(*map(plus[g.encode(form.c)].__getitem__, g.images(form.psi)))  # n >= 2: a tuple
-    return QuasigroupTable(g.order, tuple(map(get, map(plus.__getitem__, g.images(form.phi)))))
+    return QuasigroupTable._unchecked(g.order, tuple(map(get, map(plus.__getitem__, g.images(form.phi)))))
 
 
 def is_latin(table: QuasigroupTable) -> bool:

@@ -1,12 +1,18 @@
 """Command-line front end: count, enumerate, verify.
 
 Output of ``enumerate`` is byte-deterministic for fixed arguments, so it
-can be diffed and cached: when the PARAMEDIAL_CACHE_DIR environment
-variable is set, serialized results are stored there keyed by command,
-parameters and library version, each with its sha256, and a warm run
-replays the exact bytes once the digest matches (otherwise it recomputes).
-Run manifests (which carry a timestamp) are only written on request via
---manifest, never into the primary output.
+can be diffed and cached.  It is one pass from the enumerator to the file
+descriptor: rows are drawn, rendered and written a chunk at a time, and
+neither the rows nor the output are ever held whole.  When the
+PARAMEDIAL_CACHE_DIR environment variable is set, results are stored there
+keyed by command, parameters and library version.  A miss streams the
+chunks into a temporary file with a running sha256, writes the digest into
+its slot at the head, replaces the entry, and only then copies the entry
+out, so a failed store writes nothing.  A hit reads the entry twice, a
+block at a time: it verifies the digest first and copies second, so a
+corrupt or truncated entry is recomputed before a byte of it is written.
+Run manifests (which carry a timestamp and the output's sha256) are only
+written on request via --manifest, never into the primary output.
 
 What depends on the kind of group comes from the group classes in
 ``affine``; the one choice by kind made here is which checks ``verify`` prints.
@@ -22,7 +28,9 @@ import io
 import math
 import os
 import sys
-from itertools import groupby
+from collections.abc import Iterator
+from functools import partial
+from itertools import chain, groupby, islice
 from operator import itemgetter
 
 from . import __version__
@@ -49,7 +57,9 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 TABLES_MAX_ENTRIES = 2**25  # enumerate --format tables: records x n^2 entries at most
-JSON_CHUNK_ROWS = 4096  # enumerate --format json: rows per % of the record template
+JSON_CHUNK_ROWS = 256  # enumerate --format json and csv: rows rendered and written at a time
+COPY_BLOCK_BYTES = 2**20  # a cache entry is hashed and copied this many bytes at a time
+DIGEST_SLOT = b"0" * 64 + b"\n"  # a cache entry's head, filled with the output's hex sha256
 
 
 def _parse_group(tokens: list[str], parser: argparse.ArgumentParser) -> GroupDescriptor:
@@ -108,14 +118,18 @@ def form_from_dict(d: dict) -> AffineForm:
         raise ValueError(f"malformed record: {exc!r}") from None
 
 
-def _flat_rows(group: GroupDescriptor, rows):
-    """Each row as csv rows and table headers show it: group, phi, psi,
-    c, simple and case, matrix rows split by ';' and entries by ','."""
+def _flattener(group: GroupDescriptor):
+    """A row as csv rows and table headers show it: group, phi, psi, c,
+    simple and case, matrix rows split by ';' and entries by ','."""
     name = group.describe()
     vector = ",".join(["%d"] * group.dim)
     matrix = ";".join([vector] * group.dim)
-    for phi, psi, c, case, simple in rows:
-        yield name, matrix % phi, matrix % psi, vector % c, "true" if simple else "false", case
+
+    def flat(row):
+        phi, psi, c, case, simple = row
+        return name, matrix % phi, matrix % psi, vector % c, "true" if simple else "false", case
+
+    return flat
 
 
 def _json_template(group: GroupDescriptor) -> str:
@@ -131,47 +145,68 @@ def _json_template(group: GroupDescriptor) -> str:
     return text[2:-2].replace(r'"\u0000d"', "%d").replace(r'"\u0000s"', "%s")
 
 
-def render_records(group: GroupDescriptor, rows, fmt: str) -> bytes:
-    """The enumerator rows (phi, psi, c, case, simple) of `group` in `fmt`.
-    json is byte-identical to json.dumps([record_to_dict(r) ...],
-    indent=2, sort_keys=True) + "\n", written as one % of the group's
-    template repeated for each chunk of JSON_CHUNK_ROWS rows, so the
-    format string stays bounded however many rows there are."""
+def _chunks(items) -> Iterator[list]:
+    """Lists of JSON_CHUNK_ROWS consecutive items, the last one shorter or none."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, JSON_CHUNK_ROWS)), [])
+
+
+def _render(group: GroupDescriptor, rows, fmt: str) -> Iterator[bytes]:
+    """The enumerator rows (phi, psi, c, case, simple) of `group` in `fmt`,
+    as chunks of bytes drawn from `rows` one chunk at a time: JSON_CHUNK_ROWS
+    rows per json or csv chunk, and one table per chunk of tables.
+
+    json is byte-identical to json.dumps([record_to_dict(r) ...], indent=2,
+    sort_keys=True) + "\\n": a chunk is one % of the group's template, repeated
+    JSON_CHUNK_ROWS times in a format string built once; each case is encoded
+    the first time it appears, as json.dumps writes a str."""
     if fmt == "json":
         from json.encoder import encode_basestring_ascii
 
-        # In bytes, whose % copies the text between placeholders faster than
-        # str %; each case is encoded once, as json.dumps writes a str.
-        cases = {case: encode_basestring_ascii(case).encode() for case in set(map(itemgetter(3), rows))}
+        # In bytes, whose % copies the text between placeholders faster than str %.
+        cases = {}
         flags = {True: b"true", False: b"false"}
         template = _json_template(group).encode()
-        parts = []  # the output exists once as chunks and once joined, never as one str
+        full = b"%s" + b",\n".join([template] * JSON_CHUNK_ROWS)  # "%s": the separator before the chunk
         separator = b"[\n"
-        for start in range(0, len(rows), JSON_CHUNK_ROWS):
-            chunk = rows[start : start + JSON_CHUNK_ROWS]
+        for chunk in _chunks(rows):
+            for case in {row[3] for row in chunk}.difference(cases):
+                cases[case] = encode_basestring_ascii(case).encode()
+            values = [separator]
             if group.dim == 1:  # ints over Z_{p^k}, tuples over Z_p x Z_p
-                values = [v for phi, psi, c, case, simple in chunk for v in (c, cases[case], phi, psi, flags[simple])]
+                values += [v for phi, psi, c, case, simple in chunk for v in (c, cases[case], phi, psi, flags[simple])]
             else:
-                values = [v for phi, psi, c, case, simple in chunk for v in (*c, cases[case], *phi, *psi, flags[simple])]
-            parts.append(separator + b",\n".join([template] * len(chunk)) % tuple(values))
+                values += [v for phi, psi, c, case, simple in chunk for v in (*c, cases[case], *phi, *psi, flags[simple])]
+            chunk_format = full if len(chunk) == JSON_CHUNK_ROWS else b"%s" + b",\n".join([template] * len(chunk))
+            yield chunk_format % tuple(values)
             separator = b",\n"
-        parts.append(b"\n]\n" if parts else b"[]\n")
-        return b"".join(parts)
-    if fmt == "csv":
+        yield b"[]\n" if separator == b"[\n" else b"\n]\n"
+    elif fmt == "csv":
         import csv
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["group", "phi", "psi", "c", "simple", "case"])
-        writer.writerows(_flat_rows(group, rows))
-        return buf.getvalue().encode()
-    if fmt == "tables":
-        chunks = []
-        for row, (name, phi, psi, c, simple, case) in zip(rows, _flat_rows(group, rows)):
-            header = f"# group={name} case={case} simple={simple} phi={phi} psi={psi} c={c}"
-            chunks.append(header + "\n" + table_to_text(materialize(AffineForm(group, *row[:3]))))
-        return "\n".join(chunks).encode()
-    raise ValueError(f"unknown format {fmt!r}")
+        header = ("group", "phi", "psi", "c", "simple", "case")
+        for chunk in _chunks(chain([header], map(_flattener(group), rows))):
+            writer.writerows(chunk)
+            yield buf.getvalue().encode()
+            buf.seek(0)
+            buf.truncate()
+    elif fmt == "tables":
+        flat = _flattener(group)
+        separator = ""
+        for row in rows:
+            name, phi, psi, c, simple, case = flat(row)
+            header = f"{separator}# group={name} case={case} simple={simple} phi={phi} psi={psi} c={c}\n"
+            yield (header + table_to_text(materialize(AffineForm(group, *row[:3])))).encode()
+            separator = "\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+
+
+def render_records(group: GroupDescriptor, rows, fmt: str) -> bytes:
+    """The whole of what ``enumerate`` writes for `rows`: the joined chunks of ``_render``."""
+    return b"".join(_render(group, rows, fmt))
 
 
 # -- caching and manifests ------------------------------------------------------
@@ -182,10 +217,10 @@ def render_records(group: GroupDescriptor, rows, fmt: str) -> bytes:
 # count --json need.
 
 
-def _sha256(data: bytes) -> str:
+def _sha256(data: bytes = b""):
     import hashlib
 
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(data)
 
 
 def _cache_path(command: str, params: dict) -> str | None:
@@ -197,40 +232,69 @@ def _cache_path(command: str, params: dict) -> str | None:
     import json
 
     canon = json.dumps({"command": command, "params": params, "version": __version__}, sort_keys=True)
-    return os.path.join(cache_dir, f"{_sha256(canon.encode())}.out")
+    return os.path.join(cache_dir, f"{_sha256(canon.encode()).hexdigest()}.out")
 
 
-def _cache_load(path: str | None) -> bytes | None:
-    """The cached output, or None on a miss.  An entry is the hex sha256
-    of the output, a newline, then the output; an entry whose digest does
-    not match (corrupt or truncated) is a miss too."""
-    if path is None or not os.path.exists(path):
-        return None
-    with open(path, "rb") as fh:
-        digest, _, data = fh.read().partition(b"\n")
-    if digest != _sha256(data).encode():
-        return None
-    return data
+def _blocks(fh) -> Iterator[bytes]:
+    """The rest of the file `fh`, COPY_BLOCK_BYTES at a time."""
+    return iter(partial(fh.read, COPY_BLOCK_BYTES), b"")
 
 
-def _cache_store(path: str | None, data: bytes) -> None:
+def _cache_load(path: str | None) -> tuple[str, io.BufferedIOBase] | None:
+    """The hex digest of the cached output and the entry open at the
+    output's first byte, or None on a miss.  An entry is the hex sha256 of
+    the output, a newline, then the output.  The whole entry is hashed, a
+    block at a time, before it is returned, so an entry whose digest does
+    not match (corrupt or truncated) is a miss too, found before any of it
+    is copied."""
     if path is None:
-        return
+        return None
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    try:
+        head = fh.read(len(DIGEST_SLOT))
+        digest = _sha256()
+        for block in _blocks(fh):
+            digest.update(block)
+        if head != digest.hexdigest().encode() + b"\n":
+            fh.close()
+            return None
+        fh.seek(len(head))
+    except BaseException:
+        fh.close()
+        raise
+    return digest.hexdigest(), fh
+
+
+def _cache_store(path: str, chunks) -> tuple[str, io.BufferedIOBase]:
+    """Write the chunks to a temporary file beside `path` with a running
+    sha256, put the digest last into its slot at the head, and only then
+    replace the entry at `path` with it.  Returns the digest and the new
+    entry open at the output's first byte; a failure leaves no file."""
     import tempfile
 
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory)
+    fh = os.fdopen(fd, "w+b")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_sha256(data).encode() + b"\n")
-            fh.write(data)
+        fh.write(DIGEST_SLOT)
+        digest = _sha256()
+        _write_chunks(fh, chunks, digest)
+        fh.seek(0)
+        fh.write(digest.hexdigest().encode())
+        fh.seek(len(DIGEST_SLOT))
         os.replace(tmp, path)
     except BaseException:
+        fh.close()
         os.unlink(tmp)  # no half-written entry is left behind
         raise
+    return digest.hexdigest(), fh
 
 
-def _write_manifest(path: str, command: str, params: dict, data: bytes) -> None:
+def _write_manifest(path: str, command: str, params: dict, digest: str) -> None:
     import json
     from datetime import datetime, timezone
 
@@ -239,28 +303,33 @@ def _write_manifest(path: str, command: str, params: dict, data: bytes) -> None:
         "parameters": params,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "output_digest": "sha256:" + _sha256(data),
+        "output_digest": "sha256:" + digest,
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_all(fh, data: bytes) -> None:
-    """Write every byte: a raw stream, such as stdout under ``PYTHONUNBUFFERED``,
-    may take only part of a write and return the count it took."""
-    view = memoryview(data)
-    while view:
-        view = view[fh.write(view) :]
+def _write_chunks(fh, chunks, digest=None) -> None:
+    """Write each chunk as it comes, adding it to the running `digest`, if
+    any.  Every byte is written: a raw stream, such as stdout under
+    ``PYTHONUNBUFFERED``, may take only part of a write and return the count
+    it took."""
+    for chunk in chunks:
+        if digest is not None:
+            digest.update(chunk)
+        view = memoryview(chunk)
+        while view:
+            view = view[fh.write(view) :]
 
 
-def _emit(data: bytes, out_path: str | None) -> None:
+def _emit(chunks, out_path: str | None, digest=None) -> None:
     if out_path is None:
-        _write_all(sys.stdout.buffer, data)
+        _write_chunks(sys.stdout.buffer, chunks, digest)
         sys.stdout.buffer.flush()
     else:
         with open(out_path, "wb") as fh:
-            _write_all(fh, data)
+            _write_chunks(fh, chunks, digest)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -301,19 +370,29 @@ def cmd_enumerate(args, parser) -> int:
     key_path = _cache_path("enumerate", params)
     action = f"use cache entry {key_path}"
     try:
-        data = _cache_load(key_path)
-        if data is None:
-            rows = group.rows() if count else ()  # no class to keep, none to build
+        entry = _cache_load(key_path)
+        if entry is None:
+            rows = group.classification() if count else ()  # no class to keep, none to build
             if args.simple_only:
-                rows = [row for row in rows if row[4]]
-            data = render_records(group, rows, args.format)
-            _cache_store(key_path, data)
+                rows = filter(itemgetter(4), rows)
+            chunks = _render(group, rows, args.format)
+            if key_path is not None:
+                entry = _cache_store(key_path, chunks)  # stored whole before any byte is written
         action = f"write {args.out or '<stdout>'}"
-        _emit(data, args.out)
+        if entry is None:  # no cache: each chunk goes out as it is rendered
+            running = _sha256() if args.manifest else None
+            _emit(chunks, args.out, running)
+            digest = running and running.hexdigest()
+        else:
+            digest, fh = entry
+            with fh:
+                _emit(_blocks(fh), args.out)
         if args.manifest:
             action = f"write {args.manifest}"
-            _write_manifest(args.manifest, "enumerate", params, data)
+            _write_manifest(args.manifest, "enumerate", params, digest)
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and args.out is None:
+            raise  # a closed stdout, which main reports once, whatever is left in its buffer
         print(f"error: cannot {action}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

@@ -17,7 +17,7 @@ simple) in output order, each labelled by the branch that produced it
 (``cyclic.p2``, ``cyclic.psi-minus`` or ``cyclic.psi-plus.i{i}``), in
 an ``affine.Classification``, whose ``records()`` and ``forms`` build the
 checked objects from the rows only when asked; ``cli enumerate`` renders
-the rows as they are.
+the rows as they are, drawing them from the stream as it writes.
 Simplicity is a closed form too: a class is simple exactly when k = 1,
 since every p^i Z_{p^k} (0 < i < k) is characteristic (``affine.is_simple``
 says why).  The tests check these flags against ``oracle.table_is_simple``
@@ -27,6 +27,7 @@ on the explicit tables.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import partial
 
 from .affine import Classification, CyclicGroup
 from .modring import MAX_MODULUS, Modulus, unit_group
@@ -83,21 +84,32 @@ def _rows(m: Modulus) -> Iterator[tuple[int, int, int, str, bool]]:
                 yield phi, psi, 0, CASE_P2, simple
         return
     plus_cases = [f"cyclic.psi-plus.i{i}" for i in range(m.k + 1)]
+    plus0, p, special = plus_cases[0], m.p, (m.p + 1) // 2
     for phi in unit_group(m):
         # n is odd, so psi = -phi differs from phi and sorts on one side of it.
+        # p divides 1 - 2 phi only when phi = (p + 1)/2 mod p; every other
+        # unit has i = 0, so its constants are {0} alone.
+        if phi % p != special:
+            if n - phi > phi:
+                yield phi, phi, 0, plus0, simple
+                yield phi, n - phi, 0, CASE_PSI_MINUS, simple
+            else:
+                yield phi, n - phi, 0, CASE_PSI_MINUS, simple
+                yield phi, phi, 0, plus0, simple
+            continue
         minus = (phi, n - phi, 0, CASE_PSI_MINUS, simple)
         if n - phi < phi:
             yield minus
         i = _image_exponent(phi, m)
-        for c in [0] + [m.p**j for j in range(i)]:
+        for c in [0] + [p**j for j in range(i)]:
             yield phi, phi, c, plus_cases[i], simple
         if n - phi > phi:
             yield minus
 
 
 def enumerate_cyclic(m: Modulus) -> Classification:
-    """All classes over Z_{p^k}, ordered by (phi, psi, c) ascending."""
-    return Classification(CyclicGroup(m), _rows(m))
+    """All classes over Z_{p^k}, ordered by (phi, psi, c) ascending, drawn on request."""
+    return Classification(CyclicGroup(m), partial(_rows, m))
 
 
 def gl2_closed_count(p: int) -> int:

@@ -30,6 +30,7 @@ labelled ``p2-oracle`` with its simplicity from affine.is_simple.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import partial
 
 from .affine import Classification, ElemAbelian2Group, is_simple
 from .modring import (
@@ -307,4 +308,4 @@ def _rows(group: ElemAbelian2Group) -> Iterator[tuple[Mat2, Mat2, Vec2, str, boo
 def enumerate_gl2(p: int) -> Classification:
     """All classes over Z_p x Z_p: 4p^2 - 2 for odd p, 7 for p = 2."""
     group = ElemAbelian2Group(p)  # refuses a p that is not a prime below 2^31
-    return Classification(group, _rows(group))
+    return Classification(group, partial(_rows, group))

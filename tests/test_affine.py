@@ -548,8 +548,9 @@ def test_record_bound_is_checked_before_any_row_is_drawn(monkeypatch):
     for call in OVER_THE_RECORD_BOUND.values():
         with pytest.raises(ResourceLimitError):
             call()
-    with pytest.raises(AssertionError, match="a row was drawn"):  # within the bound, so drawn
-        enumerate_gl2(3)
+    within = enumerate_gl2(3)  # within the bound: drawn when the rows are asked for, not before
+    with pytest.raises(AssertionError, match="a row was drawn"):
+        within.rows
 
 
 # -- the table layer against cell-by-cell references --------------------------
@@ -582,6 +583,9 @@ def test_materialize_matches_the_cell_by_cell_reference(group):
     for form in classification(group).forms:
         table = materialize(form)
         assert table.rows == materialize_by_cells(form)
+        # materialize skips the constructor's checks; its very rows must pass them
+        assert QuasigroupTable(table.n, table.rows) == table and type(table.rows) is tuple
+        assert all(type(row) is tuple for row in table.rows)
         text = table_to_text(table)
         assert text == table_to_text_by_str(table)
         assert table_from_text(text) == table

@@ -14,15 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paramedial
-from paramedial.affine import AffineForm, ClassRecord, is_simple
+from paramedial.affine import AffineForm, Classification, ClassRecord, is_simple, materialize, table_to_text
 from paramedial.cli import (
     CACHE_ENV,
+    COPY_BLOCK_BYTES,
     JSON_CHUNK_ROWS,
     _cache_load,
     _parse_group,
     build_parser,
     form_from_dict,
     main,
+    _render,
     record_to_dict,
     render_records,
 )
@@ -364,7 +366,10 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, monkeypatch, corrup
     entry.write_bytes(corrupt if corrupt is not None else entry.read_bytes()[:-5])
     assert _cache_load(str(entry)) is None
     assert run(capsys, *argv) == (0, uncached, "")
-    assert _cache_load(str(entry)) == uncached.encode()
+    digest, fh = _cache_load(str(entry))
+    with fh:
+        assert fh.read() == uncached.encode()
+    assert digest == hashlib.sha256(uncached.encode()).hexdigest()
 
 
 def test_manifest_carries_digest(tmp_path, capsys):
@@ -411,8 +416,13 @@ def test_unusable_cache_dir_prints_one_error_line(tmp_path):
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize(
     "argv",
-    [["count", "--order", "9"], ["verify", "--group", "elem2", "5"], ["enumerate", "--group", "elem2", "3"]],
-    ids=lambda argv: argv[0],
+    [
+        ["count", "--order", "9"],
+        ["verify", "--group", "elem2", "5"],
+        ["enumerate", "--group", "elem2", "3"],
+        ["enumerate", "--group", "cyclic", "3", "1"],  # its 0.6 KB stay in stdout's buffer until the flush
+    ],
+    ids=["count", "verify", "enumerate", "enumerate-small"],
 )
 def test_closed_stdout_prints_one_error_line(argv, unbuffered):
     # the read end of the pipe is closed before the child starts, so its first write to stdout fails
@@ -630,26 +640,36 @@ def test_cli_import_loads_every_layer_module():
     assert set(out.stdout.split()) >= {f"paramedial.{m}" for m in layers}
 
 
+def _reference_fields(rec) -> list[str]:
+    """group, phi, psi, c, simple and case of a record, as csv and table headers show them."""
+    d = record_to_dict(rec)
+    return [
+        rec.form.group.describe(),
+        ";".join(",".join(str(v) for v in row) for row in d["phi"]),
+        ";".join(",".join(str(v) for v in row) for row in d["psi"]),
+        ",".join(str(v) for v in d["c"]),
+        "true" if rec.simple else "false",
+        rec.case,
+    ]
+
+
 def _reference_render(records, fmt: str) -> bytes:
-    """The json and csv renderings through record_to_dict and the stdlib encoders."""
+    """The json, csv and tables renderings through record_to_dict, the stdlib
+    encoders and one materialized table per record."""
     if fmt == "json":
         payload = [record_to_dict(r) for r in records]
         return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    if fmt == "tables":
+        parts = []
+        for rec in records:
+            name, phi, psi, c, simple, case = _reference_fields(rec)
+            header = f"# group={name} case={case} simple={simple} phi={phi} psi={psi} c={c}"
+            parts.append(header + "\n" + table_to_text(materialize(rec.form)))
+        return "\n".join(parts).encode()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["group", "phi", "psi", "c", "simple", "case"])
-    for rec in records:
-        d = record_to_dict(rec)
-        writer.writerow(
-            [
-                rec.form.group.describe(),
-                ";".join(",".join(str(v) for v in row) for row in d["phi"]),
-                ";".join(",".join(str(v) for v in row) for row in d["psi"]),
-                ",".join(str(v) for v in d["c"]),
-                "true" if rec.simple else "false",
-                rec.case,
-            ]
-        )
+    writer.writerows(_reference_fields(rec) for rec in records)
     return buf.getvalue().encode()
 
 
@@ -667,23 +687,180 @@ RENDER_INPUTS = {
     "cyclic-2-10": lambda: _rows("cyclic", "2", "10"),
     "cyclic-3-6": lambda: _rows("cyclic", "3", "6"),
     "cyclic-101-2": lambda: _rows("cyclic", "101", "2"),
+    # chunk boundaries: no row, one row, one row short of a chunk (a csv
+    # chunk, whose first holds the header too), one chunk, one row past it,
+    # and exactly two chunks
     "empty": lambda: _rows("cyclic", "3", "2", stop=0),
-    # chunk boundaries of the json render: one row past a chunk, and exactly two chunks
+    "one-row": lambda: _rows("elem2", "3", stop=1),
+    "chunk-minus-one": lambda: _rows("elem2", "37", stop=JSON_CHUNK_ROWS - 1),
+    "one-chunk": lambda: _rows("cyclic", "101", "2", stop=JSON_CHUNK_ROWS),
     "chunk-plus-one": lambda: _rows("elem2", "37", stop=JSON_CHUNK_ROWS + 1),
     "two-chunks": lambda: _rows("cyclic", "101", "2", stop=2 * JSON_CHUNK_ROWS),
 }
+TABLES_MAX_CHECKED = 10**6  # table entries: the tables render is checked where it is small
 
 
 @pytest.mark.parametrize("name", RENDER_INPUTS)
 def test_render_records_matches_the_reference_encoders(name):
     group, rows = RENDER_INPUTS[name]()
     records = [ClassRecord(AffineForm(group, phi, psi, c), case, simple) for phi, psi, c, case, simple in rows]
-    for fmt in ("json", "csv"):
-        assert render_records(group, rows, fmt) == _reference_render(records, fmt), fmt
+    for fmt in ("json", "csv", "tables"):
+        if fmt == "tables" and len(rows) * group.order**2 > TABLES_MAX_CHECKED:
+            continue
+        expected = _reference_render(records, fmt)
+        assert render_records(group, rows, fmt) == expected, fmt
+        assert b"".join(_render(group, iter(rows), fmt)) == expected, fmt  # from a one-pass stream
 
 
 def test_chunk_boundary_inputs_cross_a_chunk():
     # cyclic 101 2 has 20 302 rows: more than one chunk, and not a multiple of it
-    sizes = {name: len(RENDER_INPUTS[name]()[1]) for name in ("chunk-plus-one", "two-chunks", "cyclic-101-2")}
-    assert sizes["chunk-plus-one"] == JSON_CHUNK_ROWS + 1 and sizes["two-chunks"] == 2 * JSON_CHUNK_ROWS
+    names = ("empty", "one-row", "chunk-minus-one", "one-chunk", "chunk-plus-one", "two-chunks", "cyclic-101-2")
+    sizes = {name: len(RENDER_INPUTS[name]()[1]) for name in names}
+    assert [sizes[name] for name in names[:-1]] == [0, 1, *(JSON_CHUNK_ROWS + d for d in (-1, 0, 1, JSON_CHUNK_ROWS))]
     assert sizes["cyclic-101-2"] > JSON_CHUNK_ROWS and sizes["cyclic-101-2"] % JSON_CHUNK_ROWS != 0
+    tables = [name for name in RENDER_INPUTS if len(RENDER_INPUTS[name]()[1]) * 81 <= TABLES_MAX_CHECKED]
+    assert {"empty", "one-row", "elem2-3", "elem2-5"} <= set(tables)
+
+
+@pytest.mark.parametrize("fmt, per_chunk", [("json", JSON_CHUNK_ROWS), ("csv", JSON_CHUNK_ROWS), ("tables", 1)])
+def test_render_draws_one_chunk_of_rows_at_a_time(fmt, per_chunk):
+    group, rows = _rows("elem2", "11") if fmt != "tables" else _rows("elem2", "3")
+    drawn = 0
+
+    def counted():
+        nonlocal drawn
+        for row in rows:
+            drawn += 1
+            yield row
+
+    seen = []  # rows drawn when each chunk comes out
+    chunks = []
+    for chunk in _render(group, counted(), fmt):
+        seen.append(drawn)
+        chunks.append(chunk)
+    assert b"".join(chunks) == render_records(group, rows, fmt)
+    assert max(b - a for a, b in zip([0, *seen], seen)) <= per_chunk and seen[-1] == len(rows)
+    lines = len(rows) + (fmt == "csv")  # csv: the header rides in the first chunk
+    assert len(chunks) == -(-lines // per_chunk) + (fmt == "json")  # json: the closing bracket last
+
+
+def _enumerate_env(cache_dir=None) -> dict:
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in (CACHE_ENV, "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = src
+    if cache_dir is not None:
+        env[CACHE_ENV] = str(cache_dir)
+    return env
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_reader_closing_the_pipe_after_the_first_chunk(tmp_path, capsys, monkeypatch, cached):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    argv = ["enumerate", "--group", "cyclic", "101", "2"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0 and len(expected) > 16 * COPY_BLOCK_BYTES // 4  # well beyond a pipe's buffer
+    cache_dir = tmp_path / "cache"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "paramedial", *argv],
+        env=_enumerate_env(cache_dir if cached else None), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.read(1000)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == expected[:1000].encode()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write <stdout>")
+    assert "Traceback" not in err and "Exception ignored" not in err
+    if cached:  # the entry was stored whole before the first byte went out, and no temporary file is left
+        (entry,) = cache_dir.iterdir()
+        digest, fh = _cache_load(str(entry))
+        with fh:
+            assert fh.read() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--group", "cyclic", "101", "2"), ("--group", "elem2", "3", "--format", "tables")],
+    ids=["json-over-several-blocks", "tables"],
+)
+def test_cache_miss_hit_and_corrupt_entry_give_the_uncached_bytes(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    code, uncached, _ = run(capsys, "enumerate", *argv)
+    assert code == 0
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    assert run(capsys, "enumerate", *argv) == (0, uncached, "")  # miss
+    (entry,) = tmp_path.iterdir()
+    stored = entry.read_bytes()
+    assert stored == hashlib.sha256(uncached.encode()).hexdigest().encode() + b"\n" + uncached.encode()
+    assert run(capsys, "enumerate", *argv) == (0, uncached, "")  # hit
+    middle = len(stored) // 2  # past the first block of the json entry
+    entry.write_bytes(stored[:middle] + bytes([stored[middle] ^ 1]) + stored[middle + 1 :])
+    assert run(capsys, "enumerate", *argv) == (0, uncached, "")  # corrupt: refused whole, recomputed
+    assert entry.read_bytes() == stored and [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+@pytest.mark.parametrize("cache", ["none", "miss", "hit"])
+def test_out_and_manifest_carry_the_streamed_digest(tmp_path, monkeypatch, capsys, cache):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    if cache != "none":
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    argv = ["enumerate", "--group", "cyclic", "101", "2", "--format", "csv"]
+    if cache == "hit":
+        assert run(capsys, *argv)[0] == 0
+    out_file, manifest_file = tmp_path / "out.csv", tmp_path / "manifest.json"
+    assert run(capsys, *argv, "--out", str(out_file), "--manifest", str(manifest_file)) == (0, "", "")
+    manifest = json.loads(manifest_file.read_text())
+    assert manifest["output_digest"] == "sha256:" + hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert out_file.read_bytes() == render_records(*_rows("cyclic", "101", "2"), "csv")
+
+
+class _WriteSizes(io.RawIOBase):
+    """A raw stream that records the size of every write it takes."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.sizes = []
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += b
+        self.sizes.append(len(b))
+        return len(b)
+
+
+@pytest.mark.parametrize("cache", ["none", "miss", "hit"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--group", "cyclic", "101", "2"),
+        ("--group", "elem2", "101", "--format", "csv", "--simple-only"),
+        ("--group", "elem2", "7", "--format", "tables"),
+    ],
+    ids=["json", "csv-simple-only", "tables"],
+)
+def test_enumerate_holds_neither_the_rows_nor_the_output(tmp_path, capsys, monkeypatch, argv, cache):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    code, expected, _ = run(capsys, "enumerate", *argv)
+    assert code == 0
+    if cache != "none":
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    if cache == "hit":
+        assert run(capsys, "enumerate", *argv)[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("the whole row tuple or the whole output was built")
+
+    monkeypatch.setattr(Classification, "rows", property(refuse))
+    monkeypatch.setattr(paramedial.cli, "render_records", refuse)
+    raw = _WriteSizes()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+    assert main(["enumerate", *argv]) == 0
+    assert bytes(raw.data) == expected.encode()
+    assert max(raw.sizes) <= COPY_BLOCK_BYTES < len(expected)  # each output spans several writes

@@ -17,6 +17,16 @@ written on request via --manifest, never into the primary output.
 What depends on the kind of group comes from the group classes in
 ``affine``; the one choice by kind made here is which checks ``verify`` prints.
 
+argv is read against one table, ``OPTIONS``, by ``_parse_args``; there is no
+argparse, whose import (with gettext) and parser set-up cost a short
+request several times its own work.  The reading is argparse's: a long
+option may be any unique prefix of its name and may carry its value as
+--option=value, a repeated option keeps its last value, a token that looks
+like a negative number is a value, and an option of several values
+(--group) takes the values up to the next option.  ``-h`` or ``--help``
+prints ``USAGE`` and exits 0; every usage error prints one ``error:`` line
+and raises SystemExit(2).
+
 Exit codes: 0 success, 1 verification failure, 2 usage/order/IO error,
 3 resource or bound exceeded, found from closed-form sizes before any
 output (the library's bounds on classes and |Aff(G)|; here, table entries).
@@ -30,8 +40,9 @@ import os
 import sys
 from collections.abc import Iterator
 from functools import partial
-from itertools import chain, groupby, islice
+from itertools import chain, groupby, islice, takewhile
 from operator import itemgetter
+from types import SimpleNamespace
 
 from . import __version__
 from .affine import (
@@ -40,6 +51,7 @@ from .affine import (
     CyclicGroup,
     ElemAbelian2Group,
     GroupDescriptor,
+    ResourceLimitError,
     is_simple,
     materialize,
     table_to_text,
@@ -47,7 +59,7 @@ from .affine import (
 from .enum_cyclic import UnsupportedOrder, pq_total
 from .enum_gl2 import coset_reps_for
 from .modring import Modulus, mat_det, mat_mul
-from .oracle import ResourceLimitError, classify_two_stage
+from .oracle import classify_two_stage
 
 CACHE_ENV = "PARAMEDIAL_CACHE_DIR"
 
@@ -62,16 +74,21 @@ COPY_BLOCK_BYTES = 2**20  # a cache entry is hashed and copied this many bytes a
 DIGEST_SLOT = b"0" * 64 + b"\n"  # a cache entry's head, filled with the output's hex sha256
 
 
-def _parse_group(tokens: list[str], parser: argparse.ArgumentParser) -> GroupDescriptor:
+def _usage_error(message: str):
+    """Print `message` as the one ``error:`` line of a usage error and raise SystemExit(2)."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _parse_group(tokens: list[str]) -> GroupDescriptor:
     try:
         if tokens[0] == "cyclic" and len(tokens) == 3:
             return CyclicGroup(Modulus(int(tokens[1]), int(tokens[2])))
         if tokens[0] == "elem2" and len(tokens) == 2:
             return ElemAbelian2Group(int(tokens[1]))
     except ValueError as exc:
-        parser.exit(EXIT_USAGE, f"error: {exc}\n")
-    expected = "expected '--group cyclic P K' or '--group elem2 P'"
-    parser.exit(EXIT_USAGE, f"error: {expected}, got {tokens!r}\n")
+        _usage_error(str(exc))
+    _usage_error(f"expected '--group cyclic P K' or '--group elem2 P', got {tokens!r}")
 
 
 def record_to_dict(rec: ClassRecord) -> dict:
@@ -213,8 +230,7 @@ def render_records(group: GroupDescriptor, rows, fmt: str) -> bytes:
 #
 # hashlib, datetime and tempfile are imported by the functions that use
 # them: a request without a cache directory or a manifest never loads them.
-# So is json, which only a json render, a cache key, a manifest and
-# count --json need.
+# So is json, which only a json render, a manifest and count --json need.
 
 
 def _sha256(data: bytes = b""):
@@ -223,15 +239,26 @@ def _sha256(data: bytes = b""):
     return hashlib.sha256(data)
 
 
+def _canonical(value) -> str:
+    """json.dumps(value, sort_keys=True) for the dicts, strs, ints and bools
+    of a cache key, without importing json.  Its strs are names and a version
+    number, in which json escapes nothing."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f'"{key}": {_canonical(value[key])}' for key in sorted(value)) + "}"
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def _cache_path(command: str, params: dict) -> str | None:
     """The cache file of a request, keyed by command, parameters and
     library version; None when no cache directory is configured."""
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return None
-    import json
-
-    canon = json.dumps({"command": command, "params": params, "version": __version__}, sort_keys=True)
+    canon = _canonical({"command": command, "params": params, "version": __version__})
     return os.path.join(cache_dir, f"{_sha256(canon.encode()).hexdigest()}.out")
 
 
@@ -335,14 +362,14 @@ def _emit(chunks, out_path: str | None, digest=None) -> None:
 # -- subcommands ------------------------------------------------------------------
 
 
-def cmd_count(args, parser) -> int:
+def cmd_count(args) -> int:
     if args.order is not None:
         if args.order < 1:
-            parser.exit(EXIT_USAGE, f"error: --order must be at least 1, got {args.order}\n")
+            _usage_error(f"--order must be at least 1, got {args.order}")
         count = pq_total(args.order)
         params = {"order": args.order}
     else:
-        group = _parse_group(args.group, parser)
+        group = _parse_group(args.group)
         count = group.closed_count()
         params = {"group": group.params()}
     if args.json:
@@ -354,8 +381,11 @@ def cmd_count(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_enumerate(args, parser) -> int:
-    group = _parse_group(args.group, parser)
+def cmd_enumerate(args) -> int:
+    for name, path in (("--out", args.out), ("--manifest", args.manifest)):
+        if path == "":
+            _usage_error(f"{name} needs a PATH, got ''")
+    group = _parse_group(args.group)
     count = group.closed_count(args.simple_only)
     if args.format == "tables" and count * group.order**2 > TABLES_MAX_ENTRIES:
         raise ResourceLimitError(
@@ -447,8 +477,8 @@ def _verify_elem2(group: ElemAbelian2Group, rows, report: _Report) -> None:
     report.check("simplicity flags match the invariant-subgroup criterion", ok_flags)
 
 
-def cmd_verify(args, parser) -> int:
-    group = _parse_group(args.group, parser)
+def cmd_verify(args) -> int:
+    group = _parse_group(args.group)
     oracle_cls = classify_two_stage(group) if args.level == "oracle" else None  # its refusal precedes any output
     # The one choice by kind: the pinned stdout names the group and lists the checks per kind.
     if isinstance(group, CyclicGroup):
@@ -471,42 +501,146 @@ def cmd_verify(args, parser) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse  # here, not at the top, for the library callers of this module; annotations are strings
+# -- argv ---------------------------------------------------------------------------
 
-    parser = argparse.ArgumentParser(
-        prog="paramedial",
-        description="Count, enumerate and verify paramedial quasigroups of prime-power order.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: paramedial count (--order N | --group SPEC...) [--json]
+       paramedial enumerate --group SPEC... [--simple-only] [--format {json,csv,tables}]
+                            [--out PATH] [--manifest PATH]
+       paramedial verify --group SPEC... [--level {fast,oracle}]
 
-    p_count = sub.add_parser("count", help="number of classes for an order or a group")
-    target = p_count.add_mutually_exclusive_group(required=True)
-    target.add_argument("--order", type=int, help="total over all abelian groups of this order")
-    target.add_argument("--group", nargs="+", metavar="SPEC", help="cyclic P K | elem2 P")
-    p_count.add_argument("--json", action="store_true", help="emit a JSON object instead of the bare integer")
-    p_count.set_defaults(func=cmd_count)
+Count, enumerate and verify paramedial quasigroups of prime-power order.
+SPEC is 'cyclic P K' for Z_{P^K} or 'elem2 P' for Z_P x Z_P.
 
-    p_enum = sub.add_parser("enumerate", help="export one representative per class")
-    p_enum.add_argument("--group", nargs="+", metavar="SPEC", required=True, help="cyclic P K | elem2 P")
-    p_enum.add_argument("--simple-only", action="store_true", help="keep only simple quasigroups")
-    p_enum.add_argument("--format", choices=["json", "csv", "tables"], default="json")
-    p_enum.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    p_enum.add_argument("--manifest", metavar="PATH", help="also write a run manifest with digest")
-    p_enum.set_defaults(func=cmd_enumerate)
+count            the number of classes of a group, or of all groups of an order
+  --order N        the total over the abelian groups of order N
+  --json           a JSON object instead of the bare integer
+enumerate        one representative per class
+  --simple-only    only the simple quasigroups
+  --format F       json (the default), csv or tables
+  --out PATH       the output file, instead of stdout
+  --manifest PATH  also a run manifest, with the output's sha256
+verify           invariant checks against the classification
+  --level L        fast (the default) or oracle
 
-    p_verify = sub.add_parser("verify", help="run invariant checks against the classification")
-    p_verify.add_argument("--group", nargs="+", metavar="SPEC", required=True, help="cyclic P K | elem2 P")
-    p_verify.add_argument("--level", choices=["fast", "oracle"], default="fast")
-    p_verify.set_defaults(func=cmd_verify)
-    return parser
+An option may be shortened to any unique prefix, and given as --option=value.
+Exit codes: 0 success, 1 verification failure, 2 usage, order or I/O error,
+3 resource or bound exceeded.
+"""
+
+# Each subcommand's options, by kind: bool a flag; int or str one value; list
+# one or more values, up to the next option; a tuple one of its choices, the
+# first being the default.  Exactly one option of each ONE_OF group is given.
+OPTIONS = {
+    "count": {"--order": int, "--group": list, "--json": bool},
+    "enumerate": {
+        "--group": list,
+        "--simple-only": bool,
+        "--format": ("json", "csv", "tables"),
+        "--out": str,
+        "--manifest": str,
+    },
+    "verify": {"--group": list, "--level": ("fast", "oracle")},
+}
+ONE_OF = {"count": ("--order", "--group"), "enumerate": ("--group",), "verify": ("--group",)}
+
+
+def _option(token: str, names) -> tuple[str | None, str | None] | None:
+    """None when `token` is a value; else the option it names among `names`
+    (None for an unknown one) and the value it carries, if any.  As argparse
+    reads them: "-", a token like a negative number and one with a space in
+    it are values; a long option may be any unique prefix of its name, and
+    carries the value after "="; "-hX" is -h carrying X."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token.startswith("--"):
+        name, eq, value = token.partition("=")
+        matches = [n for n in names if n == name] or [n for n in names if n.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token.startswith("-h"):
+        return "--help", token[2:] or None
+    digits = token[1:]
+    if " " in token or digits.replace(".", "", 1).isdecimal() and not digits.endswith("."):
+        return None
+    return None, None
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The subcommand of `argv`, as ``command``, and the values of its
+    options, named without the dashes ("-" as "_").  Read as argparse reads
+    it: -h and a malformed option end the reading where they stand, while
+    an unknown token or a missing option is reported at the end; an
+    ambiguous prefix is refused before any option is read, and nothing
+    after "--" is accepted.  Before the subcommand, only -h is an option."""
+    argv = list(argv)
+    command, options, end = None, {"--help": None}, len(argv)  # None: the kind of --help
+    given, unknown = {}, []
+    i = 0
+    while i < end:
+        token = argv[i]
+        option = _option(token, options)
+        i += 1
+        if option is None and command is None:
+            command = token
+            if command not in OPTIONS:
+                _usage_error(f"unknown subcommand {command!r}: expected count, enumerate or verify")
+            options = {"--help": None, **OPTIONS[command]}
+            end = argv.index("--", i) if "--" in argv[i:] else end
+            for later in argv[i:end]:
+                _option(later, options)  # refuses an ambiguous prefix
+            continue
+        if option is None or option[0] is None:
+            unknown.append(token)
+            continue
+        name, value = option
+        kind = options[name]
+        if kind is bool or kind is None:
+            if value is not None:
+                _usage_error(f"{name} takes no value, got {value!r}")
+            if kind is None:
+                print(USAGE, end="")
+                sys.stdout.flush()  # within main's reach, where a closed pipe is caught
+                raise SystemExit(EXIT_OK)
+            value = True
+        elif value is None:
+            taken = list(takewhile(lambda t: _option(t, options) is None, argv[i:end]))[: None if kind is list else 1]
+            if not taken:
+                _usage_error(f"{name} needs a value")
+            i += len(taken)
+            value = taken if kind is list else taken[0]
+        elif kind is list:
+            value = [value]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"{name} needs an integer, got {value!r}")
+        elif type(kind) is tuple and value not in kind:
+            _usage_error(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+        rivals = [n for n in ONE_OF[command] if n != name and n in given]
+        if name in ONE_OF[command] and rivals:
+            _usage_error(f"{name} is not allowed with {rivals[0]}")
+        given[name] = value
+    if command is None:
+        _usage_error("expected a subcommand: count, enumerate or verify")
+    if unknown or end < len(argv):
+        _usage_error(f"unrecognized arguments: {' '.join(map(repr, unknown + argv[end:]))}")
+    if not given.keys() & ONE_OF[command]:
+        _usage_error(f"{' or '.join(ONE_OF[command])} is required")
+    values = {}
+    for name, kind in OPTIONS[command].items():
+        default = kind[0] if type(kind) is tuple else False if kind is bool else None
+        values[name[2:].replace("-", "_")] = given.get(name, default)
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.func(args, parser)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        code = {"count": cmd_count, "enumerate": cmd_enumerate, "verify": cmd_verify}[args.command](args)
         sys.stdout.flush()  # here, where a closed pipe is caught, not at interpreter exit
         return code
     except BrokenPipeError as exc:

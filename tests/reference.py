@@ -2,9 +2,11 @@
 form, which ``oracle._canonical_form`` must equal on every table, the
 smallest generating seed, which bounds ``oracle._generator_count`` from
 below, the n^4 paramedial identity, which ``affine.is_paramedial`` must
-agree with (vectorized, and as a plain loop), and the Burnside count and
-action spot check that the orbit computations are held to."""
+agree with (vectorized, and as a plain loop), the Burnside count and
+action spot check that the orbit computations are held to, and the
+argparse parser that ``cli._parse_args`` must read argv as."""
 
+import argparse
 import itertools
 from collections.abc import Sequence
 
@@ -126,3 +128,31 @@ def paramedial_by_loop(table: QuasigroupTable) -> bool:
                     if rows[xy][rows[u][v]] != rows[rows[v][y]][ux]:
                         return False
     return True
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argv as argparse reads it: ``cli._parse_args`` accepts
+    exactly the argv this parser accepts, with the same values."""
+    parser = argparse.ArgumentParser(
+        prog="paramedial",
+        description="Count, enumerate and verify paramedial quasigroups of prime-power order.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_count = sub.add_parser("count", help="number of classes for an order or a group")
+    target = p_count.add_mutually_exclusive_group(required=True)
+    target.add_argument("--order", type=int, help="total over all abelian groups of this order")
+    target.add_argument("--group", nargs="+", metavar="SPEC", help="cyclic P K | elem2 P")
+    p_count.add_argument("--json", action="store_true", help="emit a JSON object instead of the bare integer")
+
+    p_enum = sub.add_parser("enumerate", help="export one representative per class")
+    p_enum.add_argument("--group", nargs="+", metavar="SPEC", required=True, help="cyclic P K | elem2 P")
+    p_enum.add_argument("--simple-only", action="store_true", help="keep only simple quasigroups")
+    p_enum.add_argument("--format", choices=["json", "csv", "tables"], default="json")
+    p_enum.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
+    p_enum.add_argument("--manifest", metavar="PATH", help="also write a run manifest with digest")
+
+    p_verify = sub.add_parser("verify", help="run invariant checks against the classification")
+    p_verify.add_argument("--group", nargs="+", metavar="SPEC", required=True, help="cyclic P K | elem2 P")
+    p_verify.add_argument("--level", choices=["fast", "oracle"], default="fast")
+    return parser

@@ -19,9 +19,11 @@ from paramedial.cli import (
     CACHE_ENV,
     COPY_BLOCK_BYTES,
     JSON_CHUNK_ROWS,
+    USAGE,
     _cache_load,
+    _cache_path,
+    _parse_args,
     _parse_group,
-    build_parser,
     form_from_dict,
     main,
     _render,
@@ -29,6 +31,7 @@ from paramedial.cli import (
     render_records,
 )
 from paramedial.enum_gl2 import enumerate_gl2
+from reference import build_parser
 
 
 def run(capsys, *argv):
@@ -76,7 +79,7 @@ def test_count_order_with_a_large_prime_exits_fast(capsys, order):
 
 def _count_exit(n: int) -> tuple[int, str]:
     """Exit code and stderr of ``count --order n``; a usage exit raises
-    SystemExit, as argparse's own do."""
+    SystemExit(2)."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -151,24 +154,144 @@ def test_every_argv_exits_with_a_documented_code_and_no_traceback(argv):
         with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse's usage exits
+            except SystemExit as exc:  # the usage exits
                 code = exc.code
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), argv
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["count"])
-    assert exc.value.code == 2
     for argv in (
+        [],
+        ["count"],
+        ["frobnicate"],
         ["count", "--group", "cyclic", "4", "1"],
         ["count", "--order", "0"],
         ["count", "--order", "-3"],
+        ["count", "--order"],
+        ["count", "--order", "x"],
+        ["count", "--order", "9", "--group", "elem2", "3"],
+        ["count", "--order", "9", "--json=yes"],
+        ["count", "--order", "9", "extra"],
+        ["count", "--order", "9", "--bogus"],
+        ["count", "--order", "9", "--"],
+        ["count", "--=9"],
+        ["enumerate", "--group", "elem2", "3", "--format", "xml"],
+        ["verify", "--group", "elem2", "3", "--level", "full"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["enumerate", "--help"], ["count", "--order", "9", "--he"], ["verify", "-h", "--level", "full"]],
+)
+def test_help_prints_the_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (USAGE, "")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["count", "--ord", "9"], "50\n"),
+        (["count", "--order=9"], "50\n"),
+        (["count", "--o=9", "--order", "25"], "144\n"),  # the last of a repeated option counts
+        (["count", "--gr", "elem2", "5", "--j"], '{"command": "count", "count": 98, "group": {"kind": "elem2", "p": 5}}\n'),
+        (["count", "--group=elem2", "--group", "cyclic", "2", "4"], "32\n"),
+    ],
+)
+def test_options_may_be_abbreviated_joined_and_repeated(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--manifest"])
+def test_empty_path_is_a_usage_error(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--group", "elem2", "3", flag, ""])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {flag} needs a PATH, got ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Tokens inserted into the grammar's argv: help, the one ambiguous prefix
+# ("--" matches every option of a subcommand), unknown options, values like
+# negative numbers, and words of the grammar in the wrong place.  "--",
+# "-hh" and "-3x" are left out: argparse reads them differently across
+# Python versions, or (-hh) as help, which _parse_args refuses.
+PERTURBATIONS = [
+    "-h", "--help", "--he", "--=9", "--=", "--bogus", "--orderx", "--simple_only", "-x", "-3", "-0", "-1.5", "-",
+    "", "x y", "count", "enumerate", "elem2", "cyclic", "3", "oracle", "csv", "--order", "--group", "--json",
+    "--format", "--out", "--level",
+]
+
+
+@st.composite
+def _perturbed_argvs(draw):
+    """An argv of the grammar with up to three edits: a token inserted, a
+    token deleted (a missing value, option or subcommand), a long option
+    abbreviated, an option joined to its value by "=", or a run repeated."""
+    argv = [token.format(tmp="dir") for token in draw(_argvs())]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "abbreviate", "join", "repeat"]))
+        if edit == "insert":
+            argv.insert(i, draw(st.sampled_from(PERTURBATIONS)))
+        elif i == len(argv):
+            continue
+        elif edit == "delete":
+            del argv[i]
+        elif edit == "abbreviate" and argv[i].startswith("--"):
+            argv[i] = argv[i][: draw(st.integers(3, len(argv[i])))]
+        elif edit == "join" and i + 1 < len(argv):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif edit == "repeat":
+            argv += argv[i : i + draw(st.integers(1, 3))]
+    return argv
+
+
+def _parsed(parse, argv) -> tuple:
+    """The values `parse` reads from argv (0 for help, 2 for a usage error), its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            values = vars(parse(argv))
+        except SystemExit as exc:
+            values = exc.code
+    return values, out.getvalue(), err.getvalue()
+
+
+@given(_perturbed_argvs())
+@example(["count", "-h", "--=9"])  # the ambiguous prefix is refused before -h is read
+@example(["--bogus", "count", "-h"])  # an unknown option is reported only at the end
+@example(["count", "--order", "x", "-h"])  # a bad value is refused where it stands
+@example(["count", "--group=elem2", "3"])  # "=" gives --group one value
+@example(["count", "--group", "cyclic", "-3", "2"])
+@example(["enumerate", "--group", "elem2", "3", "--out", "-1.5"])  # a value, as a negative number
+@example(["enumerate", "--group", "elem2", "3", "--out", "-"])
+@settings(max_examples=400, deadline=None)
+def test_parse_args_reads_argv_as_argparse_does(argv):
+    expected, _, _ = _parsed(build_parser().parse_args, argv)
+    values, out, err = _parsed(_parse_args, argv)
+    assert values == expected, argv
+    if values == 0:
+        assert (out, err) == (USAGE, "")
+    elif values == 2:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), argv
+    else:
+        assert out == err == ""
 
 
 @pytest.mark.parametrize("spec", [["cyclic", "4", "1"], ["elem2", "9"], ["foo", "3"]])
@@ -312,7 +435,7 @@ def test_simple_only_over_the_record_bound_with_no_simple_class(capsys, fmt, exp
 @pytest.mark.parametrize("fmt", ["json", "csv", "tables"])
 def test_simple_only_builds_no_record_when_no_class_is_simple(tmp_path, capsys, monkeypatch, fmt):
     # Z_{2^5} has no simple class: the output is known before any record is built
-    group = _parse_group(["cyclic", "2", "5"], build_parser())
+    group = _parse_group(["cyclic", "2", "5"])
     expected = render_records(group, [row for row in group.rows() if row[4]], fmt)
 
     def refuse(modulus):
@@ -421,8 +544,9 @@ def test_unusable_cache_dir_prints_one_error_line(tmp_path):
         ["verify", "--group", "elem2", "5"],
         ["enumerate", "--group", "elem2", "3"],
         ["enumerate", "--group", "cyclic", "3", "1"],  # its 0.6 KB stay in stdout's buffer until the flush
+        ["enumerate", "--help"],
     ],
-    ids=["count", "verify", "enumerate", "enumerate-small"],
+    ids=["count", "verify", "enumerate", "enumerate-small", "help"],
 )
 def test_closed_stdout_prints_one_error_line(argv, unbuffered):
     # the read end of the pipe is closed before the child starts, so its first write to stdout fails
@@ -615,6 +739,50 @@ def test_short_requests_leave_unused_stdlib_unloaded(tmp_path):
     assert lines[-1] == f"cached: ['{hashlib.sha256(canon.encode()).hexdigest()}.out']"
 
 
+STARTUP_GUARD_RUN = """
+import os
+import sys
+
+bare = set(sys.modules)
+import paramedial.cli
+
+def added(argv):
+    before = set(sys.modules)
+    assert paramedial.cli.main(argv) == 0, argv
+    return " ".join(sorted(set(sys.modules) - before))
+
+os.environ["PARAMEDIAL_CACHE_DIR"], out = sys.argv[1:]
+requests = (["count", "--order", "9"], ["verify", "--group", "elem2", "3", "--level", "fast"],
+            ["enumerate", "--group", "elem2", "3", "--out", out])
+print(*map(added, requests), " ".join(set(sys.modules) - bare), sep="\\n")  # after the requests' own output
+"""
+
+
+def test_requests_load_no_parser_or_json_module(tmp_path, capsys, monkeypatch):
+    # Start-up by module count, not by timing: count, verify and an enumerate
+    # cache hit load neither argparse (with gettext and locale) nor json.
+    # count and verify load nothing beyond the import of paramedial.cli; the
+    # hit loads hashlib, to check the entry's sha256, and nothing else.
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    assert run(capsys, "enumerate", "--group", "elem2", "3")[0] == 0  # the entry the child hits
+    src = os.path.dirname(os.path.dirname(paramedial.__file__))
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = src
+
+    def child(code: str, *args: str) -> list[str]:
+        result = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()
+
+    out = tmp_path / "out.json"
+    *_, count, verify, hit, loaded = child(STARTUP_GUARD_RUN, str(tmp_path / "cache"), str(out))
+    assert out.read_bytes() == run(capsys, "enumerate", "--group", "elem2", "3")[1].encode()
+    (with_hashlib,) = child("import sys; bare = set(sys.modules); import hashlib; print(*set(sys.modules) - bare)")
+    assert count == verify == ""
+    assert "hashlib" in hit.split() and set(hit.split()) <= set(with_hashlib.split())
+    assert not {"argparse", "gettext", "locale", "json"} & set(loaded.split())
+
+
 @pytest.mark.parametrize(
     "spec, name, params",
     [
@@ -625,8 +793,20 @@ def test_short_requests_leave_unused_stdlib_unloaded(tmp_path):
     ],
 )
 def test_group_names_come_from_params(spec, name, params):
-    group = _parse_group(spec, build_parser())
+    group = _parse_group(spec)
     assert group.params() == params and group.describe() == name
+
+
+def test_cache_key_is_the_json_of_the_request(monkeypatch):
+    # _cache_path writes json.dumps(..., sort_keys=True) itself, so entries keep their names
+    monkeypatch.setenv(CACHE_ENV, "cache")
+    for spec in (["cyclic", "3", "2"], ["cyclic", "101", "1"], ["elem2", "5"]):
+        for fmt in ("json", "csv", "tables"):
+            for simple_only in (False, True):
+                params = {"group": _parse_group(spec).params(), "simple_only": simple_only, "format": fmt}
+                request = {"command": "enumerate", "params": params, "version": paramedial.__version__}
+                digest = hashlib.sha256(json.dumps(request, sort_keys=True).encode()).hexdigest()
+                assert _cache_path("enumerate", params) == os.path.join("cache", f"{digest}.out")
 
 
 def test_cli_import_loads_every_layer_module():
@@ -674,7 +854,7 @@ def _reference_render(records, fmt: str) -> bytes:
 
 
 def _rows(*spec, stop=None):
-    group = _parse_group(list(spec), build_parser())
+    group = _parse_group(list(spec))
     return group, group.rows()[:stop]
 
 

@@ -44,7 +44,7 @@ def main() -> int:
         closed = group.closed_count()
         enum = oracle = "-"
         try:
-            enum = len(group.rows())
+            enum = len(group.classification().rows)
         except ResourceLimitError:  # refused before any work
             pass
         try:

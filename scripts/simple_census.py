@@ -35,7 +35,7 @@ def main() -> int:
     for p in args.primes:
         try:
             group = ElemAbelian2Group(p)  # range-checked before the trial division of is_prime
-            rows = group.rows()  # the class count is checked before any row
+            rows = group.classification().rows  # the class count is checked before any row
         except (ValueError, ResourceLimitError) as exc:
             print(f"skipping p={p} ({exc})")
             continue

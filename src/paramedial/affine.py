@@ -22,15 +22,15 @@ is the enumerators' rows, plain tuples (phi, psi, c, case, simple) in
 that same shape, which ``cli enumerate`` renders and ``cli verify``
 checks as they are, building no form.  Both enumerators return them as a
 ``Classification``, which checks the closed-form count against
-``MAX_RECORDS`` before it draws a row, draws them lazily, and whose
-``rows``, ``records()`` and ``forms`` hold them on request.
+``MAX_RECORDS`` before it draws a row and draws them afresh on every
+read, holding none between reads.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterator
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add, itemgetter, ne
 
 from .modring import MAX_MODULUS, Mat2, Modulus, Value, Vec2, is_prime, mat_det, mat_mul, mat_vec, require_int
@@ -58,10 +58,6 @@ class GroupDescriptor:
         """The group as ``kind(p[,k])``, e.g. cyclic(3,2) or elem2(5)."""
         params = self.params()
         return f"{params.pop('kind')}({','.join(map(str, params.values()))})"
-
-    def rows(self) -> tuple[tuple, ...]:
-        """Every class as an enumerator row (phi, psi, c, case, simple), in output order."""
-        return self.classification().rows
 
 
 class CyclicGroup(GroupDescriptor, Value):
@@ -238,9 +234,9 @@ class Classification:
     """The classes over `group` as enumerator rows (phi, psi, c, case, simple), in output order.
 
     Iterating draws the rows afresh from the enumerator and holds none of
-    them, which is how ``cli enumerate`` reads them; ``rows`` holds them all
-    as a tuple, built the first time it, ``count``, ``records()`` or
-    ``forms`` is asked for."""
+    them, which is how ``cli enumerate`` and ``cli verify`` read them;
+    ``rows``, ``count``, ``records()`` and ``forms`` draw them all again
+    each time they are asked for."""
 
     def __init__(self, group: GroupDescriptor, draw: Callable[[], Iterator[tuple]]):
         if (count := group.closed_count()) > MAX_RECORDS:
@@ -249,10 +245,9 @@ class Classification:
         self._draw = draw
 
     def __iter__(self) -> Iterator[tuple]:
-        held = self.__dict__.get("rows")
-        return self._draw() if held is None else iter(held)
+        return self._draw()
 
-    @cached_property
+    @property
     def rows(self) -> tuple[tuple, ...]:
         return tuple(self._draw())
 

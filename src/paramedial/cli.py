@@ -16,6 +16,8 @@ written on request via --manifest, never into the primary output.
 
 What depends on the kind of group comes from the group classes in
 ``affine``; the one choice by kind made here is which checks ``verify`` prints.
+``verify`` reads the same stream once, folding every check over the rows as
+they are drawn, and prints the check lines after the pass.
 
 argv is read against one table, ``OPTIONS``, by ``_parse_args``; there is no
 argparse, whose import (with gettext) and parser set-up cost a short
@@ -45,6 +47,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 
 from . import __version__
+from . import enum_gl2  # noqa: F401  (loaded with cli: perfbench's tracer finds each layer module in sys.modules)
 from .affine import (
     AffineForm,
     ClassRecord,
@@ -57,7 +60,6 @@ from .affine import (
     table_to_text,
 )
 from .enum_cyclic import UnsupportedOrder, pq_total
-from .enum_gl2 import coset_reps_for
 from .modring import Modulus, mat_det, mat_mul
 from .oracle import classify_two_stage
 
@@ -428,53 +430,74 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-class _Report:
-    """The failures counted so far, each check printed as it is made."""
-
-    def __init__(self):
-        self.failures = 0
-
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
-        if ok:
-            print(f"ok: {name}")
-        else:
-            self.failures += 1
-            print(f"FAIL: {name}" + (f" ({detail})" if detail else ""))
-
-
-def _verify_cyclic(group: CyclicGroup, rows, report: _Report) -> None:
-    """Over Z_n, n = p^k: phi and psi are residues 0 < x < n prime to p with
-    phi^2 = psi^2, and the triples are sorted and distinct, each c being 0 or a
-    power of p below gcd(1 - phi - psi, n): the least point of its unit orbit on
-    Z_n / Im(1 - phi - psi).  With the closed-form count, no constant is missing."""
+def _verify_cyclic(group: CyclicGroup) -> tuple[int, list[tuple]]:
+    """The row count and the checks over Z_n, n = p^k, in one pass: phi and psi
+    are residues 0 < x < n prime to p with phi^2 = psi^2, and the triples
+    strictly increase, each c being 0 or a power of p below gcd(1 - phi - psi, n):
+    the least point of its unit orbit on Z_n / Im(1 - phi - psi).  With the
+    closed-form count, no constant is missing."""
     n, p = group.modulus.n, group.modulus.p
-    report.check("phi and psi are units", all(0 < x < n and x % p for row in rows for x in row[:2]))
-    report.check("phi^2 = psi^2 for every class", all((phi * phi - psi * psi) % n == 0 for phi, psi, *_ in rows))
     powers = {p**j for j in range(group.modulus.k)}
-    least = all(c == 0 or c in powers and c < math.gcd(1 - phi - psi, n) for phi, psi, c, _, _ in rows)
-    keys = [row[:3] for row in rows]
-    report.check("classes are sorted and distinct", least and keys == sorted(set(keys)))
+    count, units, squares, ordered, previous = 0, True, True, True, ()
+    for phi, psi, c, _, _ in group.classification():
+        count += 1
+        units &= 0 < phi < n and 0 < psi < n and phi % p != 0 and psi % p != 0
+        squares &= (phi * phi - psi * psi) % n == 0
+        ordered &= previous < (phi, psi, c) and (c == 0 or c in powers and c < math.gcd(1 - phi - psi, n))
+        previous = phi, psi, c
+    names = ("phi and psi are units", "phi^2 = psi^2 for every class", "classes are sorted and distinct")
+    return count, list(zip(names, (units, squares, ordered)))
 
 
-def _verify_elem2(group: ElemAbelian2Group, rows, report: _Report) -> None:
-    """Over Z_p x Z_p: entries lie in 0..p-1, phi^2 = psi^2 for invertible phi
-    and psi, each pair's rows are consecutive with coset_reps_for's constants
-    in order, and the simple flags sum to the closed form and match is_simple."""
-    p = group.p
-    runs = [(pair, [row[2] for row in run]) for pair, run in groupby(rows, itemgetter(0, 1))]
-    ok_struct = len(dict(runs)) == len(runs) and all(
-        all(0 <= x < p for x in phi + psi)  # each c is compared with coset_reps_for's reduced ones
-        and mat_det(phi, p) != 0  # so det(psi) != 0 too, as det(psi)^2 = det(phi)^2 below
-        and mat_mul(phi, phi, p) == mat_mul(psi, psi, p)
-        and cs == coset_reps_for(phi, psi, p)
-        for (phi, psi), cs in runs
-    )
-    report.check("rows satisfy phi^2 = psi^2 with admissible constants", ok_struct)
-    simple_total = sum(row[4] for row in rows)
+def _constants_admissible(phi: tuple, psi: tuple, constants: list, p: int) -> bool:
+    """Whether a pair's constants are one per class, by linear algebra on
+    m = 1 - phi - psi alone: [(0, 0)] when det m != 0, else (0, 0) and one
+    reduced w outside Im m.  The classes are the orbits of the joint
+    centralizer on Z_p^2 / Im m.  At rank one the scalars, in every
+    centralizer, move any non-zero coset to any other, and w is no multiple of
+    m's non-zero column; m = 0 only for phi = psi = 2^-1 I, whose centralizer
+    is GL(2,p), and w is non-zero."""
+    a, b = (1 - phi[0] - psi[0]) % p, -(phi[1] + psi[1]) % p
+    c, d = -(phi[2] + psi[2]) % p, (1 - phi[3] - psi[3]) % p
+    if (a * d - b * c) % p:
+        return constants == [(0, 0)]
+    if len(constants) != 2 or constants[0] != (0, 0) or not all(0 <= x < p for x in constants[1]):
+        return False
+    (x, y), (u, v) = constants[1], ((a, c) if a or c else (b, d))  # (u, v) spans Im m, or is 0 at rank zero
+    return (u * y - v * x) % p != 0 if u or v else (x, y) != (0, 0)
+
+
+def _verify_elem2(group: ElemAbelian2Group) -> tuple[int, list[tuple]]:
+    """The row count and the checks over Z_p x Z_p, in one pass that holds the
+    phi seen and the psi of the current phi, not the rows: entries lie in
+    0..p-1, phi^2 = psi^2 for invertible phi and psi, each phi's rows are
+    consecutive and within them each pair's, with admissible constants in
+    order, and the simple flags sum to the closed form and match is_simple."""
+    p, count, simple_total, struct, flags, seen = group.p, 0, 0, True, True, set()
+    residues = frozenset(range(p))
+    for phi, block in groupby(group.classification(), itemgetter(0)):
+        struct &= phi not in seen
+        seen.add(phi)
+        roots = set()
+        for psi, run in groupby(block, itemgetter(1)):
+            run = list(run)  # the pair's rows, one per constant
+            struct &= (
+                psi not in roots
+                and residues.issuperset(phi + psi)
+                and mat_det(phi, p) != 0  # so det(psi) != 0 too, as det(psi)^2 = det(phi)^2 below
+                and mat_mul(phi, phi, p) == mat_mul(psi, psi, p)
+                and _constants_admissible(phi, psi, [row[2] for row in run], p)
+            )
+            roots.add(psi)
+            count += len(run)
+            simple_total += sum(row[4] for row in run)
+            flags &= all(row[4] == is_simple(group, phi, psi) for row in run)
     formula = group.closed_count(simple_only=True)
-    report.check(f"simple class count equals {formula}", simple_total == formula, f"got {simple_total}")
-    ok_flags = all(is_simple(group, phi, psi) == simple for phi, psi, _, _, simple in rows)
-    report.check("simplicity flags match the invariant-subgroup criterion", ok_flags)
+    return count, [
+        ("rows satisfy phi^2 = psi^2 with admissible constants", struct),
+        (f"simple class count equals {formula}", simple_total == formula, f"got {simple_total}"),
+        ("simplicity flags match the invariant-subgroup criterion", flags),
+    ]
 
 
 def cmd_verify(args) -> int:
@@ -485,20 +508,18 @@ def cmd_verify(args) -> int:
         name, checks = f"Z_{group.order}", _verify_cyclic
     else:
         name, checks = f"Z_{group.p}^2", _verify_elem2
-    rows = group.rows()  # as enumerate renders them, each check validating what it reads
+    count, results = checks(group)  # one pass over the rows enumerate streams, each check validating what it reads
     expected = group.closed_count()
-    report = _Report()
-    report.check(f"count over {name} equals closed form {expected}", len(rows) == expected, f"got {len(rows)}")
-    checks(group, rows, report)
-    if oracle_cls is not None:
-        report.check(f"oracle orbit count equals {expected}", oracle_cls.count == expected, f"got {oracle_cls.count}")
-        hit = {oracle_cls.orbit_of(phi, psi, c) for phi, psi, c, _, _ in rows} - {None}  # None: outside its triples
-        report.check("representatives hit every orbit exactly once", len(hit) == len(rows) == oracle_cls.count)
-    if report.failures:
-        print(f"{report.failures} check(s) failed")
-        return EXIT_VERIFY_FAILED
-    print("all checks passed")
-    return EXIT_OK
+    results = [(f"count over {name} equals closed form {expected}", count == expected, f"got {count}"), *results]
+    if oracle_cls is not None:  # a second pass, bounded by the oracle's refusal; None: a triple outside its set
+        hit = {oracle_cls.orbit_of(phi, psi, c) for phi, psi, c, _, _ in group.classification()} - {None}
+        results.append((f"oracle orbit count equals {expected}", oracle_cls.count == expected, f"got {oracle_cls.count}"))
+        results.append(("representatives hit every orbit exactly once", len(hit) == count == oracle_cls.count))
+    for line, ok, *detail in results:
+        print(f"ok: {line}" if ok else f"FAIL: {line}" + "".join(f" ({d})" for d in detail))
+    failures = sum(not ok for _, ok, *_ in results)
+    print(f"{failures} check(s) failed" if failures else "all checks passed")
+    return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
 # -- argv ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ Aut(Z_p^2) = GL(2,p), so the classification walks the conjugacy classes:
 Each triple (phi, psi, c) with phi in X, psi in Y_phi and c in
 G_{phi,psi} is one isomorphism class, 4p^2 - 2 in total for odd p, and
 every piece is a closed form.  The classes come out as one stream of
-plain rows (phi, psi, c, case, simple) in output order, in an
+plain rows (phi, psi, c, case, simple) in output order, drawn from the
+conjugacy classes as they are yielded, so no list of them is held, in an
 ``affine.Classification``, whose ``records()`` builds the checked
 ClassRecords from them only when asked; ``cli enumerate`` renders the
-rows as they are.  y_phi lists each psi with its case label and whether
-its classes are simple, both set by the branch that builds it.  For the
-trace-zero irreducible phi = ((0,1),(a,0)) the p - 2 non-central orbits
-of Y_phi are the levels of t = tr(phi psi), conics with p + 1 points
-each (see y_phi).
+rows and ``cli verify`` checks them as they are.  y_phi lists each psi
+with its case label and whether its classes are simple, both set by the
+branch that builds it.  For the trace-zero irreducible phi =
+((0,1),(a,0)) the p - 2 non-central orbits of Y_phi are the levels of
+t = tr(phi psi), conics with p + 1 points each (see y_phi).
 
 p = 2 degenerates (no 2^-1, no pairs 0 < a < b), so its 7 classes come
 from a direct search of the 6 elements of GL(2,2) instead; each is
@@ -89,26 +90,25 @@ class ConjClass:
         self.rep = rep
 
 
-def conjugacy_classes(p: int) -> list[ConjClass]:
-    """Representatives of all p^2 - 1 conjugacy classes of GL(2,p), p odd.
+def conjugacy_classes(p: int) -> Iterator[ConjClass]:
+    """Representatives of all p^2 - 1 conjugacy classes of GL(2,p), p odd,
+    yielded one at a time.
 
     Irreducibility of x^2 - b x - a is certified by the discriminant
     b^2 + 4a being a non-square.
     """
     _require_odd_prime(p)
-    classes: list[ConjClass] = []
     for a in range(1, p):
-        classes.append(ConjClass(p, "scalar", a, None, (a, 0, 0, a)))
+        yield ConjClass(p, "scalar", a, None, (a, 0, 0, a))
     for a in range(1, p):
         for b in range(a + 1, p):
-            classes.append(ConjClass(p, "diag", a, b, (a, 0, 0, b)))
+            yield ConjClass(p, "diag", a, b, (a, 0, 0, b))
     for a in range(1, p):
-        classes.append(ConjClass(p, "jordan", a, None, (a, 1, 0, a)))
+        yield ConjClass(p, "jordan", a, None, (a, 1, 0, a))
     for a in range(1, p):
         for b in range(p):
             if not is_square_mod(b * b + 4 * a, p):
-                classes.append(ConjClass(p, "irreducible", a, b, (0, 1, a, b)))
-    return classes
+                yield ConjClass(p, "irreducible", a, b, (0, 1, a, b))
 
 
 # -- square roots of 2x2 matrices ----------------------------------------------

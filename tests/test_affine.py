@@ -484,7 +484,7 @@ GROUPS_WITH_RECORDS += [ElemAbelian2Group(p) for p in (2, 3, 5, 7, 11)]
 
 @pytest.mark.parametrize("group", GROUPS_WITH_RECORDS, ids=lambda g: g.describe())
 def test_closed_counts_match_the_records(group):
-    rows = group.rows()
+    rows = group.classification().rows
     assert group.closed_count() == len(rows)
     assert group.closed_count(simple_only=True) == sum(1 for row in rows if row[4])
 
@@ -506,7 +506,7 @@ def test_rows_are_checked_forms_and_match_the_records(group):
     cls = classification(group)
     assert type(cls) is Classification and cls.group == group
     rows, records = cls.rows, cls.records()
-    assert rows == group.rows()
+    assert rows == group.classification().rows
     assert len(rows) == len(records) == cls.count == group.closed_count()
     assert cls.forms == tuple(rec.form for rec in records)
     for row, rec in zip(rows, records):

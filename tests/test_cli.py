@@ -436,7 +436,7 @@ def test_simple_only_over_the_record_bound_with_no_simple_class(capsys, fmt, exp
 def test_simple_only_builds_no_record_when_no_class_is_simple(tmp_path, capsys, monkeypatch, fmt):
     # Z_{2^5} has no simple class: the output is known before any record is built
     group = _parse_group(["cyclic", "2", "5"])
-    expected = render_records(group, [row for row in group.rows() if row[4]], fmt)
+    expected = render_records(group, [row for row in group.classification().rows if row[4]], fmt)
 
     def refuse(modulus):
         raise AssertionError(f"enumerate_cyclic({modulus}) was called")
@@ -855,7 +855,7 @@ def _reference_render(records, fmt: str) -> bytes:
 
 def _rows(*spec, stop=None):
     group = _parse_group(list(spec))
-    return group, group.rows()[:stop]
+    return group, group.classification().rows[:stop]
 
 
 RENDER_INPUTS = {

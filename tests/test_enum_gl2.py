@@ -76,7 +76,7 @@ def psis(cls):
 
 
 def test_conjugacy_class_census_p3():
-    classes = conjugacy_classes(3)
+    classes = list(conjugacy_classes(3))
     assert len(classes) == 8
     kinds = {}
     for c in classes:
@@ -92,7 +92,7 @@ def test_conjugacy_class_census_p3():
 
 @pytest.mark.parametrize("p", ODD)
 def test_class_count_formula(p):
-    classes = conjugacy_classes(p)
+    classes = list(conjugacy_classes(p))
     expected = (p - 1) + comb(p - 1, 2) + (p - 1) + (p * p - p) // 2
     assert len(classes) == expected == p * p - 1
 
@@ -447,7 +447,7 @@ def test_simple_family_counts(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
 def test_simple_flags_agree_with_invariant_subgroup_criterion(p):
     group = ElemAbelian2Group(p)
-    for phi, psi, _, _, simple in group.rows():
+    for phi, psi, _, _, simple in group.classification().rows:
         assert simple == is_simple(group, phi, psi)
 
 

@@ -279,7 +279,7 @@ def test_two_stage_at_the_edge_hits_every_class_once(group):
     # the constants are indexed by the cosets of T, not by every point of G,
     # so orbit_of must check itself that a constant lies in G
     staged = classify_two_stage(group)
-    hit = sorted(staged.orbit_of(phi, psi, c) for phi, psi, c, _, _ in group.rows())
+    hit = sorted(staged.orbit_of(phi, psi, c) for phi, psi, c, _, _ in group.classification().rows)
     assert hit == list(range(staged.count)) and staged.count == closed_form_count(group.modulus)
     phi, psi, _ = staged.representatives[-1]
     assert staged.orbit_of(phi, psi, group.order) is None and staged.orbit_of(phi, psi, -1) is None

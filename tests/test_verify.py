@@ -12,7 +12,7 @@ from operator import itemgetter
 import pytest
 
 from paramedial import enum_cyclic, enum_gl2
-from paramedial.affine import AffineForm, ClassRecord, CyclicGroup, ElemAbelian2Group
+from paramedial.affine import AffineForm, Classification, ClassRecord, CyclicGroup, ElemAbelian2Group
 from paramedial.cli import main
 from paramedial.modring import Modulus
 from paramedial.oracle import classify_two_stage
@@ -122,10 +122,34 @@ def _refuse(*args, **kwargs):
     raise AssertionError("verify built a checked object")
 
 
+def _coset_reps_one_vector(phi, psi, p):
+    # coset_reps_for with its constant fixed at (1, 0) whenever 1 - phi - psi is singular,
+    # which lies in Im(1 - phi - psi) when that is a line with a zero second row
+    a, b = (1 - phi[0] - psi[0]) % p, (-phi[1] - psi[1]) % p
+    c, d = (-phi[2] - psi[2]) % p, (1 - phi[3] - psi[3]) % p
+    if (a * d - b * c) % p:
+        return [(0, 0)]
+    return [(0, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("p", ["5", "11"])
+def test_a_bad_coset_transversal_fails_the_fast_level(capsys, monkeypatch, p):
+    # through __code__, so the enumerator and every other binding of coset_reps_for run the mutant:
+    # a check that asked coset_reps_for for the constants would pass its own output
+    monkeypatch.setattr(enum_gl2.coset_reps_for, "__code__", _coset_reps_one_vector.__code__)
+    assert enum_gl2.coset_reps_for((1, 0, 0, 3), (1, 0, 0, 3), 5) == [(0, 0), (1, 0)]
+    code = main(["verify", "--group", "elem2", p])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert f"FAIL: {STRUCT}" in out.splitlines()
+
+
 @pytest.mark.parametrize("level", ["fast", "oracle"])
 def test_verify_builds_no_form_or_record(capsys, monkeypatch, level):
+    # nor the row tuple: it reads each row once, as the enumerator yields it
     monkeypatch.setattr(AffineForm, "__init__", _refuse)
     monkeypatch.setattr(ClassRecord, "__init__", _refuse)
+    monkeypatch.setattr(Classification, "rows", property(_refuse))
     for group in (["elem2", "5"], ["elem2", "2"], ["cyclic", "5", "2"], ["cyclic", "2", "4"]):
         assert main(["verify", "--group", *group, "--level", level]) == 0, group
     assert "FAIL" not in capsys.readouterr().out

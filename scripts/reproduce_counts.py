@@ -44,7 +44,7 @@ def main() -> int:
         closed = group.closed_count()
         enum = oracle = "-"
         try:
-            enum = len(group.classification().rows)
+            enum = group.classification().count
         except ResourceLimitError:  # refused before any work
             pass
         try:

@@ -33,7 +33,7 @@ from collections.abc import Callable, Iterator
 from functools import lru_cache
 from operator import add, itemgetter, ne
 
-from .modring import MAX_MODULUS, Mat2, Modulus, Value, Vec2, is_prime, mat_det, mat_mul, mat_vec, require_int
+from .modring import Mat2, Modulus, Value, Vec2, mat_det, mat_mul
 
 MAX_RECORDS = 2**20  # Classification: classes of the group at most
 
@@ -72,12 +72,6 @@ class CyclicGroup(GroupDescriptor, Value):
     @property
     def order(self) -> int:
         return self.modulus.n
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.modulus.n
-
-    def apply(self, aut: int, x: int) -> int:
-        return aut * x % self.modulus.n
 
     def images(self, aut: int) -> list[int]:
         """(aut(x) for x in 0..n-1)."""
@@ -123,23 +117,11 @@ class ElemAbelian2Group(GroupDescriptor, Value):
     dim = 2
 
     def __init__(self, p: int):
-        require_int("p", p)
-        if p >= MAX_MODULUS:  # before the trial division of is_prime
-            raise ValueError(f"p={p} exceeds the supported range (< 2^31)")
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        self._set("p", p)
+        self._set("p", Modulus(p, 1).p)  # refuses what Modulus refuses, with its messages
 
     @property
     def order(self) -> int:
         return self.p * self.p
-
-    def add(self, x: int, y: int) -> int:
-        p = self.p
-        return (x // p + y // p) % p * p + (x % p + y % p) % p
-
-    def apply(self, aut: Mat2, x: int) -> int:
-        return self.encode(mat_vec(aut, divmod(x, self.p), self.p))
 
     def images(self, aut: Mat2) -> list[int]:
         """(aut(x) for x in 0..n-1), the encoded x = (u, v) in order."""
@@ -234,9 +216,9 @@ class Classification:
     """The classes over `group` as enumerator rows (phi, psi, c, case, simple), in output order.
 
     Iterating draws the rows afresh from the enumerator and holds none of
-    them, which is how ``cli enumerate`` and ``cli verify`` read them;
-    ``rows``, ``count``, ``records()`` and ``forms`` draw them all again
-    each time they are asked for."""
+    them, which is how ``cli enumerate`` and ``cli verify`` read them, and
+    ``count``, ``records()`` and ``forms`` too; ``rows`` draws them all
+    into a tuple each time it is asked for."""
 
     def __init__(self, group: GroupDescriptor, draw: Callable[[], Iterator[tuple]]):
         if (count := group.closed_count()) > MAX_RECORDS:
@@ -253,17 +235,17 @@ class Classification:
 
     @property
     def count(self) -> int:
-        return len(self.rows)
+        return sum(1 for _ in self)
 
     def records(self) -> list[ClassRecord]:
         """The rows as records, each form checked."""
         group = self.group
-        return [ClassRecord(AffineForm(group, phi, psi, c), case, simple) for phi, psi, c, case, simple in self.rows]
+        return [ClassRecord(AffineForm(group, phi, psi, c), case, simple) for phi, psi, c, case, simple in self]
 
     @property
     def forms(self) -> tuple[AffineForm, ...]:
         """The rows' checked forms, built here rather than by ``records()``, which a tracer may time."""
-        return tuple(AffineForm(self.group, phi, psi, c) for phi, psi, c, _, _ in self.rows)
+        return tuple(AffineForm(self.group, phi, psi, c) for phi, psi, c, _, _ in self)
 
 
 class QuasigroupTable(Value):

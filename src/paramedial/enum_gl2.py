@@ -25,7 +25,8 @@ t = tr(phi psi), conics with p + 1 points each (see y_phi).
 
 p = 2 degenerates (no 2^-1, no pairs 0 < a < b), so its 7 classes come
 from a direct search of the 6 elements of GL(2,2) instead; each is
-labelled ``p2-oracle`` with its simplicity from affine.is_simple.
+labelled ``p2-oracle``, with its simplicity from a search of the three
+lines of Z_2 x Z_2, which shares nothing with affine.is_simple.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import partial
 
-from .affine import Classification, ElemAbelian2Group, is_simple
+from .affine import Classification, ElemAbelian2Group
 from .modring import (
     Mat2,
     Vec2,
@@ -44,6 +45,7 @@ from .modring import (
     mat_inv,
     mat_mul,
     mat_neg,
+    mat_vec,
     sqrt_mod_prime,
 )
 
@@ -270,10 +272,12 @@ def coset_reps_for(phi: Mat2, psi: Mat2, p: int) -> list[Vec2]:
 Gl2Classification = Classification
 
 
-def _rows_p2(group: ElemAbelian2Group) -> Iterator[tuple[Mat2, Mat2, Vec2, str, bool]]:
+def _rows_p2() -> Iterator[tuple[Mat2, Mat2, Vec2, str, bool]]:
     """The classes over Z_2 x Z_2 by direct search of GL(2,2): the least
     phi of each conjugacy class, the least root psi of phi^2 in each orbit
-    of C(phi), and c from coset_reps_for, all in increasing order."""
+    of C(phi), and c from coset_reps_for, all in increasing order.  A class
+    is simple iff no line {0, v} is invariant under phi and psi, and over
+    F_2 an invertible m leaves it invariant iff m v = v."""
     gl = gl2(2)
 
     def least_of_orbits(points: list[Mat2], acting: list[Mat2]) -> list[Mat2]:
@@ -289,15 +293,16 @@ def _rows_p2(group: ElemAbelian2Group) -> Iterator[tuple[Mat2, Mat2, Vec2, str, 
         roots = [m for m in gl if mat_mul(m, m, 2) == mat_mul(phi, phi, 2)]
         centralizer = [g for g in gl if mat_mul(g, phi, 2) == mat_mul(phi, g, 2)]
         for psi in least_of_orbits(roots, centralizer):
+            simple = not any(mat_vec(phi, v, 2) == v == mat_vec(psi, v, 2) for v in ((0, 1), (1, 0), (1, 1)))
             for c in coset_reps_for(phi, psi, 2):
-                yield phi, psi, c, CASE_P2_ORACLE, is_simple(group, phi, psi)
+                yield phi, psi, c, CASE_P2_ORACLE, simple
 
 
 def _rows(group: ElemAbelian2Group) -> Iterator[tuple[Mat2, Mat2, Vec2, str, bool]]:
     """Every class over Z_p x Z_p as (phi, psi, c, case, simple), in output
     order: by the conjugacy class of phi, then in y_phi's order, then by c."""
     if group.p == 2:
-        yield from _rows_p2(group)
+        yield from _rows_p2()
         return
     for cls in conjugacy_classes(group.p):
         for psi, case, simple in y_phi(cls):

@@ -57,61 +57,22 @@ MAX_FORM_COST = 2**24  # _canonical_form: n^2 * (the seeds of size at most g) at
 
 
 class ActionSpec:
-    """A finite group action, explicit enough to enumerate orbits.
+    """A finite group action, explicit enough to enumerate its orbits: the
+    points, ``act(g, x)``, and ``generators`` of the group, which may be a
+    proper generating subset, since orbit traversal only ever applies
+    generators.  Mutable, so a tracer may swap ``act`` for a counting one."""
 
-    ``generators`` may be a proper generating subset; orbit traversal
-    only ever applies generators.  ``elements`` is needed for the
-    Burnside count and may be omitted for large groups if ``order`` is
-    given.
-    """
-
-    def __init__(
-        self,
-        points: Sequence,
-        act: Callable[[object, object], object],
-        compose: Callable[[object, object], object],
-        identity: object,
-        elements: Sequence | None = None,
-        generators: Sequence | None = None,
-        order: int | None = None,
-    ):
+    def __init__(self, points: Sequence, act: Callable[[object, object], object], generators: Sequence):
         self.points = points
         self.act = act
-        self.compose = compose
-        self.identity = identity
-        self.elements = elements
         self.generators = generators
-        self.order = order
-
-    def group_order(self) -> int:
-        if self.order is not None:
-            return self.order
-        if self.elements is not None:
-            return len(self.elements)
-        raise ValueError("ActionSpec needs either order or elements")
-
-    def generating_set(self) -> Sequence:
-        if self.generators is not None:
-            return self.generators
-        if self.elements is not None:
-            return self.elements
-        raise ValueError("ActionSpec needs either generators or elements")
 
 
-class OrbitPartition:
-    def __init__(
-        self,
-        orbits: tuple[tuple, ...],
-        representatives: tuple,
-        stabilizer_orders: tuple[int, ...],
-        group_order: int,
-        index: dict,
-    ):
-        self.orbits = orbits
-        self.representatives = representatives
-        self.stabilizer_orders = stabilizer_orders
-        self.group_order = group_order
-        self.index = index
+class OrbitPartition(namedtuple("OrbitPartition", "orbits representatives index")):
+    """The orbits, each a sorted tuple, in the order of their least points,
+    those least points, and each point mapped to the number of its orbit."""
+
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -123,26 +84,23 @@ def orbits(spec: ActionSpec) -> OrbitPartition:
 
     Representatives are the least point of each orbit; orbits are listed
     in representative order.  The computation is a plain closure under
-    the generating set, so it is deterministic regardless of how the
-    point set was ordered.
+    the generators, so it is deterministic regardless of how the point
+    set was ordered; it needs neither the group's elements nor its order.
     """
     points = list(spec.points)
     if len(points) > MAX_POINTS:
         raise ResourceLimitError(f"{len(points)} points exceed the budget of {MAX_POINTS}")
     point_set = set(points)
-    gens = spec.generating_set()
-    n_group = spec.group_order()
 
     seen: set = set()
     orbit_lists: list[tuple] = []
     for seed in points:
         if seed in seen:
             continue
-        members = {seed}
-        frontier = [seed]
+        members, frontier = {seed}, [seed]
         while frontier:
             x = frontier.pop()
-            for g in gens:
+            for g in spec.generators:
                 y = spec.act(g, x)
                 if y not in members:
                     if y not in point_set:
@@ -153,21 +111,8 @@ def orbits(spec: ActionSpec) -> OrbitPartition:
         orbit_lists.append(tuple(sorted(members)))
 
     orbit_lists.sort(key=lambda orb: orb[0])
-    stabilizers = []
-    index = {}
-    for i, orb in enumerate(orbit_lists):
-        if n_group % len(orb) != 0:
-            raise ValueError(f"orbit of size {len(orb)} violates orbit-stabilizer for |G|={n_group}")
-        stabilizers.append(n_group // len(orb))
-        for pt in orb:
-            index[pt] = i
-    return OrbitPartition(
-        orbits=tuple(orbit_lists),
-        representatives=tuple(orb[0] for orb in orbit_lists),
-        stabilizer_orders=tuple(stabilizers),
-        group_order=n_group,
-        index=index,
-    )
+    index = {pt: i for i, orb in enumerate(orbit_lists) for pt in orb}
+    return OrbitPartition(tuple(orbit_lists), tuple(orb[0] for orb in orbit_lists), index)
 
 
 # -- isomorphism classification of affine paramedial triples ------------------
@@ -300,7 +245,8 @@ def triple_action_spec(group: GroupDescriptor) -> ActionSpec:
     """The isomorphism action on all valid triples (phi, psi, c) over G.
 
     A group element is (alpha, alpha^-1, d), the map x -> alpha(x) + d;
-    ``elements`` lists all |Aff(G)| of them, for the Burnside count.
+    the generators are those of Aut(G), with d = 0, and the translations
+    by a basis of G, with alpha the identity.
     """
     aut = _automorphisms(group)
     mul, apply, add, one_minus = aut.mul, aut.apply, aut.add, aut.one_minus
@@ -316,16 +262,10 @@ def triple_action_spec(group: GroupDescriptor) -> ActionSpec:
             c2 = add(c2, apply(one_minus(phi2, psi2), d))
         return (phi2, psi2, c2)
 
-    def compose(g, h):
-        return (mul(g[0], h[0]), mul(h[1], g[1]), add(apply(g[0], h[2]), g[2]))
-
     ident, by_square = aut.identity, _roots(aut)
     return ActionSpec(  # phi^2 = psi^2, in increasing order
         points=[(phi, psi, c) for phi in aut.elements for psi in by_square[mul(phi, phi)] for c in aut.points],
         act=act,
-        compose=compose,
-        identity=(ident, ident, zero),
-        elements=[(a, aut.inv(a), d) for a in aut.elements for d in aut.points],
         generators=[(g, aut.inv(g), zero) for g in aut.generators] + [(ident, ident, e) for e in aut.basis],
     )
 
@@ -393,17 +333,12 @@ def _schreier_generators(tree: dict, edges: list, mul, identity) -> list:
     return list(found.items())
 
 
-class StagedClassification:
+class StagedClassification(namedtuple("StagedClassification", "representatives aut classes roots constants")):
     """The classes of ``classify_triples``, found in two stages: the least
     triple (phi, psi, c) of each, in increasing order, and the trees and
     coset indexes of ``classify_two_stage`` that ``orbit_of`` reads."""
 
-    def __init__(self, representatives: tuple, aut: _Automorphisms, classes: dict, roots: dict, constants: dict):
-        self.representatives = representatives
-        self.aut = aut
-        self.classes = classes
-        self.roots = roots
-        self.constants = constants
+    __slots__ = ()
 
     @property
     def count(self) -> int:

@@ -11,7 +11,7 @@ counts.
 from paramedial.enum_gl2 import ConjClass, sqrt_set, y_phi
 from paramedial.modring import is_prime, is_square_mod, mat_inv, mat_mul
 from paramedial.oracle import ActionSpec, orbits
-from reference import burnside_count
+from reference import burnside_count, orbit_sizes_divide
 
 
 def nonsquares(p: int) -> list[int]:
@@ -62,12 +62,12 @@ def burnside_orbit_count(cls: ConjClass) -> tuple[int, tuple[int, ...]]:
     spec = ActionSpec(
         points=sqrt_set(mat_mul(cls.rep, cls.rep, p), p),
         act=lambda g, m: mat_mul(mat_mul(g, m, p), inverses[g], p),
-        compose=lambda g, h: mat_mul(g, h, p),
-        identity=(1, 0, 0, 1),
-        elements=elements,
+        generators=elements,
     )
-    by_average = burnside_count(spec)
+    by_average = burnside_count(spec.points, spec.act, elements)
     part = orbits(spec)
+    if not orbit_sizes_divide(part, len(elements)):
+        raise AssertionError(f"an orbit size does not divide |C(phi)| = {len(elements)}")
     if by_average != len(part.orbits):
         raise AssertionError(
             f"Burnside average {by_average} disagrees with direct partition {len(part.orbits)}"

@@ -2,16 +2,18 @@
 form, which ``oracle._canonical_form`` must equal on every table, the
 smallest generating seed, which bounds ``oracle._generator_count`` from
 below, the n^4 paramedial identity, which ``affine.is_paramedial`` must
-agree with (vectorized, and as a plain loop), the Burnside count and
-action spot check that the orbit computations are held to, and the
-argparse parser that ``cli._parse_args`` must read argv as."""
+agree with (vectorized, and as a plain loop), the group Aff(G) of the
+triple action with its elements and product, which the oracle never
+builds, the Burnside count, orbit-stabilizer check and action spot
+check that the orbit computations are held to, and the argparse parser
+that ``cli._parse_args`` must read argv as."""
 
 import argparse
 import itertools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
-from paramedial.affine import QuasigroupTable
-from paramedial.oracle import ActionSpec
+from paramedial.affine import GroupDescriptor, QuasigroupTable
+from paramedial.oracle import OrbitPartition, _automorphisms
 
 
 def canonical_form_unpruned(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -66,32 +68,42 @@ def smallest_generating_seed(rows: Sequence[Sequence[int]]) -> int:
     raise AssertionError("all n elements generate")
 
 
-def burnside_count(spec: ActionSpec) -> int:
+def affine_group(group: GroupDescriptor) -> tuple[list, Callable, tuple]:
+    """Aff(G), the group of ``oracle.triple_action_spec``: its |Aut(G)| * |G|
+    elements (alpha, alpha^-1, d), the maps x -> alpha(x) + d, their
+    product and its identity."""
+    aut = _automorphisms(group)
+
+    def compose(g, h):
+        return (aut.mul(g[0], h[0]), aut.mul(h[1], g[1]), aut.add(aut.apply(g[0], h[2]), g[2]))
+
+    identity = (aut.identity, aut.identity, aut.points[0])
+    return [(a, aut.inv(a), d) for a in aut.elements for d in aut.points], compose, identity
+
+
+def burnside_count(points: Sequence, act: Callable, elements: Sequence) -> int:
     """Orbit count as the average number of fixed points; must divide evenly."""
-    if spec.elements is None:
-        raise ValueError("Burnside counting needs the full element list")
-    points = list(spec.points)
-    total = 0
-    for g in spec.elements:
-        total += sum(1 for x in points if spec.act(g, x) == x)
-    n_group = spec.group_order()
-    if total % n_group != 0:
+    total = sum(act(g, x) == x for g in elements for x in points)
+    if total % len(elements) != 0:
         raise ValueError("fixed-point total is not divisible by the group order")
-    return total // n_group
+    return total // len(elements)
 
 
-def validate_action(spec: ActionSpec, rng, samples: int = 30) -> None:
+def orbit_sizes_divide(part: OrbitPartition, order: int) -> bool:
+    """Orbit-stabilizer: each orbit's size divides the order of the group."""
+    return all(order % len(orb) == 0 for orb in part.orbits)
+
+
+def validate_action(
+    points: Sequence, act: Callable, compose: Callable, identity, elements: Sequence, rng, samples: int = 30
+) -> None:
     """Spot-check that the identity is trivial and g.(h.x) = (g h).x."""
-    if spec.elements is None:
-        raise ValueError("validation needs the full element list")
-    points = list(spec.points)
-    elements = list(spec.elements)
     for _ in range(samples):
         x = points[rng.randrange(len(points))]
-        assert spec.act(spec.identity, x) == x
+        assert act(identity, x) == x
         g = elements[rng.randrange(len(elements))]
         h = elements[rng.randrange(len(elements))]
-        assert spec.act(g, spec.act(h, x)) == spec.act(spec.compose(g, h), x)
+        assert act(g, act(h, x)) == act(compose(g, h), x)
 
 
 def satisfies_paramedial_identity(table: QuasigroupTable) -> bool:

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import re
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -122,7 +123,7 @@ def symmetric_tables():
     # commutative tables: the groups (+) that is_paramedial passes in, and
     # commutative quasigroups without an identity
     tables = [raw_table(lambda x, y: (x + y) % n, n) for n in (25, 32, 49)]
-    tables += [raw_table(ElemAbelian2Group(p).add, p * p) for p in (3, 5)]
+    tables += [raw_table(partial(group_add, ElemAbelian2Group(p)), p * p) for p in (3, 5)]
     tables += [raw_table(lambda x, y: (3 * x + 3 * y + 1) % 7, 7), raw_table(lambda x, y: (-x - y) % 27, 27)]
     return tables
 
@@ -461,7 +462,9 @@ def test_invariant_subgroups_match_full_images():
         for form in enumerate_cyclic(m).forms:
             subs = [set(range(0, m.n, m.p**i)) for i in range(1, m.k)]
             invariant = [
-                sub for sub in subs if {g.apply(form.phi, x) for x in sub} == sub == {g.apply(form.psi, x) for x in sub}
+                sub
+                for sub in subs
+                if {group_apply(g, form.phi, x) for x in sub} == sub == {group_apply(g, form.psi, x) for x in sub}
             ]
             assert is_simple(g, form.phi, form.psi) == (not invariant)
 
@@ -522,6 +525,20 @@ def test_rows_are_checked_forms_and_match_the_records(group):
         assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("group", [ElemAbelian2Group(5), CyclicGroup(Modulus(5, 2))], ids=lambda g: g.describe())
+def test_count_records_and_forms_read_the_stream(monkeypatch, group):
+    rows = group.classification().rows
+
+    def no_tuple(self):
+        raise AssertionError("the row tuple was built")
+
+    monkeypatch.setattr(Classification, "rows", property(no_tuple))
+    cls = group.classification()
+    assert cls.count == len(rows)
+    assert [(r.form.phi, r.form.psi, r.form.c, r.case, r.simple) for r in cls.records()] == list(rows)
+    assert [(f.phi, f.psi, f.c) for f in cls.forms] == [row[:3] for row in rows]
+
+
 # 4p^2 - 2 = 400 560 194, 2^22 and 207 100 804 classes, above MAX_RECORDS = 2^20
 OVER_THE_RECORD_BOUND = {
     "elem2(10007) has 400560194": lambda: enumerate_gl2(10007),
@@ -556,13 +573,31 @@ def test_record_bound_is_checked_before_any_row_is_drawn(monkeypatch):
 # -- the table layer against cell-by-cell references --------------------------
 
 
+def group_add(group, x, y):
+    """x + y on encoded elements, from the arithmetic of G alone."""
+    if isinstance(group, CyclicGroup):
+        return (x + y) % group.order
+    p = group.p
+    return (x // p + y // p) % p * p + (x % p + y % p) % p
+
+
+def group_apply(group, aut, x):
+    """The automorphism aut applied to the encoded element x."""
+    if isinstance(group, CyclicGroup):
+        return aut * x % group.order
+    u, v = mat_vec(aut, divmod(x, group.p), group.p)
+    return u * group.p + v
+
+
 def materialize_by_cells(form):
-    # one cell at a time from the group's own arithmetic, as the table layer was first written
+    # one cell at a time from the arithmetic of G, as the table layer was first written
     g = form.group
     n, c = g.order, g.encode(form.c)
-    return tuple(
-        tuple(g.add(g.add(g.apply(form.phi, x), g.apply(form.psi, y)), c) for y in range(n)) for x in range(n)
-    )
+
+    def cell(x, y):
+        return group_add(g, group_add(g, group_apply(g, form.phi, x), group_apply(g, form.psi, y)), c)
+
+    return tuple(tuple(cell(x, y) for y in range(n)) for x in range(n))
 
 
 def table_to_text_by_str(table):
@@ -579,7 +614,7 @@ TABLE_GROUPS += [ElemAbelian2Group(p) for p in (2, 3, 5)]
 def test_materialize_matches_the_cell_by_cell_reference(group):
     n = group.order
     for a in range(n):
-        assert group.translations()[a] == tuple(group.add(a, y) for y in range(n))
+        assert group.translations()[a] == tuple(group_add(group, a, y) for y in range(n))
     for form in classification(group).forms:
         table = materialize(form)
         assert table.rows == materialize_by_cells(form)

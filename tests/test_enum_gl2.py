@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 from gl2_crosschecks import burnside_orbit_count, conic_count, conic_solutions, nonsquares
+from reference import orbit_sizes_divide
 
 import paramedial
 from paramedial.affine import ElemAbelian2Group, is_simple
@@ -43,17 +44,10 @@ def square(m, p):
     return mat_mul(m, m, p)
 
 
-def conjugation_spec(points, p, **group):
-    """GL(2,p) conjugation on `points`; `group` gives elements or generators and order."""
-    gens = group.get("elements") or group["generators"]
-    inverses = {g: mat_inv(g, p) for g in gens}
-    return ActionSpec(
-        points=points,
-        act=lambda g, x: mat_mul(mat_mul(g, x, p), inverses[g], p),
-        compose=lambda g, h: mat_mul(g, h, p),
-        identity=IDENTITY,
-        **group,
-    )
+def conjugation_spec(points, p, generators):
+    """Conjugation on `points` by the subgroup of GL(2,p) that `generators` generate."""
+    inverses = {g: mat_inv(g, p) for g in generators}
+    return ActionSpec(points, lambda g, x: mat_mul(mat_mul(g, x, p), inverses[g], p), generators)
 
 
 def case_counts(records) -> Counter:
@@ -112,7 +106,8 @@ def _primitive_root(p):
 def test_representatives_hit_every_conjugacy_class_once(p):
     elements = gl2(p)
     gens = [(1, 1, 0, 1), (1, 0, 1, 1), (_primitive_root(p), 0, 0, 1)]
-    part = orbits(conjugation_spec(elements, p, generators=gens, order=len(elements)))
+    part = orbits(conjugation_spec(elements, p, gens))
+    assert orbit_sizes_divide(part, len(elements))
     reps = [c.rep for c in conjugacy_classes(p)]
     assert len(part.orbits) == len(reps)
     assert sorted(part.index[r] for r in reps) == list(range(len(reps)))
@@ -190,7 +185,8 @@ def test_y_phi_hits_each_centralizer_orbit_once(p):
         centralizer = [m for m in invertible if mat_mul(m, rep, p) == mat_mul(rep, m, p)]
         target = square(rep, p)
         roots = [m for m in mats if square(m, p) == target]
-        part = orbits(conjugation_spec(roots, p, elements=centralizer))
+        part = orbits(conjugation_spec(roots, p, centralizer))
+        assert orbit_sizes_divide(part, len(centralizer))
         hits = sorted(part.index[m] for m in psis(cls))
         assert hits == list(range(len(part.orbits)))
 
@@ -262,7 +258,8 @@ def test_closed_form_y_phi_matches_a_cyclic_generator_partition(p):
             for m in range(p)
             if (k * k + l * m - a) % p == 0
         ]
-        part = orbits(conjugation_spec(roots, p, generators=[gen], order=n))
+        part = orbits(conjugation_spec(roots, p, [gen]))
+        assert orbit_sizes_divide(part, n)
         reps = psis(cls)
         assert reps[:2] == [cls.rep, mat_neg(cls.rep, p)]
         assert sorted(reps) == list(part.representatives)

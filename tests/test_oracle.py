@@ -32,7 +32,14 @@ from paramedial.oracle import (
     _automorphisms,
     triple_action_spec,
 )
-from reference import burnside_count, canonical_form_unpruned, raw_table, validate_action
+from reference import (
+    affine_group,
+    burnside_count,
+    canonical_form_unpruned,
+    orbit_sizes_divide,
+    raw_table,
+    validate_action,
+)
 
 
 # A magma that is not a quasigroup, and its image under the swap 0 <-> 1.
@@ -43,74 +50,62 @@ SWAPPED = QuasigroupTable(2, ((0, 1), (0, 0)))
 # -- orbit machinery -----------------------------------------------------------
 
 
+# Three actions, each generated by the list of all its group's elements.
 def trivial_spec():
-    return ActionSpec(
-        points=[1, 2, 3, 4, 5],
-        act=lambda g, x: x,
-        compose=lambda g, h: g,
-        identity=0,
-        elements=[0],
-    )
+    return ActionSpec(points=[1, 2, 3, 4, 5], act=lambda g, x: x, generators=[0])
 
 
 def scaling_spec():
-    return ActionSpec(
-        points=list(range(5)),
-        act=lambda g, x: g * x % 5,
-        compose=lambda g, h: g * h % 5,
-        identity=1,
-        elements=[1, 2, 3, 4],
-    )
+    return ActionSpec(points=list(range(5)), act=lambda g, x: g * x % 5, generators=[1, 2, 3, 4])
 
 
 def conjugation_spec(p):
     elements = gl2(p)
     inv = {g: mat_inv(g, p) for g in elements}
-    return ActionSpec(
-        points=elements,
-        act=lambda g, x: mat_mul(mat_mul(g, x, p), inv[g], p),
-        compose=lambda g, h: mat_mul(g, h, p),
-        identity=(1, 0, 0, 1),
-        elements=elements,
-    )
+    return ActionSpec(points=elements, act=lambda g, x: mat_mul(mat_mul(g, x, p), inv[g], p), generators=elements)
 
 
 def test_trivial_action_gives_singletons():
     part = orbits(trivial_spec())
     assert part.orbits == ((1,), (2,), (3,), (4,), (5,))
-    assert part.stabilizer_orders == (1, 1, 1, 1, 1)
+    assert part.index == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
 
 
 def test_scaling_action_orbits():
     part = orbits(scaling_spec())
     assert part.orbits == ((0,), (1, 2, 3, 4))
     assert part.representatives == (0, 1)
-    assert part.stabilizer_orders == (4, 1)
+    assert [4 // len(orb) for orb in part.orbits] == [4, 1]  # the stabilizer orders
 
 
 def test_gl23_conjugation_has_8_orbits():
     part = orbits(conjugation_spec(3))
     assert len(part.orbits) == 8
-    for orb, stab in zip(part.orbits, part.stabilizer_orders):
-        assert len(orb) * stab == part.group_order
+    assert orbit_sizes_divide(part, 48)
 
 
 def test_burnside_identity_on_orbit_specs():
     for spec in (trivial_spec(), scaling_spec(), conjugation_spec(3)):
-        assert burnside_count(spec) == len(orbits(spec).orbits)
+        part = orbits(spec)
+        assert burnside_count(spec.points, spec.act, spec.generators) == part.count
+        assert orbit_sizes_divide(part, len(spec.generators))
 
 
 def test_burnside_identity_on_triple_actions():
     for group in (CyclicGroup(Modulus(3, 1)), CyclicGroup(Modulus(3, 2)),
                   CyclicGroup(Modulus(2, 2)), ElemAbelian2Group(2)):
-        spec = triple_action_spec(group)
-        assert burnside_count(spec) == len(orbits(spec).orbits)
+        spec, (elements, _, _) = triple_action_spec(group), affine_group(group)
+        part = orbits(spec)
+        assert len(elements) == oracle._affine_order(group) and set(spec.generators) <= set(elements)
+        assert burnside_count(spec.points, spec.act, elements) == part.count
+        assert orbit_sizes_divide(part, len(elements))
 
 
 def test_validate_action_spot_checks():
     rng = random.Random(7)
-    validate_action(triple_action_spec(CyclicGroup(Modulus(3, 2))), rng)
-    validate_action(triple_action_spec(ElemAbelian2Group(3)), rng, samples=15)
+    for group, samples in ((CyclicGroup(Modulus(3, 2)), 30), (ElemAbelian2Group(3), 15)):
+        spec, (elements, compose, identity) = triple_action_spec(group), affine_group(group)
+        validate_action(spec.points, spec.act, compose, identity, elements, rng, samples)
 
 
 def test_orbits_budget(monkeypatch):
@@ -188,6 +183,7 @@ ORDER_AT_MOST_27 = [CyclicGroup(Modulus(p, k)) for p, k in CYCLIC_AT_MOST_27] + 
 @pytest.mark.parametrize("group", ORDER_AT_MOST_27, ids=lambda g: g.describe())
 def test_two_stage_matches_classify_triples(group):
     ref = classify_triples(group)
+    assert orbit_sizes_divide(ref, oracle._affine_order(group))
     staged = classify_two_stage(group)
     assert staged.count == ref.count == len(ref.representatives) == len(staged.representatives)
     assert staged.representatives == ref.representatives
@@ -199,15 +195,8 @@ def test_two_stage_matches_classify_triples(group):
 @pytest.mark.parametrize("group", ORDER_AT_MOST_27 + [ElemAbelian2Group(7)], ids=lambda g: g.describe())
 def test_automorphism_generators_generate_aut(group):
     aut = _automorphisms(group)
-    spec = ActionSpec(
-        points=aut.elements,
-        act=aut.mul,
-        compose=aut.mul,
-        identity=aut.identity,
-        generators=aut.generators,
-        order=len(aut.elements),
-    )
-    assert len(orbits(spec).orbits) == 1
+    part = orbits(ActionSpec(points=aut.elements, act=aut.mul, generators=aut.generators))
+    assert len(part.orbits) == 1 and orbit_sizes_divide(part, len(aut.elements))
     for g in aut.generators:
         assert aut.mul(g, aut.inv(g)) == aut.identity
     if isinstance(group, CyclicGroup):  # one or two greedy units for every n <= 27 but 2

@@ -6,12 +6,13 @@ exit 1 and write nothing to stderr: no exception from a constructor that
 would have refused the row, and no reduction that would have hidden it.
 """
 
+import sys
 from itertools import groupby
 from operator import itemgetter
 
 import pytest
 
-from paramedial import enum_cyclic, enum_gl2
+from paramedial import affine, cli, enum_cyclic, enum_gl2
 from paramedial.affine import AffineForm, Classification, ClassRecord, CyclicGroup, ElemAbelian2Group
 from paramedial.cli import main
 from paramedial.modring import Modulus
@@ -144,6 +145,21 @@ def test_a_bad_coset_transversal_fails_the_fast_level(capsys, monkeypatch, p):
     assert f"FAIL: {STRUCT}" in out.splitlines()
 
 
+def test_the_p2_flags_are_checked_by_a_criterion_they_were_not_set_by(capsys, monkeypatch):
+    # is_simple flipped in every module that binds it: had the p = 2 rows taken their flags from it,
+    # the flag check would compare the mutant with itself and pass
+    original = affine.is_simple
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "paramedial"]
+    binders = [m for m in modules if vars(m).get("is_simple") is original]
+    assert cli in binders
+    for module in binders:
+        monkeypatch.setattr(module, "is_simple", lambda group, phi, psi: not original(group, phi, psi))
+    code = main(["verify", "--group", "elem2", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert f"FAIL: {FLAGS}" in out.splitlines()
+
+
 @pytest.mark.parametrize("level", ["fast", "oracle"])
 def test_verify_builds_no_form_or_record(capsys, monkeypatch, level):
     # nor the row tuple: it reads each row once, as the enumerator yields it
@@ -156,9 +172,10 @@ def test_verify_builds_no_form_or_record(capsys, monkeypatch, level):
 
 
 def test_verify_applies_no_automorphism_to_an_element(capsys, monkeypatch):
-    # is_simple decides from the entries of phi and psi alone, with no element of G in sight
-    monkeypatch.setattr(ElemAbelian2Group, "apply", _refuse)
-    monkeypatch.setattr(CyclicGroup, "apply", _refuse)
+    # is_simple decides from the entries of phi and psi alone, with no element of G in sight:
+    # images(aut) is how a group class applies an automorphism to its elements
+    monkeypatch.setattr(ElemAbelian2Group, "images", _refuse)
+    monkeypatch.setattr(CyclicGroup, "images", _refuse)
     for group in (["elem2", "5"], ["elem2", "2"], ["cyclic", "5", "2"]):
         assert main(["verify", "--group", *group]) == 0, group
     assert "FAIL" not in capsys.readouterr().out

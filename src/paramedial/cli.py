@@ -243,8 +243,8 @@ def _sha256(data: bytes = b""):
 
 def _canonical(value) -> str:
     """json.dumps(value, sort_keys=True) for the dicts, strs, ints and bools
-    of a cache key, without importing json.  Its strs are names and a version
-    number, in which json escapes nothing."""
+    of a cache key or a ``count --json`` reply, without importing json.  Its
+    strs are names and a version number, in which json escapes nothing."""
     if isinstance(value, dict):
         return "{" + ", ".join(f'"{key}": {_canonical(value[key])}' for key in sorted(value)) + "}"
     if isinstance(value, str):
@@ -374,12 +374,7 @@ def cmd_count(args) -> int:
         group = _parse_group(args.group)
         count = group.closed_count()
         params = {"group": group.params()}
-    if args.json:
-        import json
-
-        print(json.dumps({"command": "count", **params, "count": count}, sort_keys=True))
-    else:
-        print(count)
+    print(_canonical({"command": "count", **params, "count": count}) if args.json else count)
     return EXIT_OK
 
 

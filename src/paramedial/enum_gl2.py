@@ -31,6 +31,7 @@ lines of Z_2 x Z_2, which shares nothing with affine.is_simple.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import partial
 
@@ -76,20 +77,15 @@ def _require_odd_prime(p: int) -> None:
 # -- conjugacy classes of GL(2,p) -----------------------------------------------
 
 
-class ConjClass:
+class ConjClass(namedtuple("ConjClass", "p kind a b rep")):
     """One conjugacy class of GL(2,p), keyed by its representative shape.
 
     kind 'scalar': aI; 'diag': diag(a, b) with 0 < a < b; 'jordan':
     ((a,1),(0,a)); 'irreducible': the companion matrix ((0,1),(a,b)) of
-    an irreducible x^2 - b x - a.
+    an irreducible x^2 - b x - a.  b is None for 'scalar' and 'jordan'.
     """
 
-    def __init__(self, p: int, kind: str, a: int, b: int | None, rep: Mat2):
-        self.p = p
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.rep = rep
+    __slots__ = ()
 
 
 def conjugacy_classes(p: int) -> Iterator[ConjClass]:

@@ -29,13 +29,15 @@ form: label the elements in the order in which closure under the product
 reaches them from a shortest generating tuple, and keep the least
 relabelled table, pruning the tuples by the automorphisms found on the
 way.  ``table_isomorphic`` compares two forms; ``classify_tables``
-computes one per table and numbers the distinct ones.  Before any form
-is computed, each table's cost is worked out in closed form and held to
-``MAX_FORM_COST``: a greedy walk finds g generators, at most
-log2(n) + 1, and the form costs at most n^2 for each of the seeds of up
-to g elements.  ``table_is_simple`` asks whether the principal
-congruences Cg(0, x) are all total; it is the table-level reference for
-``affine.is_simple``, its O(n^3) cost bounded by the order.
+computes one per table and numbers the distinct ones.  The search takes
+the seeds one size k at a time, and before it tries any seed of size k
+it holds their cost, n^2 for each of the seeds of up to k elements, to
+``MAX_FORM_COST``.  It stops at the smallest k that generates, at most
+log2(n) + 1, and that k is the same for isomorphic tables, so whether a
+table is refused depends on its class alone.  ``table_is_simple`` asks
+whether the principal congruences Cg(0, x) are all total; it is the
+table-level reference for ``affine.is_simple``, its O(n^3) cost bounded
+by the order.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ MAX_POINTS = 10**7  # orbits: points of the action at most
 REFERENCE_MAX_AFFINE_ORDER = 2**14  # classify_triples: |Aff(G)| = |Aut(G)| * |G| at most
 MAX_AFFINE_ORDER = 2**19  # classify_two_stage: the same at most
 TABLE_SIMPLE_MAX_ORDER = 128  # table_is_simple: order of the table at most
-MAX_FORM_COST = 2**24  # _canonical_form: n^2 * (the seeds of size at most g) at most
+MAX_FORM_COST = 2**24  # _canonical_form: n^2 * (the seeds of size at most k) at most
 
 
 class ActionSpec:
@@ -404,56 +406,23 @@ def _require_latin(table: QuasigroupTable) -> None:
         raise ValueError(f"a table of order {table.n} is not latin, so not a quasigroup")
 
 
-def _generator_count(rows: Sequence[Sequence[int]]) -> int:
-    """g, the generators a greedy walk takes: the least element not yet
-    reached, then closure under the product, until all n are reached.
-
-    For a subquasigroup S and x outside it, S*x has |S| elements, none in
-    S: s*x = t in S would make x the solution in S of s*y = t.  So each
-    generator at least doubles what is reached, and g <= floor(log2 n) + 1.
-    Each pair of reached elements is multiplied at most once, both ways:
-    O(n^2).
-    """
-    n = len(rows)
-    reached, order, g, m = [False] * n, [], 0, 0
-    for x in range(n):
-        if not reached[x]:
-            g += 1
-            reached[x] = True
-            order.append(x)
-            while m < len(order) < n:
-                a = order[m]
-                row = rows[a]
-                for b in order[: m + 1]:
-                    for z in (row[b], rows[b][a]):  # a*b, then b*a
-                        if not reached[z]:
-                            reached[z] = True
-                            order.append(z)
-                m += 1
-    return g
-
-
-def _form_cost(n: int, g: int) -> int:
+def _form_cost(n: int, k: int) -> int:
     """The cost bound of ``_canonical_form`` on a table of order n whose
-    greedy walk takes g generators: n^2 per seed, for every seed of at
-    most g distinct elements, sum_{j=1..g} n!/(n-j)! of them."""
-    return n * n * sum(math.perm(n, j) for j in range(1, g + 1))
+    smallest generating seed has k elements: n^2 per seed, for every seed
+    of at most k distinct elements, sum_{j=1..k} n!/(n-j)! of them."""
+    return n * n * sum(math.perm(n, j) for j in range(1, k + 1))
 
 
 def _check_quasigroup(table: QuasigroupTable) -> None:
-    """The domain of the canonical form: a latin table whose form costs at
-    most ``MAX_FORM_COST``.  The cost at g = 1, n^3, is checked before the
-    table is read, the cost at the table's own g before any search."""
+    """A latin table whose one-element seeds cost at most ``MAX_FORM_COST``:
+    that cost, n^3, depends on n alone, so it is checked before the table
+    is read.  The larger seeds are held to the bound by ``_canonical_form``."""
     n = table.n
     if (cost := _form_cost(n, 1)) > MAX_FORM_COST:
         raise ResourceLimitError(
             f"a canonical form of order {n} costs at least {cost}, above the bound {MAX_FORM_COST}"
         )
     _require_latin(table)
-    if (cost := _form_cost(n, g := _generator_count(table.rows))) > MAX_FORM_COST:
-        raise ResourceLimitError(
-            f"a canonical form of order {n} from {g} generators costs {cost}, above the bound {MAX_FORM_COST}"
-        )
 
 
 def _canonical_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -467,10 +436,19 @@ def _canonical_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     over the seeds of the smallest size k that generate.  An isomorphism
     carries seeds to seeds and their labellings along, so isomorphic tables
     get equal forms, and a form is a table, so equal forms mean isomorphic
-    tables.  The g generators of ``_generator_count`` form a seed, so
-    k <= g <= log2(n) + 1, Miller's bound (G. L. Miller, "On the n^(log n)
-    isomorphism technique", STOC 1978), and at most ``_form_cost(n, g)``
-    is spent.
+    tables.
+
+    Before any seed of size k is tried, their cost ``_form_cost(n, k)`` is
+    held to ``MAX_FORM_COST``, and a ``ResourceLimitError`` names k and that
+    cost.  The search stops at the smallest k that generates, which
+    isomorphic tables share, so whether a table is refused depends on its
+    class alone.  A refusal at size k has spent at most
+    ``_form_cost(n, k - 1)``, itself within the bound: the bound is still
+    checked before the work it bounds, though a caller may have computed
+    other forms before the refusal.  For a subquasigroup S and x outside
+    it, S*x has |S| elements, none in S, so each generator added at least
+    doubles what is generated and k <= log2(n) + 1, Miller's bound
+    (G. L. Miller, "On the n^(log n) isomorphism technique", STOC 1978).
 
     Seeds are pruned by automorphisms, as McKay and Piperno prune
     (J. Symbolic Comput. 60, 2014).  Two seeds with equal forms differ by
@@ -484,6 +462,11 @@ def _canonical_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         return tuple(itertools.chain.from_iterable(rows))
     columns = list(zip(*rows))
     for k in range(1, n + 1):
+        if (cost := _form_cost(n, k)) > MAX_FORM_COST:
+            raise ResourceLimitError(
+                f"a canonical form of order {n} needs seeds of {k} elements, "
+                f"which cost {cost}, above the bound {MAX_FORM_COST}"
+            )
         best, orbit, tried = None, list(range(n)), []
         for first in range(n):
             if orbit[first] in {orbit[x] for x in tried}:
@@ -523,8 +506,9 @@ def _canonical_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def table_isomorphic(t1: QuasigroupTable, t2: QuasigroupTable) -> bool:
     """Whether a bijection s exists with s(x*y) = s(x) o s(y), for quasigroups
     (``ValueError`` for a table of equal order that is not latin): whether
-    the two tables have the same ``_canonical_form``.  Both are checked
-    before either form is computed.
+    the two tables have the same ``_canonical_form``.  Both are checked to
+    be latin, with n^3 within ``MAX_FORM_COST``, before either form is
+    computed; the second form may still be refused at a larger seed size.
     """
     if t1.n != t2.n:
         return False
@@ -589,8 +573,10 @@ def classify_tables(tables: Sequence[QuasigroupTable]) -> list[int]:
     """Partition quasigroup tables into isomorphism classes; returns class ids.
 
     Every table is checked, as ``table_isomorphic`` checks its two, before
-    any form is computed.  Classes are numbered in order of first sighting,
-    keyed by each table's order and ``_canonical_form``, one form per table.
+    any form is computed; a form refused at a larger seed size refuses the
+    call after the forms before it.  Classes are numbered in order of first
+    sighting, keyed by each table's order and ``_canonical_form``, one form
+    per table.
     """
     for t in tables:
         _check_quasigroup(t)

@@ -1,12 +1,13 @@
 """Brute-force references that only the tests call: the unpruned canonical
 form, which ``oracle._canonical_form`` must equal on every table, the
-smallest generating seed, which bounds ``oracle._generator_count`` from
-below, the n^4 paramedial identity, which ``affine.is_paramedial`` must
-agree with (vectorized, and as a plain loop), the group Aff(G) of the
-triple action with its elements and product, which the oracle never
-builds, the Burnside count, orbit-stabilizer check and action spot
-check that the orbit computations are held to, and the argparse parser
-that ``cli._parse_args`` must read argv as."""
+smallest generating seed, whose form cost decides whether
+``oracle.classify_tables`` refuses a table, the n^4 paramedial identity,
+which ``affine.is_paramedial`` must agree with (vectorized, and as a
+plain loop), the group Aff(G) of the triple action with its elements
+and product, which the oracle never builds, the Burnside count,
+orbit-stabilizer check and action spot check that the orbit computations
+are held to, and the argparse parser that ``cli._parse_args`` must read
+argv as."""
 
 import argparse
 import itertools

@@ -752,17 +752,18 @@ def added(argv):
     return " ".join(sorted(set(sys.modules) - before))
 
 os.environ["PARAMEDIAL_CACHE_DIR"], out = sys.argv[1:]
-requests = (["count", "--order", "9"], ["verify", "--group", "elem2", "3", "--level", "fast"],
-            ["enumerate", "--group", "elem2", "3", "--out", out])
+requests = (["count", "--order", "9"], ["count", "--order", "9", "--json"],
+            ["verify", "--group", "elem2", "3", "--level", "fast"], ["enumerate", "--group", "elem2", "3", "--out", out])
 print(*map(added, requests), " ".join(set(sys.modules) - bare), sep="\\n")  # after the requests' own output
 """
 
 
 def test_requests_load_no_parser_or_json_module(tmp_path, capsys, monkeypatch):
-    # Start-up by module count, not by timing: count, verify and an enumerate
-    # cache hit load neither argparse (with gettext and locale) nor json.
-    # count and verify load nothing beyond the import of paramedial.cli; the
-    # hit loads hashlib, to check the entry's sha256, and nothing else.
+    # Start-up by module count, not by timing: count, count --json, verify and
+    # an enumerate cache hit load neither argparse (with gettext and locale)
+    # nor json. count, count --json and verify load nothing beyond the import
+    # of paramedial.cli; the hit loads hashlib, to check the entry's sha256,
+    # and nothing else.
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
     assert run(capsys, "enumerate", "--group", "elem2", "3")[0] == 0  # the entry the child hits
     src = os.path.dirname(os.path.dirname(paramedial.__file__))
@@ -775,10 +776,10 @@ def test_requests_load_no_parser_or_json_module(tmp_path, capsys, monkeypatch):
         return result.stdout.splitlines()
 
     out = tmp_path / "out.json"
-    *_, count, verify, hit, loaded = child(STARTUP_GUARD_RUN, str(tmp_path / "cache"), str(out))
+    *_, count, count_json, verify, hit, loaded = child(STARTUP_GUARD_RUN, str(tmp_path / "cache"), str(out))
     assert out.read_bytes() == run(capsys, "enumerate", "--group", "elem2", "3")[1].encode()
     (with_hashlib,) = child("import sys; bare = set(sys.modules); import hashlib; print(*set(sys.modules) - bare)")
-    assert count == verify == ""
+    assert count == count_json == verify == ""
     assert "hashlib" in hit.split() and set(hit.split()) <= set(with_hashlib.split())
     assert not {"argparse", "gettext", "locale", "json"} & set(loaded.split())
 

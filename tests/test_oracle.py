@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import time
+import types
 import tracemalloc
 
 import pytest
@@ -38,6 +39,7 @@ from reference import (
     canonical_form_unpruned,
     orbit_sizes_divide,
     raw_table,
+    smallest_generating_seed,
     validate_action,
 )
 
@@ -326,24 +328,31 @@ def test_relabelled_table_is_isomorphic():
     assert table_isomorphic(base, relabelled)
 
 
-# Z_2^4 under XOR: the greedy walk needs all 5 generators, a form cost of
-# 256 * (16 + 16*15 + ... + 16*15*14*13*12) = 146 292 736, above the bound
+# Z_2^m under XOR: k elements generate their span, at most 2^k elements, so
+# the smallest seed has m.  At m = 4 its cost is 256 * (16 + 16*15 +
+# 16*15*14 + 16*15*14*13) = 12 107 776, within the bound; at m = 5 the seeds
+# of 3 already cost 1024 * (32 + 32*31 + 32*31*30) = 31 522 816, above it
 XOR_16 = raw_table(lambda x, y: x ^ y, 16)
-# Z_16 under addition: one generator, a form cost of 16^3
+XOR_32 = raw_table(lambda x, y: x ^ y, 32)
+# Z_n under addition: one generator, a form cost of n^3
 CYCLIC_16 = raw_table(lambda x, y: (x + y) % 16, 16)
+CYCLIC_32 = raw_table(lambda x, y: (x + y) % 32, 32)
+Z_257 = raw_table(lambda x, y: (x + y) % 257, 257)  # n^3 above the bound: refused before the table is read
+XOR_32_REFUSED = "a canonical form of order 32 needs seeds of 3 elements, which cost 31522816, above the bound 16777216"
 
 
 def test_table_isomorphic_bound(monkeypatch):
-    calls = _count_forms(monkeypatch)
-    for t1, t2 in ((XOR_16, XOR_16), (XOR_16, CYCLIC_16), (CYCLIC_16, XOR_16)):
-        with pytest.raises(ResourceLimitError, match="from 5 generators costs 146292736, above the bound 16777216"):
+    sizes = _count_seed_sizes(monkeypatch)
+    for t1, t2 in ((XOR_32, XOR_32), (XOR_32, CYCLIC_32), (CYCLIC_32, XOR_32)):
+        with pytest.raises(ResourceLimitError, match=XOR_32_REFUSED):
             table_isomorphic(t1, t2)
-    assert calls == []
+    assert set(sizes) == {1, 2}  # no seed of the refused size is tried
+    assert table_isomorphic(XOR_16, XOR_16) and not table_isomorphic(XOR_16, CYCLIC_16)
     assert table_isomorphic(CYCLIC_16, CYCLIC_16)
-    big = raw_table(lambda x, y: (x + y) % 257, 257)  # n^3 above the bound: refused before the table is read
+    calls = _count_forms(monkeypatch)
     with pytest.raises(ResourceLimitError, match="order 257 costs at least 16974593"):
-        table_isomorphic(big, big)
-    assert calls == [16, 16]
+        table_isomorphic(Z_257, Z_257)
+    assert calls == []
 
 
 def test_form_cost_at_miller_bound_is_within_the_bound_up_to_order_nine():
@@ -414,6 +423,19 @@ def _count_forms(monkeypatch):
     return calls
 
 
+def _count_seed_sizes(monkeypatch):
+    """The seed size k of each first element ``_canonical_form`` tries, read
+    from its call permutations(rest, k - 1)."""
+    sizes = []
+
+    def permutations(iterable, r):
+        sizes.append(r + 1)
+        return itertools.permutations(iterable, r)
+
+    monkeypatch.setattr(oracle, "itertools", types.SimpleNamespace(**{**vars(itertools), "permutations": permutations}))
+    return sizes
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_classify_tables_matches_the_pairwise_reference_at_order_nine(seed):
     tables, sources = _with_copies(_order_nine_reps(), seed)
@@ -459,13 +481,54 @@ def test_classify_tables_puts_order_25_copies_with_their_sources():
 
 def test_classify_tables_takes_elem2_5_with_copies_and_the_classes_of_cyclic_7_2():
     # over a group of order 25 the subquasigroups are cosets of order 1, 5 or
-    # 25, so a walk takes at most 3 generators (9 015 625); the classes of
-    # cyclic 7 2 take at most 2 (5 764 801), but g depends on the labelling,
-    # and a relabelled copy of order 49 may take a third (271 180 945)
+    # 25, so a seed has at most 3 elements (9 015 625); the classes of
+    # cyclic 7 2 take at most 2 (5 764 801)
     reps = tuple(map(materialize, enumerate_gl2(5).forms))
     tables, sources = _with_copies(reps, 25)
     assert classify_tables(tables) == list(range(98)) + sources
     assert classify_tables(list(map(materialize, enumerate_cyclic(Modulus(7, 2)).forms))) == list(range(92))
+
+
+# x*y = 4x + 4y over Z_7 x Z_7: idempotent, so two points generate only their line
+ELEM2_7_REFUSED = AffineForm(ElemAbelian2Group(7), (4, 0, 0, 4), (4, 0, 0, 4), (0, 0))
+
+
+@pytest.mark.parametrize("group, count", [(ElemAbelian2Group(7), 193), (CyclicGroup(Modulus(7, 2)), 92)], ids=["elem2(7)", "cyclic(7,2)"])
+def test_classify_tables_puts_order_49_copies_with_their_sources(group, count):
+    # whether a table is refused depends on its class, so each copy is
+    # accepted with its source: every class of order 49 but one
+    forms = enumerate_gl2(7).forms if isinstance(group, ElemAbelian2Group) else enumerate_cyclic(group.modulus).forms
+    reps = tuple(materialize(f) for f in forms if f != ELEM2_7_REFUSED)
+    assert len(reps) == count
+    tables, sources = _with_copies(reps, 49)
+    assert classify_tables(tables) == list(range(len(reps))) + sources
+
+
+def test_the_idempotent_class_of_elem2_7_needs_seeds_of_three():
+    table = materialize(ELEM2_7_REFUSED)
+    assert smallest_generating_seed(table.rows) == 3
+    for t in (table, _relabelled(table, random.Random(3))):
+        with pytest.raises(ResourceLimitError, match="order 49 needs seeds of 3 elements, which cost 271180945, above the bound 16777216"):
+            classify_tables([t])
+
+
+def _refusal_sets():
+    order_nine, _ = _with_copies(_order_nine_reps(), 9)
+    elem2_5, _ = _with_copies(tuple(map(materialize, enumerate_gl2(5).forms)), 5)
+    cyclic_7_2, _ = _with_copies(tuple(map(materialize, enumerate_cyclic(Modulus(7, 2)).forms)), 7)
+    return {"order-9": order_nine, "elem2-5": elem2_5, "cyclic-7-2": cyclic_7_2, "xor-and-z257": [XOR_16, XOR_32, Z_257]}
+
+
+@pytest.mark.parametrize("name", ["order-9", "elem2-5", "cyclic-7-2", "xor-and-z257"])
+def test_classify_tables_refuses_exactly_the_tables_whose_smallest_seed_costs_too_much(name):
+    for t in _refusal_sets()[name]:
+        over = oracle._form_cost(t.n, smallest_generating_seed(t.rows)) > oracle.MAX_FORM_COST
+        try:
+            classify_tables([t])
+        except ResourceLimitError:
+            assert over, t
+        else:
+            assert not over, t
 
 
 def test_classify_tables_checks_each_table_is_latin_once(monkeypatch):
@@ -482,13 +545,21 @@ def test_classify_tables_checks_each_table_is_latin_once(monkeypatch):
 
 
 def test_classify_tables_checks_every_order_before_any_search(monkeypatch):
+    # n^3 is checked for every table before any form; a larger seed size is
+    # refused by the search itself, after the forms of the tables before it
     small = materialize(enumerate_cyclic(Modulus(3, 1)).forms[0])
     calls = _count_forms(monkeypatch)
-    for tables in ([XOR_16], [small, XOR_16], [XOR_16, XOR_16], [small, CYCLIC_16, XOR_16]):
-        with pytest.raises(ResourceLimitError, match="order 16 from 5 generators costs 146292736"):
+    for tables in ([Z_257], [small, Z_257], [Z_257, Z_257], [small, CYCLIC_16, Z_257]):
+        with pytest.raises(ResourceLimitError, match="order 257 costs at least 16974593"):
             classify_tables(tables)
     assert calls == []
-    assert classify_tables([CYCLIC_16, small, CYCLIC_16]) == [0, 1, 0]
+    sizes = _count_seed_sizes(monkeypatch)
+    for tables in ([XOR_32], [small, XOR_32], [small, CYCLIC_16, XOR_32, small]):
+        with pytest.raises(ResourceLimitError, match=XOR_32_REFUSED):
+            classify_tables(tables)
+    assert calls == [32, 3, 32, 3, 16, 32]
+    assert 3 not in sizes
+    assert classify_tables([CYCLIC_16, small, XOR_16, CYCLIC_16]) == [0, 1, 2, 0]
 
 
 def test_classify_tables_checks_every_table_is_latin_before_any_search(monkeypatch):

@@ -4,8 +4,9 @@ Aut(Z_{p^k}) is the unit group, which is abelian, so the classification
 reduces to picking every pair of units (phi, psi) with phi^2 = psi^2 and
 then a transversal of the unit action on Z_{p^k} / Im(1 - phi - psi).
 
-For odd p the pairs are exactly psi = +-phi and the constants depend on
-i = v_p(1 - 2 phi): the transversal is {0, 1, p, ..., p^(i-1)}.  For
+For odd p the pairs are exactly psi = +-phi.  For psi = -phi, 1 - phi - psi
+is 1, a unit, so c = 0; for psi = phi the constants depend on the i with
+p^i = gcd(1 - 2 phi, p^k): the transversal is {0, 1, p, ..., p^(i-1)}.  For
 p = 2 every unit squares to 1 mod 2 and mod 4, so with k <= 2 psi runs
 over all units; with k >= 3 the square roots of phi^2 mod 2^k are exactly
 +-phi and +-phi + 2^(k-1).  Either way 1 - phi - psi is odd, a unit, so
@@ -26,6 +27,7 @@ on the explicit tables.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from functools import partial
 
@@ -53,25 +55,11 @@ def closed_form_count(m: Modulus) -> int:
     return 2 * p**k - p ** (k - 1) + sum(p**i for i in range(k - 1))
 
 
-def _image_exponent(phi: int, m: Modulus) -> int:
-    """The i with p^i = gcd(1 - 2 phi, p^k): for psi = phi the constants
-    are zero plus the powers p^0..p^(i-1)."""
-    v = (1 - 2 * phi) % m.n
-    if v == 0:
-        return m.k
-    i = 0
-    while v % m.p == 0:
-        v //= m.p
-        i += 1
-    return i
-
-
 def _rows(m: Modulus) -> Iterator[tuple[int, int, int, str, bool]]:
     """Every class over Z_{p^k} as (phi, psi, c, case, simple), ordered by (phi, psi, c) ascending."""
-    n = m.n
+    n, half = m.n, m.n // 2
     simple = m.k == 1
     if m.p == 2:
-        half = n // 2
         units = unit_group(m)
         for phi in units:
             if m.k <= 2:
@@ -83,27 +71,25 @@ def _rows(m: Modulus) -> Iterator[tuple[int, int, int, str, bool]]:
             for psi in matches:
                 yield phi, psi, 0, CASE_P2, simple
         return
+    p, special = m.p, (m.p + 1) // 2
+    powers = [p**i for i in range(m.k + 1)]
     plus_cases = [f"cyclic.psi-plus.i{i}" for i in range(m.k + 1)]
-    plus0, p, special = plus_cases[0], m.p, (m.p + 1) // 2
+    plus0 = plus_cases[0]
     for phi in unit_group(m):
-        # n is odd, so psi = -phi differs from phi and sorts on one side of it.
+        # n is odd, so psi = -phi differs from phi: it sorts after phi when
+        # 2 phi < n, that is phi <= half, and before it otherwise.
+        minus = (phi, n - phi, 0, CASE_PSI_MINUS, simple)
+        if phi > half:
+            yield minus
         # p divides 1 - 2 phi only when phi = (p + 1)/2 mod p; every other
         # unit has i = 0, so its constants are {0} alone.
         if phi % p != special:
-            if n - phi > phi:
-                yield phi, phi, 0, plus0, simple
-                yield phi, n - phi, 0, CASE_PSI_MINUS, simple
-            else:
-                yield phi, n - phi, 0, CASE_PSI_MINUS, simple
-                yield phi, phi, 0, plus0, simple
-            continue
-        minus = (phi, n - phi, 0, CASE_PSI_MINUS, simple)
-        if n - phi < phi:
-            yield minus
-        i = _image_exponent(phi, m)
-        for c in [0] + [p**j for j in range(i)]:
-            yield phi, phi, c, plus_cases[i], simple
-        if n - phi > phi:
+            yield phi, phi, 0, plus0, simple
+        else:
+            i = powers.index(math.gcd(1 - 2 * phi, n))
+            for c in [0, *powers[:i]]:
+                yield phi, phi, c, plus_cases[i], simple
+        if phi <= half:
             yield minus
 
 

@@ -5,10 +5,10 @@ enumerators; it classifies by raw orbit computation and raw table
 relabelling so the two routes stay independent.
 
 Aut(G) and G are described once, by ``_automorphisms``: the elements of
-Aut(G) in increasing order, a generating set, and the arithmetic of the
-action, over Z_p x Z_p the oracle's own 2x2 kernel rather than
-``modring``'s: a kernel shared with the enumerators could hide one bug on
-both sides.
+Aut(G) in increasing order (over Z_n the units, listed by gcd), a
+generating set, and the arithmetic of the action, over Z_p x Z_p the
+oracle's own 2x2 kernel.  None of it comes from ``modring``: a kernel
+shared with the enumerators could hide one bug on both sides.
 
 The isomorphism classes of affine triples (phi, psi, c) are found two
 ways from that one description, each class as its least triple, raw
@@ -28,16 +28,16 @@ table that is not latin.  Isomorphism has one mechanism, a canonical
 form: label the elements in the order in which closure under the product
 reaches them from a shortest generating tuple, and keep the least
 relabelled table, pruning the tuples by the automorphisms found on the
-way.  ``table_isomorphic`` compares two forms; ``classify_tables``
-computes one per table and numbers the distinct ones.  The search takes
-the seeds one size k at a time, and before it tries any seed of size k
-it holds their cost, n^2 for each of the seeds of up to k elements, to
-``MAX_FORM_COST``.  It stops at the smallest k that generates, at most
-log2(n) + 1, and that k is the same for isomorphic tables, so whether a
-table is refused depends on its class alone.  ``table_is_simple`` asks
-whether the principal congruences Cg(0, x) are all total; it is the
-table-level reference for ``affine.is_simple``, its O(n^3) cost bounded
-by the order.
+way.  ``classify_tables`` computes one form per table and numbers the
+distinct ones; ``table_isomorphic`` is that call on two tables.  The
+search takes the seeds one size k at a time, and before it tries any
+seed of size k it holds their cost, n^2 for each of the seeds of up to k
+elements, to ``MAX_FORM_COST``.  It stops at the smallest k that
+generates, at most log2(n) + 1, and that k is the same for isomorphic
+tables, so whether a table is refused depends on its class alone.
+``table_is_simple`` asks whether the principal congruences Cg(0, x) are
+all total; it is the table-level reference for ``affine.is_simple``, its
+O(n^3) cost bounded by the order.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from collections.abc import Callable, Sequence
 from operator import itemgetter
 
 from .affine import CyclicGroup, GroupDescriptor, QuasigroupTable, ResourceLimitError, is_latin
-from .modring import unit_group
 
 MAX_POINTS = 10**7  # orbits: points of the action at most
 REFERENCE_MAX_AFFINE_ORDER = 2**14  # classify_triples: |Aff(G)| = |Aut(G)| * |G| at most
@@ -166,7 +165,7 @@ def _unit_generators(units: Sequence[int], n: int) -> list[int]:
 def _automorphisms(group: GroupDescriptor) -> _Automorphisms:
     if isinstance(group, CyclicGroup):
         n = group.modulus.n
-        units = unit_group(group.modulus)
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
         return _Automorphisms(
             elements=units,
             generators=_unit_generators(units, n),
@@ -505,16 +504,10 @@ def _canonical_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def table_isomorphic(t1: QuasigroupTable, t2: QuasigroupTable) -> bool:
     """Whether a bijection s exists with s(x*y) = s(x) o s(y), for quasigroups
-    (``ValueError`` for a table of equal order that is not latin): whether
-    the two tables have the same ``_canonical_form``.  Both are checked to
-    be latin, with n^3 within ``MAX_FORM_COST``, before either form is
-    computed; the second form may still be refused at a larger seed size.
+    of equal order: whether ``classify_tables`` puts them in one class, with
+    its checks and refusals.  Tables of unequal orders are not checked.
     """
-    if t1.n != t2.n:
-        return False
-    _check_quasigroup(t1)
-    _check_quasigroup(t2)
-    return _canonical_form(t1.rows) == _canonical_form(t2.rows)
+    return t1.n == t2.n and classify_tables([t1, t2]) == [0, 0]
 
 
 # -- congruences on explicit tables -------------------------------------------

@@ -51,21 +51,32 @@ def raw_table(op, n: int) -> QuasigroupTable:
 
 def smallest_generating_seed(rows: Sequence[Sequence[int]]) -> int:
     """The least k such that some k elements generate the table under the
-    product, by closing every k-subset in turn."""
+    product.  The sets that k elements generate are found level by level,
+    each once: one that k - 1 elements generate, with one element outside
+    it added and the closure grown from there.  An element inside it adds
+    nothing, so k is the level of the first set of all n elements."""
     n = len(rows)
-    for k in range(n + 1):
-        for seed in itertools.combinations(range(n), k):
-            reached = set(seed)
-            frontier = list(seed)
-            while frontier:
-                x = frontier.pop()
-                for y in list(reached):
-                    for z in (rows[x][y], rows[y][x]):
-                        if z not in reached:
-                            reached.add(z)
-                            frontier.append(z)
-            if len(reached) == n:
-                return k
+    if n == 0:
+        return 0
+    level = {frozenset()}
+    for k in range(1, n + 1):
+        grown = set()
+        for closed in level:
+            for x in range(n):
+                if x in closed:
+                    continue
+                reached, frontier = {*closed, x}, [x]
+                while frontier:  # products within the closed set stay in it
+                    y = frontier.pop()
+                    for z in list(reached):
+                        for w in (rows[y][z], rows[z][y]):
+                            if w not in reached:
+                                reached.add(w)
+                                frontier.append(w)
+                if len(reached) == n:
+                    return k
+                grown.add(frozenset(reached))
+        level = grown
     raise AssertionError("all n elements generate")
 
 

@@ -378,7 +378,11 @@ def test_value_classes_are_immutable_and_compare_by_fields(make, names):
     for name in names:
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
     assert a == b == pickle.loads(pickle.dumps(a)) == copy.deepcopy(a)
+    if isinstance(a, Modulus):
+        assert repr(a) == "Modulus(p=3, k=2, n=9)"
 
 
 CYCLIC_PAIRS_9 = [(phi, psi) for phi in range(1, 9) for psi in range(1, 9)

@@ -881,6 +881,11 @@ RENDER_INPUTS = {
 TABLES_MAX_CHECKED = 10**6  # table entries: the tables render is checked where it is small
 
 
+def test_render_records_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_records(*_rows("cyclic", "3", "2"), "xml")
+
+
 @pytest.mark.parametrize("name", RENDER_INPUTS)
 def test_render_records_matches_the_reference_encoders(name):
     group, rows = RENDER_INPUTS[name]()

@@ -151,6 +151,13 @@ def test_sqrt_set_equals_brute_force_for_all_squared_representatives(p):
         assert sqrt_set(a, p) == sorted(x for x in mats if square(x, p) == a)
 
 
+@pytest.mark.parametrize("p", [2, 9])
+def test_conjugacy_classes_refuses_an_order_not_an_odd_prime_at_the_first_draw(p):
+    classes = conjugacy_classes(p)
+    with pytest.raises(ValueError, match=f"p={p} must be an odd prime"):
+        next(classes)
+
+
 def test_sqrt_set_rejects_p2():
     with pytest.raises(ValueError):
         sqrt_set(IDENTITY, 2)

@@ -21,6 +21,11 @@ GOLDEN = {
     ("cyclic", "2", "4"): {"json": "df75ddad016859e1", "csv": "61e7fca42486ed7f", "tables": "7e59a75098cae5ac"},
     ("cyclic", "3", "2"): {"json": "2ad2938746b3ed59", "csv": "8499ad530905b8d1", "tables": "a72b032740d62107"},
     ("cyclic", "5", "3"): {"json": "051154c789c39c1c", "csv": "100d729445981a61", "tables": "1b04bed8293ec9ee"},
+    # Larger cyclic groups, json only: many units phi = (p + 1)/2 mod p, at every i from 1 to k
+    ("cyclic", "101", "2"): {"json": "ecd68f3b35cf136d"},
+    ("cyclic", "3", "6"): {"json": "a8e722cf2f67fc33"},
+    ("cyclic", "5", "4"): {"json": "4468d0e13c3767bf"},
+    ("cyclic", "7", "4"): {"json": "e138e563fde7825d"},
 }
 
 # `--simple-only`.  cyclic 2 4 and cyclic 3 2 have no simple class: their

@@ -110,6 +110,12 @@ def test_validate_action_spot_checks():
         validate_action(spec.points, spec.act, compose, identity, elements, rng, samples)
 
 
+def test_orbits_refuses_an_action_that_leaves_the_point_set():
+    spec = ActionSpec(points=[0, 1, 2], act=lambda g, x: x + g, generators=[1])
+    with pytest.raises(ValueError, match="action leaves the point set at 3"):
+        orbits(spec)
+
+
 def test_orbits_budget(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_POINTS", 2)
     with pytest.raises(ResourceLimitError):
@@ -369,6 +375,13 @@ def test_table_isomorphic_rejects_a_non_latin_table():
             table_isomorphic(t1, t2)
 
 
+def test_table_isomorphic_of_unequal_orders_is_false_unchecked():
+    # MAGMA is not latin and Z_257 is refused for its order: either would raise if it were checked
+    z3 = raw_table(lambda x, y: (x + y) % 3, 3)
+    assert not table_isomorphic(MAGMA, z3) and not table_isomorphic(z3, MAGMA)
+    assert not table_isomorphic(Z_257, z3)
+
+
 def test_classify_tables_partitions_all_order_three_triples():
     group = CyclicGroup(Modulus(3, 1))
     spec = triple_action_spec(group)
@@ -529,6 +542,10 @@ def test_classify_tables_refuses_exactly_the_tables_whose_smallest_seed_costs_to
             assert over, t
         else:
             assert not over, t
+
+
+def test_classify_tables_takes_the_tables_of_order_zero_and_one():
+    assert classify_tables([QuasigroupTable(0, ()), QuasigroupTable(1, ((0,),))]) == [0, 1]
 
 
 def test_classify_tables_checks_each_table_is_latin_once(monkeypatch):

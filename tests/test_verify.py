@@ -12,7 +12,7 @@ from operator import itemgetter
 
 import pytest
 
-from paramedial import affine, cli, enum_cyclic, enum_gl2
+from paramedial import affine, cli, enum_cyclic, enum_gl2, modring
 from paramedial.affine import AffineForm, Classification, ClassRecord, CyclicGroup, ElemAbelian2Group
 from paramedial.cli import main
 from paramedial.modring import Modulus
@@ -143,6 +143,24 @@ def test_a_bad_coset_transversal_fails_the_fast_level(capsys, monkeypatch, p):
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
     assert f"FAIL: {STRUCT}" in out.splitlines()
+
+
+def _units_but_the_last(m):
+    return [v for v in range(1, m.n) if v % m.p != 0][:-1]
+
+
+def test_the_oracle_lists_the_units_of_z_n_itself(capsys, monkeypatch):
+    # through __code__, so every binding of unit_group, the enumerator's among them, runs the mutant:
+    # an oracle that took its automorphisms from unit_group would lose one with the enumerator
+    monkeypatch.setattr(modring.unit_group, "__code__", _units_but_the_last.__code__)
+    assert modring.unit_group(Modulus(3, 2)) == [1, 2, 4, 5, 7]
+    assert classify_two_stage(CyclicGroup(Modulus(3, 2))).count == 16
+    code = main(["verify", "--group", "cyclic", "3", "2", "--level", "oracle"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert "FAIL: count over Z_9 equals closed form 16 (got 13)" in lines
+    assert "ok: oracle orbit count equals 16" in lines
 
 
 def test_the_p2_flags_are_checked_by_a_criterion_they_were_not_set_by(capsys, monkeypatch):
